@@ -48,7 +48,6 @@ from .polytope import (
 )
 from .rates import (
     Channel,
-    RateReport,
     ad_block_ensemble,
     ad_preprocessing_threshold,
     ad_rate,
@@ -62,10 +61,7 @@ from .rates import (
     oneway_threshold,
     optimize_preprocessing,
     pnl_to_disturbance,
-    preprocess_joint,
-    preprocessed_rate,
     preprocessing_threshold,
-    rate_report,
 )
 from .simulate import EstimateReport, RoundLog, RoundRecord, estimate, run
 

@@ -92,6 +92,18 @@ class FullAttack:
         )
 
 
+def _facet_plus_pr(p_nl: float) -> tuple:
+    """PR box with weight p_nl plus the eight facet points, uniformly."""
+    components = []
+    facet_w = (1.0 - p_nl) / 8.0
+    for vertex in polytope.facet_vertices():
+        if facet_w > 0.0:
+            components.append((vertex, facet_w))
+    if p_nl > 0.0:
+        components.append((polytope.pr_box_vertex(), p_nl))
+    return tuple(components)
+
+
 def optimal_attack(v: float) -> FullAttack:
     """Eve's best extremal-mixture preparation for isotropic visibility v.
 
@@ -104,22 +116,16 @@ def optimal_attack(v: float) -> FullAttack:
     if not 0.0 <= v <= 1.0:
         raise DomainError(f"visibility {v!r} outside [0, 1]")
     p_nl = max(0.0, 2.0 * v - 1.0)
-    components = []
     if v >= 0.5:
-        facet_w = (1.0 - p_nl) / 8.0
-        for vertex in polytope.facet_vertices():
-            if facet_w > 0.0:
-                components.append((vertex, facet_w))
-        if p_nl > 0.0:
-            components.append((polytope.pr_box_vertex(), p_nl))
-    else:
-        on, off = (1.0 + 2.0 * v) / 16.0, (1.0 - 2.0 * v) / 16.0
-        for vertex in polytope.vertices():
-            if not vertex.is_local:
-                continue
-            w = on if vertex.on_chsh_facet else off
-            if w > 0.0:
-                components.append((vertex, w))
+        return FullAttack(visibility=v, p_nl=p_nl, components=_facet_plus_pr(p_nl))
+    on, off = (1.0 + 2.0 * v) / 16.0, (1.0 - 2.0 * v) / 16.0
+    components = []
+    for vertex in polytope.vertices():
+        if not vertex.is_local:
+            continue
+        w = on if vertex.on_chsh_facet else off
+        if w > 0.0:
+            components.append((vertex, w))
     return FullAttack(visibility=v, p_nl=p_nl, components=tuple(components))
 
 
@@ -181,15 +187,8 @@ def _accumulate(contribs: dict):
     return p, symbols
 
 
-def sift(attack: FullAttack) -> JointABE:
-    """Reconciled round statistics with Eve's five-symbol knowledge.
-
-    Settings are uniform.  Bob announces y; Alice keeps a for x*y = 0
-    and flips it for x = y = 1.  Eve knows b outright for any
-    deterministic vertex.  She knows Alice's kept bit only when the
-    vertex makes it independent of the unannounced x; otherwise e_a is
-    "?".  PR rounds give her nothing on either bit.
-    """
+def _sift(attack: FullAttack, announce: bool) -> JointABE:
+    """Reconciled round statistics; ``announce`` makes Alice's setting public."""
     contribs: dict = {}
     for vertex, w in attack.components:
         for x, y in itertools.product((0, 1), repeat=2):
@@ -198,8 +197,11 @@ def sift(attack: FullAttack) -> JointABE:
                 a = (alpha & x) ^ beta
                 b = (gamma & y) ^ delta
                 kept = a ^ (x & y)
-                candidates = {((alpha & xx) ^ beta) ^ (xx & y) for xx in (0, 1)}
-                e_a = kept if len(candidates) == 1 else None
+                if announce:
+                    e_a = kept
+                else:
+                    candidates = {((alpha & xx) ^ beta) ^ (xx & y) for xx in (0, 1)}
+                    e_a = kept if len(candidates) == 1 else None
                 sym = EveSymbol(e_a, b)
                 contribs.setdefault((sym, kept, b), []).append(w * 0.25)
             else:
@@ -213,6 +215,18 @@ def sift(attack: FullAttack) -> JointABE:
     return JointABE(p=p, symbols=symbols, p_nl=attack.p_nl)
 
 
+def sift(attack: FullAttack) -> JointABE:
+    """Reconciled round statistics with Eve's five-symbol knowledge.
+
+    Settings are uniform.  Bob announces y; Alice keeps a for x*y = 0
+    and flips it for x = y = 1.  Eve knows b outright for any
+    deterministic vertex.  She knows Alice's kept bit only when the
+    vertex makes it independent of the unannounced x; otherwise e_a is
+    "?".  PR rounds give her nothing on either bit.
+    """
+    return _sift(attack, announce=False)
+
+
 def sift_alice_announces(attack: FullAttack) -> JointABE:
     """Variant where Alice announces her setting as well.
 
@@ -221,23 +235,7 @@ def sift_alice_announces(attack: FullAttack) -> JointABE:
     plus (?,?) for PR rounds.  The public settings themselves carry no
     extra information beyond that and are summed out.
     """
-    contribs: dict = {}
-    for vertex, w in attack.components:
-        for x, y in itertools.product((0, 1), repeat=2):
-            if vertex.is_local:
-                alpha, beta, gamma, delta = vertex.params
-                kept = ((alpha & x) ^ beta) ^ (x & y)
-                b = (gamma & y) ^ delta
-                sym = EveSymbol(kept, b)
-                contribs.setdefault((sym, kept, b), []).append(w * 0.25)
-            else:
-                alpha, beta, gamma = vertex.params
-                sym = EveSymbol(None, None)
-                for a in (0, 1):
-                    b = a ^ (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
-                    contribs.setdefault((sym, a ^ (x & y), b), []).append(w * 0.125)
-    p, symbols = _accumulate(contribs)
-    return JointABE(p=p, symbols=symbols, p_nl=attack.p_nl)
+    return _sift(attack, announce=True)
 
 
 def attack_from_pnl(p_nl: float) -> FullAttack:
@@ -248,15 +246,8 @@ def attack_from_pnl(p_nl: float) -> FullAttack:
     """
     if not 0.0 <= p_nl <= 1.0:
         raise DomainError(f"p_nl {p_nl!r} outside [0, 1]")
-    components = []
-    facet_w = (1.0 - p_nl) / 8.0
-    for vertex in polytope.facet_vertices():
-        if facet_w > 0.0:
-            components.append((vertex, facet_w))
-    if p_nl > 0.0:
-        components.append((polytope.pr_box_vertex(), p_nl))
     return FullAttack(
-        visibility=(1.0 + p_nl) / 2.0, p_nl=p_nl, components=tuple(components)
+        visibility=(1.0 + p_nl) / 2.0, p_nl=p_nl, components=_facet_plus_pr(p_nl)
     )
 
 

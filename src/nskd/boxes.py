@@ -245,12 +245,6 @@ def _relabeling_permutation(s: int, t: int, c: int) -> np.ndarray:
 _RELABEL_PERMS = np.stack([_relabeling_permutation(*g) for g in _RELABELINGS])
 
 
-def apply_relabeling(box: Box, s: int, t: int, c: int) -> Box:
-    """One element of the CHSH symmetry group applied to a box."""
-    perm = _relabeling_permutation(s, t, c)
-    return _make_box(box.table.ravel()[perm].reshape(2, 2, 2, 2))
-
-
 def twirl_to_isotropic(box: Box) -> Box:
     """Average a box over the CHSH symmetry group.
 

@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -92,6 +93,8 @@ def cmd_decompose(path: str, config: Config) -> int:
 
 
 def cmd_rates(config: Config) -> int:
+    if not 0.0 < config.grid < math.inf:
+        raise DomainError(f"grid step {config.grid!r} must be positive and finite")
     d_values = np.arange(0.0, rates.MAX_DISTURBANCE + config.grid / 2, config.grid)
     d_values = np.clip(d_values, 0.0, rates.MAX_DISTURBANCE)
     rows = rates.curve_rows(d_values, restarts=config.restarts, seed=config.seed)

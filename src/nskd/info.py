@@ -23,14 +23,6 @@ def binary_entropy(p: float) -> float:
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 
-def entropy(dist) -> float:
-    """Shannon entropy of a flattened distribution."""
-    p = np.asarray(dist, dtype=float).ravel()
-    _check_normalized(p)
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
 def mutual_information(joint) -> float:
     """I(X:Y) from a 2-d joint distribution p(x, y)."""
     p = np.asarray(joint, dtype=float)
@@ -51,14 +43,20 @@ def conditional_mutual_information(joint) -> float:
     if p.ndim != 3:
         raise ValueError("conditional_mutual_information expects a 3-d joint")
     _check_normalized(p)
-    pz = p.sum(axis=(0, 1), keepdims=True)
-    pxz = p.sum(axis=1, keepdims=True)
-    pyz = p.sum(axis=0, keepdims=True)
-    mask = p > 0
-    num = p[mask] * np.broadcast_to(pz, p.shape)[mask]
-    den = (np.broadcast_to(pxz, p.shape) * np.broadcast_to(pyz, p.shape))[mask]
-    vals = p[mask] * np.log2(num / den)
-    return max(0.0, float(vals.sum()))
+    return _cmi(p)
+
+
+def _cmi(p: np.ndarray) -> float:
+    """Unchecked I(X:Y|Z), the kernel of the intrinsic-information search."""
+    pz = p.sum(axis=(0, 1))
+    pa = p.sum(axis=1)
+    pb = p.sum(axis=0)
+    num = p * pz[None, None, :]
+    den = pa[:, None, :] * pb[None, :, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * np.log2(num / den)
+    total = float(np.where(p > 1e-300, terms, 0.0).sum())
+    return max(0.0, total)
 
 
 def _check_normalized(p: np.ndarray) -> None:

@@ -1,11 +1,12 @@
 """Secrecy quantifiers for the sifted attack statistics.
 
 Everything here consumes the five-symbol joint distribution produced by
-the attack module (or a preprocessed variant of it) and is expressed in
-bits per sifted symbol.  The module covers:
+the attack module and is expressed in bits per sifted symbol.  The
+module covers:
 
 * the one-way key-rate bound I(A:B) - I(A:E) and its closed form,
 * Alice's Bernoulli pre-processing and its optimization over the noise,
+  evaluated exactly as the length-1 distillation block,
 * intrinsic information, both the closed-form reference curve and an
   honest numerical minimization over Eve's processing channels,
 * the two-way advantage-distillation protocol (repetition blocks with a
@@ -24,10 +25,9 @@ from scipy.optimize import minimize
 from . import info
 from .attack import JointABE, alice_bob_stats, table_joint
 from .exceptions import DomainError
-from .info import (
+from .info import (  # noqa: F401  perfbench/tracing.py patches mutual_information here
     binary_entropy,
     conditional_mutual_information,
-    entropy,
     mutual_information,
 )
 
@@ -59,95 +59,31 @@ def oneway_rate(joint: JointABE) -> float:
     return stats.i_ab - stats.i_ae
 
 
-def preprocess_joint(joint: JointABE, q: float) -> JointABE:
-    """Alice flips her bit with probability q before reconciliation."""
-    if not 0.0 <= q <= 0.5:
-        raise DomainError(f"noise rate {q!r} outside [0, 1/2]")
-    p = (1.0 - q) * joint.p + q * joint.p[::-1, :, :]
-    return JointABE(p=p, symbols=joint.symbols, p_nl=joint.p_nl)
-
-
-def preprocessed_rate(p_nl: float, q: float) -> float:
-    """One-way rate after Bernoulli(q) noise on Alice's bit."""
-    return oneway_rate(preprocess_joint(table_joint(p_nl), q))
-
-
 @dataclass(frozen=True)
 class PreprocessingOptimum:
     q_opt: float
     rate: float
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 60):
-    """Golden-section maximization of a unimodal scalar function."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = (a + b) / 2.0
-    return x, fun(x)
+def optimize_preprocessing(p_nl: float) -> PreprocessingOptimum:
+    """Maximize the rate over Alice's Bernoulli(q) pre-processing noise.
 
-
-def optimize_preprocessing(
-    p_nl: float, grid_step: float = 1e-3
-) -> PreprocessingOptimum:
-    """Maximize the preprocessed rate over the noise q.
-
-    Scans a uniform grid and refines the best point by golden section;
-    the rate is smooth and unimodal in q for this family.  The search
-    stops just short of q = 1/2: the rate vanishes identically there,
-    and within rounding distance of that point its sign is noise.
+    A single round with noise q on Alice's bit is the length-1
+    distillation block with that noise on its secret, so the rate is
+    1 - h(eps*q) - (p_L/2)(1 - h(q)) with eps = p_L/4, evaluated by the
+    exact block engine and maximized by its noise search.
     """
-    joint = table_joint(p_nl)
-
-    def rate_at(q: float) -> float:
-        return oneway_rate(preprocess_joint(joint, q))
-
-    q_max = 0.499
-    qs = np.arange(0.0, q_max + grid_step / 2, grid_step)
-    qs[-1] = min(qs[-1], q_max)
-    values = [rate_at(float(q)) for q in qs]
-    k = int(np.argmax(values))
-    lo = float(qs[max(0, k - 1)])
-    hi = float(qs[min(len(qs) - 1, k + 1)])
-    q_ref, rate_ref = _golden_max(rate_at, lo, hi)
-    if values[k] >= rate_ref:
-        return PreprocessingOptimum(q_opt=float(qs[k]), rate=float(values[k]))
-    return PreprocessingOptimum(q_opt=float(q_ref), rate=float(rate_ref))
+    return PreprocessingOptimum(*_best_noise_rate(ad_block_ensemble(p_nl, 1), DEFAULT_Q_GRID))
 
 
 def oneway_threshold(tol: float = 1e-9) -> float:
     """Smallest p_nl with a positive one-way rate (no pre-processing)."""
-    lo, hi = 0.1, 0.9
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if ck_rate(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2.0
+    return _rate_zero(ck_rate, 0.1, 0.9, tol)
 
 
 def preprocessing_threshold(tol: float = 1e-5) -> float:
     """Smallest p_nl with a positive rate after optimal pre-processing."""
-    lo, hi = 0.15, 0.35
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if optimize_preprocessing(mid).rate > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2.0
+    return _rate_zero(lambda p: optimize_preprocessing(p).rate, 0.15, 0.35, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +124,6 @@ def cmi_given_channel(joint: JointABE, channel: Channel) -> float:
     """I(A:B | Ē) after Eve pipes her symbol through the channel."""
     mapped = joint.p @ channel.matrix
     return conditional_mutual_information(mapped)
-
-
-def _cmi_raw(p_abe: np.ndarray, matrix: np.ndarray) -> float:
-    """Unchecked I(A:B|Ē) evaluation, tuned for the optimizer's inner loop."""
-    m = p_abe @ matrix  # (2, 2, n_out)
-    pz = m.sum(axis=(0, 1))
-    pa = m.sum(axis=1)
-    pb = m.sum(axis=0)
-    num = m * pz[None, None, :]
-    den = pa[:, None, :] * pb[None, :, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = m * np.log2(num / den)
-    total = float(np.where(m > 1e-300, terms, 0.0).sum())
-    return max(0.0, total)
 
 
 def _normalize_rows(theta: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -247,7 +169,7 @@ def intrinsic_numeric(
     m = min(max_outputs, k)
 
     def objective(theta: np.ndarray) -> float:
-        return _cmi_raw(p_abe, _normalize_rows(theta, k, m))
+        return info._cmi(p_abe @ _normalize_rows(theta, k, m))
 
     structured = []
     identity = np.zeros((k, m))
@@ -258,7 +180,7 @@ def intrinsic_numeric(
     structured.append(constant)
     structured.append(np.full((k, m), 1.0 / m))
     det_scored = sorted(
-        ((_cmi_raw(p_abe, mat), i, mat) for i, mat in enumerate(_deterministic_channels(k, m))),
+        ((info._cmi(p_abe @ mat), i, mat) for i, mat in enumerate(_deterministic_channels(k, m))),
         key=lambda t: (t[0], t[1]),
     )
     structured.extend(mat for _, _, mat in det_scored[:8])
@@ -434,6 +356,8 @@ def ad_block_ensemble(p_nl: float, n: int, noise: float = 0.0) -> AdBlockEnsembl
     depend only on the class counts, so a multinomial sum over the
     counts is exact.
     """
+    if not 0.0 <= p_nl <= 1.0:
+        raise DomainError(f"p_nl {p_nl!r} outside [0, 1]")
     if n < 1:
         raise DomainError("block length must be at least 1")
     if not 0.0 <= noise <= 0.5:
@@ -560,6 +484,26 @@ MAX_NOISE = 0.499
 DEFAULT_Q_GRID = tuple(np.linspace(0.0, 0.49, 50)) + (MAX_NOISE,)
 
 
+def _golden_max(fun, lo: float, hi: float, iters: int = 60):
+    """Golden-section maximization of a unimodal scalar function."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    x = (a + b) / 2.0
+    return x, fun(x)
+
+
 def _best_noise_rate(ensemble: AdBlockEnsemble, q_grid) -> tuple:
     best_q, best_rate = 0.0, ensemble.rate(0.0)
     for q in q_grid:
@@ -612,38 +556,8 @@ def ad_preprocessing_threshold(n_max: int, q_grid=DEFAULT_Q_GRID) -> AdThreshold
 
 
 # ---------------------------------------------------------------------------
-# aggregate reports
+# disturbance sweep
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RateReport:
-    p_nl: float
-    rate_oneway: float
-    rate_oneway_preprocessed: float
-    q_opt: float
-    intrinsic_closed: float
-    intrinsic_numeric: float
-    disturbance: float  # nan when p_nl is not channel-reachable
-
-
-def rate_report(p_nl: float, restarts: int = 64, seed: int = 0) -> RateReport:
-    """All single-point secrecy quantities at one nonlocal weight."""
-    opt = optimize_preprocessing(p_nl)
-    joint = table_joint(p_nl)
-    try:
-        disturbance = pnl_to_disturbance(p_nl)
-    except DomainError:
-        disturbance = math.nan
-    return RateReport(
-        p_nl=p_nl,
-        rate_oneway=ck_rate(p_nl),
-        rate_oneway_preprocessed=opt.rate,
-        q_opt=opt.q_opt,
-        intrinsic_closed=intrinsic_closed(p_nl),
-        intrinsic_numeric=intrinsic_numeric(joint, restarts=restarts, seed=seed),
-        disturbance=disturbance,
-    )
 
 
 CURVE_COLUMNS = (

@@ -1,0 +1,52 @@
+"""The package API that the benchmark in perfbench/ relies on.
+
+perfbench/ drives nskd from outside and looks names up by attribute, so
+a clean-up inside the package can break it without breaking any other
+test.  These checks resolve every traced name and build every workload's
+items without running them.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
+
+
+def test_traced_names_resolve_in_every_owner(tracing):
+    missing = [
+        f"{owner.__name__}.{name.rsplit('.', 1)[1]}"
+        for name, (owners, _) in tracing.TARGETS.items()
+        for owner in owners
+        if not callable(getattr(owner, name.rsplit(".", 1)[1], None))
+    ]
+    assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["intrinsic", "sweep", "montecarlo"])
+def test_workload_items_build(workloads, workload, tmp_path):
+    items = workloads.WORKLOADS[workload](101, str(tmp_path))
+    assert items
+    for item in items:
+        assert isinstance(item, workloads.Item)
+        assert callable(item.call) and callable(item.check)

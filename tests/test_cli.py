@@ -116,6 +116,13 @@ class TestRates:
             ds = [float(r["d"]) for r in csv.DictReader(fh)]
         assert ds == sorted(ds)
 
+    @pytest.mark.parametrize("grid", ["0", "-0.1", "nan", "inf"])
+    def test_bad_grid_exits_two(self, capsys, grid):
+        code, out, err = run_cli(capsys, "rates", "--grid", grid, "--restarts", "1")
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in out + err
+
 
 class TestSimulateCommand:
     def test_report_json(self, capsys, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nskd import attack, rates
-from nskd.attack import alice_bob_stats, table_joint
+from nskd.attack import JointABE, alice_bob_stats, table_joint
 from nskd.exceptions import DomainError, NotNormalized
 from nskd.info import (
     binary_entropy,
@@ -87,29 +87,64 @@ class TestOneWayRate:
         assert rates.ck_rate(SQRT2 - 1.0) > 0.0
 
 
+def preprocess_joint(joint: JointABE, q: float) -> JointABE:
+    """Oracle: Alice flips her bit with probability q before reconciliation."""
+    p = (1.0 - q) * joint.p + q * joint.p[::-1, :, :]
+    return JointABE(p=p, symbols=joint.symbols, p_nl=joint.p_nl)
+
+
+def single_round_rate(p_nl: float, q: float) -> float:
+    """Pre-processed one-way rate as the length-1 distillation block."""
+    return rates.ad_block_ensemble(p_nl, 1).rate(q)
+
+
 class TestPreprocessing:
     def test_zero_noise_reduces_to_plain_rate(self):
         for p_nl in (0.2, 0.5, 0.9):
-            assert rates.preprocessed_rate(p_nl, 0.0) == pytest.approx(
+            assert single_round_rate(p_nl, 0.0) == pytest.approx(
                 rates.ck_rate(p_nl), abs=1e-12
             )
 
     def test_half_noise_kills_everything(self):
         for p_nl in (0.1, 0.6):
-            assert rates.preprocessed_rate(p_nl, 0.5) == pytest.approx(0.0, abs=1e-12)
+            assert single_round_rate(p_nl, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_rate_is_continuous_in_q(self):
         qs = np.linspace(0.0, 0.5, 201)
-        vals = [rates.preprocessed_rate(0.3, float(q)) for q in qs]
+        vals = [single_round_rate(0.3, float(q)) for q in qs]
         jumps = np.abs(np.diff(vals))
         assert jumps.max() < 0.01
 
     def test_noise_helps_at_quarter(self):
         assert rates.ck_rate(0.25) < 0.0
         best = max(
-            rates.preprocessed_rate(0.25, float(q)) for q in np.arange(0.0, 0.5, 1e-3)
+            single_round_rate(0.25, float(q)) for q in np.arange(0.0, 0.5, 1e-3)
         )
         assert best > 0.0
+
+    def test_block_matches_joint_route(self):
+        for p_nl in np.linspace(0.0, 1.0, 41):
+            joint = table_joint(float(p_nl))
+            for q in np.linspace(0.0, 0.5, 41):
+                oracle = rates.oneway_rate(preprocess_joint(joint, float(q)))
+                assert single_round_rate(float(p_nl), float(q)) == pytest.approx(
+                    oracle, abs=1e-12
+                )
+
+    @pytest.mark.parametrize("p_nl", [0.2, 0.236, 0.25, 0.4, 0.8])
+    def test_optimum_beats_joint_route_grid(self, p_nl):
+        joint = table_joint(p_nl)
+        grid_best = max(
+            rates.oneway_rate(preprocess_joint(joint, float(q)))
+            for q in np.arange(0.0, 0.5, 1e-3)
+        )
+        assert rates.optimize_preprocessing(p_nl).rate >= grid_best - 1e-12
+
+    def test_rejects_p_nl_outside_unit_interval(self):
+        with pytest.raises(DomainError):
+            rates.ad_rate(-0.1, 3)
+        with pytest.raises(DomainError):
+            rates.optimize_preprocessing(1.5)
 
     def test_optimizer_beats_grid_start(self):
         for p_nl in (0.25, 0.4, 0.8):
@@ -340,17 +375,12 @@ class TestAdvantageDistillation:
 
 class TestRateReport:
     def test_report_fields_and_invariants(self):
-        report = rates.rate_report(0.35, restarts=4, seed=0)
-        assert report.rate_oneway <= report.rate_oneway_preprocessed + 1e-9
-        assert report.intrinsic_numeric <= report.intrinsic_closed + rates.OPT_TOL
-        assert 0.0 <= report.q_opt <= 0.5
-        assert report.disturbance == pytest.approx(
-            rates.pnl_to_disturbance(0.35), abs=1e-12
-        )
-
-    def test_report_outside_quantum_region_has_nan_disturbance(self):
-        report = rates.rate_report(0.8, restarts=2, seed=0)
-        assert math.isnan(report.disturbance)
+        d = rates.pnl_to_disturbance(0.35)
+        row = rates.curve_rows([d], restarts=4, seed=0)[0]
+        assert row["rate_q0"] <= row["rate_opt"] + 1e-9
+        assert row["intrinsic_numeric"] <= row["intrinsic_closed"] + rates.OPT_TOL
+        assert 0.0 <= row["q_opt"] <= 0.5
+        assert row["p_nl"] == pytest.approx(0.35, abs=1e-12)
 
     def test_curve_rows_columns(self):
         rows = rates.curve_rows([0.0, 0.05], restarts=2, seed=0)
