@@ -57,6 +57,7 @@ from .rates import (
     disturbance_to_pnl,
     intrinsic_closed,
     intrinsic_numeric,
+    intrinsic_search,
     oneway_rate,
     oneway_threshold,
     optimize_preprocessing,

@@ -130,13 +130,17 @@ def cmd_simulate(v: float, n: int, config: Config, records_path: str = "") -> in
 def cmd_intrinsic(p_nl: float, config: Config, announce: bool = False) -> int:
     strategy = attack.attack_from_pnl(p_nl)
     joint = attack.sift_alice_announces(strategy) if announce else attack.sift(strategy)
-    numeric = rates.intrinsic_numeric(joint, restarts=config.restarts, seed=config.seed)
+    result = rates.intrinsic_search(joint, restarts=config.restarts, seed=config.seed)
     closed = rates.intrinsic_closed(p_nl)
     bound = rates.intrinsic_upper_bound(joint)
     print(f"p_nl:              {p_nl:.17g}")
     print(f"intrinsic_closed:  {closed:.17g}")
-    print(f"intrinsic_numeric: {numeric:.17g}")
+    print(f"intrinsic_numeric: {result.value:.17g}")
     print(f"upper bound:       {bound:.17g}")
+    print(f"winning start:     {result.start} ({result.steps} descent steps)")
+    print("argmin channel (rows: Eve's symbol, columns: output):")
+    for symbol, row in zip(joint.symbols, result.channel):
+        print(f"  {symbol.label():<8}" + " ".join(f"{w:.6f}" for w in row))
     if config.out:
         _write_out(
             config.out,
@@ -145,8 +149,10 @@ def cmd_intrinsic(p_nl: float, config: Config, announce: bool = False) -> int:
                     "p_nl": p_nl,
                     "announce": announce,
                     "intrinsic_closed": closed,
-                    "intrinsic_numeric": numeric,
+                    "intrinsic_numeric": result.value,
                     "upper_bound": bound,
+                    "channel": result.channel.tolist(),
+                    "start": result.start,
                 }
             ),
         )

@@ -43,23 +43,30 @@ def conditional_mutual_information(joint) -> float:
     if p.ndim != 3:
         raise ValueError("conditional_mutual_information expects a 3-d joint")
     _check_normalized(p)
-    return _cmi(p)
+    return float(_cmi(p))
 
 
-def _cmi(p: np.ndarray) -> float:
-    """Unchecked I(X:Y|Z), the kernel of the intrinsic-information search."""
-    pz = p.sum(axis=(0, 1))
-    pa = p.sum(axis=1)
-    pb = p.sum(axis=0)
-    num = p * pz[None, None, :]
-    den = pa[:, None, :] * pb[None, :, :]
+def _cmi(p: np.ndarray):
+    """Unchecked I(X:Y|Z) of joints p(..., x, y, z), one per leading index."""
+    return np.maximum(0.0, (p * _cmi_log_ratio(p)).sum(axis=(-3, -2, -1)))
+
+
+def _cmi_log_ratio(p: np.ndarray) -> np.ndarray:
+    """log2(p(x,y,z) p(z) / (p(x,z) p(y,z))), set to 0 where p(x,y,z) <= 1e-300.
+
+    I(X:Y|Z) is the p-weighted sum of this array; it is also the gradient
+    of I(X:Y|Z) in p, since the +1 terms of the four entropies cancel.
+    """
+    pz = p.sum(axis=(-3, -2))[..., None, None, :]
+    pxz = p.sum(axis=-2)[..., :, None, :]
+    pyz = p.sum(axis=-3)[..., None, :, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = p * np.log2(num / den)
-    total = float(np.where(p > 1e-300, terms, 0.0).sum())
-    return max(0.0, total)
+        return np.where(p > 1e-300, np.log2(p * pz / (pxz * pyz)), 0.0)
 
 
 def _check_normalized(p: np.ndarray) -> None:
+    if not np.all(np.isfinite(p)):
+        raise NotNormalized("non-finite weight in distribution")
     if np.any(p < -NORM_TOL):
         raise NotNormalized("negative weight in distribution")
     total = float(p.sum())

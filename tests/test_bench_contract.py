@@ -2,8 +2,8 @@
 
 perfbench/ drives nskd from outside and looks names up by attribute, so
 a clean-up inside the package can break it without breaking any other
-test.  These checks resolve every traced name and build every workload's
-items without running them.
+test.  These checks resolve every traced name, build every workload's
+items, and run the intrinsic workload's items through their answer checks.
 """
 
 import importlib.util
@@ -50,3 +50,14 @@ def test_workload_items_build(workloads, workload, tmp_path):
     for item in items:
         assert isinstance(item, workloads.Item)
         assert callable(item.call) and callable(item.check)
+
+
+def test_intrinsic_answers_pass_their_checks(workloads, tmp_path):
+    # the benchmark's answer gate on the minimizer: pinned minima, sandwich, announce zero
+    failed = [
+        (item.label, record)
+        for item in workloads.WORKLOADS["intrinsic"](101, str(tmp_path))
+        for record in item.check(item.call())
+        if not record["ok"]
+    ]
+    assert failed == []

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nskd import boxes, rates
+from nskd import attack, boxes, rates
 from nskd.cli import main
 
 
@@ -187,6 +187,10 @@ class TestIntrinsicCommand:
         payload = json.loads(out_file.read_text())
         assert payload["p_nl"] == 0.5
         assert payload["intrinsic_numeric"] <= payload["upper_bound"] + 1e-9
+        assert payload["start"] in (0, 1)
+        joint = attack.sift(attack.attack_from_pnl(0.5))
+        certified = rates.cmi_given_channel(joint, rates.Channel(np.array(payload["channel"])))
+        assert certified == pytest.approx(payload["intrinsic_numeric"], abs=1e-12)
 
     def test_bad_p_nl_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "intrinsic", "--p-nl", "1.5", "--restarts", "2")

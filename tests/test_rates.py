@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nskd import attack, rates
+from nskd import attack, info, rates
 from nskd.attack import JointABE, alice_bob_stats, table_joint
 from nskd.exceptions import DomainError, NotNormalized
 from nskd.info import (
@@ -50,6 +50,20 @@ class TestEntropy:
     def test_mutual_information_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
             mutual_information(np.full((2, 2), 0.3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_information_rejects_non_finite(self, bad):
+        with pytest.raises(NotNormalized):
+            mutual_information(np.full((2, 2), bad))
+        with pytest.raises(NotNormalized):
+            conditional_mutual_information(np.full((2, 2, 5), bad))
+
+    def test_cmi_kernel_batches_over_leading_axes(self, rng):
+        joints = rng.dirichlet(np.ones(20), size=(3, 4)).reshape(3, 4, 2, 2, 5)
+        batched = info._cmi(joints)
+        assert batched.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert batched[idx] == conditional_mutual_information(joints[idx])
 
     def test_eve_alice_information_from_joint(self):
         for p_nl in (0.1, 0.5, 0.9):
@@ -226,6 +240,8 @@ class TestIntrinsicNumeric:
     def test_channel_validation(self):
         with pytest.raises(ValueError):
             rates.Channel(np.array([[0.5, 0.4], [0.5, 0.5]]))
+        with pytest.raises(ValueError):
+            rates.Channel(np.full((5, 5), np.nan))
         good = rates.Channel(np.array([[0.5, 0.5], [0.0, 1.0]]))
         joint = table_joint(0.3)
         # mapping through a valid channel never goes below the found min
@@ -233,6 +249,54 @@ class TestIntrinsicNumeric:
             joint, rates.Channel(np.eye(len(joint.symbols)))
         )
         assert value == pytest.approx(0.3, abs=1e-12)
+
+    def test_channel_copies_its_input(self):
+        matrix = np.eye(2)
+        channel = rates.Channel(matrix)
+        matrix[0] = [0.0, 1.0]  # the caller's array stays writable
+        assert np.array_equal(channel.matrix, np.eye(2))
+        assert not channel.matrix.flags.writeable
+
+    def test_search_value_is_certified_by_its_channel(self):
+        for joint in (table_joint(0.5), attack.sift_alice_announces(attack.attack_from_pnl(0.25))):
+            result = rates.intrinsic_search(joint, restarts=12, seed=0)
+            certified = rates.cmi_given_channel(joint, rates.Channel(result.channel))
+            assert result.value == pytest.approx(certified, abs=1e-12)
+            assert result.value == rates.intrinsic_numeric(joint, restarts=12, seed=0)
+            assert 0 <= result.start < 12 and result.steps in (0, rates.EG_STEPS)
+
+    @pytest.mark.parametrize("p_nl", [0.3, 0.7])
+    def test_gradient_matches_central_differences(self, p_nl, rng):
+        p_abe = table_joint(p_nl).p
+        step = 1e-6
+        for w in rng.dirichlet(np.ones(5), size=(5, 5)):
+            numeric = np.zeros_like(w)
+            for idx in np.ndindex(*w.shape):
+                dw = np.zeros_like(w)
+                dw[idx] = step
+                numeric[idx] = (info._cmi(p_abe @ (w + dw)) - info._cmi(p_abe @ (w - dw))) / (2 * step)
+            assert np.allclose(rates._cmi_gradient(p_abe, w), numeric, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("p_nl", np.linspace(0.05, 0.95, 19).tolist())
+    def test_sandwich_between_key_rate_and_merge_channel(self, p_nl):
+        # S <= I(A:B down E) (Maurer & Wolf 1999); the channel that keeps
+        # (0,0) and (1,1) and merges the three e_a = ? symbols bounds it above
+        joint = table_joint(p_nl)
+        merge = np.array([[s.e_a == 0, s.e_a == 1, s.e_a is None] for s in joint.symbols], dtype=float)
+        upper = rates.cmi_given_channel(joint, rates.Channel(merge))
+        closed = (1 + p_nl) / 2 * (1 - binary_entropy((1 - p_nl) / (2 * (1 + p_nl))))
+        assert upper == pytest.approx(closed, abs=1e-12)
+        value = rates.intrinsic_numeric(joint, restarts=12)
+        assert rates.optimize_preprocessing(p_nl).rate - 1e-9 <= value <= upper + 1e-9
+
+    @pytest.mark.parametrize("p_nl", [0.05, 0.1, 0.15, 0.19, 0.21])
+    def test_announce_variant_vanishes_up_to_one_fifth(self, p_nl):
+        joint = attack.sift_alice_announces(attack.attack_from_pnl(p_nl))
+        value = rates.intrinsic_numeric(joint, restarts=12)
+        if p_nl < 0.2:
+            assert value <= 1e-9
+        else:
+            assert value > 1e-4
 
     def test_vanishes_at_zero_nonlocality(self):
         value = rates.intrinsic_numeric(table_joint(0.0), restarts=8, seed=0)
