@@ -106,9 +106,12 @@ def validate(values, tolerance: float = PROB_TOL) -> Box:
     """Check 16 raw numbers and return them as a Box.
 
     Raises NegativeProbability, NotNormalized or Signaling when the input
-    violates the corresponding constraint beyond ``tolerance``.  Entries
-    are clamped to [0, 1] on success.
+    violates the corresponding constraint beyond ``tolerance``, and
+    DomainError when the tolerance itself is not finite and nonnegative.
+    Entries are clamped to [0, 1] on success.
     """
+    if not 0.0 <= tolerance < math.inf:
+        raise DomainError(f"tolerance {tolerance!r} must be finite and nonnegative")
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size != 16:
         raise ValueError(f"expected 16 probabilities, got {arr.size}")

@@ -10,13 +10,17 @@ module covers:
 * intrinsic information, both the closed-form reference curve and an
   honest numerical minimization over Eve's processing channels,
 * the two-way advantage-distillation protocol (repetition blocks with a
-  random mask bit), analyzed exactly via type counts,
+  random mask bit), in closed form: accepted blocks fall into two
+  classes, Eve knowing the mask bit or blind to it; the rate is negative
+  for every block length exactly when p_nl <= 1/5, and a block whose
+  rate terms all underflow double precision raises DomainError,
 * the map between channel disturbance and the nonlocal weight.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +77,7 @@ def optimize_preprocessing(p_nl: float) -> PreprocessingOptimum:
     1 - h(eps*q) - (p_L/2)(1 - h(q)) with eps = p_L/4, evaluated by the
     exact block engine and maximized by its noise search.
     """
-    return PreprocessingOptimum(*_best_noise_rate(ad_block_ensemble(p_nl, 1), DEFAULT_Q_GRID))
+    return PreprocessingOptimum(*_best_noise_rate(ad_block_ensemble(p_nl, 1)))
 
 
 def oneway_threshold(tol: float = 1e-9) -> float:
@@ -263,14 +267,15 @@ LOG2E = 1.0 / math.log(2.0)
 
 
 def _one_minus_h(s: float) -> float:
-    """1 - h(s) with full relative accuracy near s = 1/2.
+    """1 - h(s), with absolute error about 1e-16 |1 - 2s| near s = 1/2.
 
-    Uses 1 - h(s) = s log2(2s) + (1-s) log2(2(1-s)); the log2(2s) factor
-    is log1p(2s - 1)/ln 2, which does not cancel for s close to 1/2.
+    Uses 1 - h(s) = s log2(2s) + (1-s) log2(2(1-s)); 2s is exact, and
+    the second factor is log1p(1 - 2s)/ln 2, whose argument is exact for
+    s in [1/4, 3/4], so neither logarithm is rounded near s = 1/2.
     """
     if s <= 0.0 or s >= 1.0:
         return 1.0
-    t1 = s * math.log1p(2.0 * s - 1.0)
+    t1 = s * math.log(2.0 * s)
     t2 = (1.0 - s) * math.log1p(1.0 - 2.0 * s)
     return (t1 + t2) * LOG2E
 
@@ -278,20 +283,17 @@ def _one_minus_h(s: float) -> float:
 def _capacity_drop(t: float, q: float) -> float:
     """[1 - h(q*t)] - [1 - h(q)] for the binary convolution q*t.
 
-    For tiny t the direct difference underflows, so the first two Taylor
-    terms in t are used instead; they are exact to machine precision in
-    that regime.
+    With d = t(1 - 2q) the shift of q*t away from q, the difference is
+    -d log2((1-q)/q) plus a remainder of order d^2/q written through
+    log1p, whose rounding error stays near 1e-16 d however small d is
+    against q; a truncated Taylor series in t fails once t >> q.
     """
-    if t == 0.0:
-        return 0.0
-    shift = 1.0 - 2.0 * q
-    if t > 1e-6:
-        return _one_minus_h(q + t * shift) - _one_minus_h(q)
     if q <= 0.0:
         return -binary_entropy(t)
-    slope = math.log2((1.0 - q) / q)
-    curvature = LOG2E / (q * (1.0 - q))
-    return -t * shift * slope + 0.5 * (t * shift) ** 2 * curvature
+    d = t * (1.0 - 2.0 * q)
+    p = 1.0 - q
+    remainder = (q + d) * math.log1p(d / q) + (p - d) * math.log1p(-d / p)
+    return -d * math.log2(p / q) + remainder * LOG2E
 
 
 @dataclass(frozen=True)
@@ -300,130 +302,67 @@ class AdBlockEnsemble:
 
     Alice announces her n bits masked by one random bit r; Bob accepts
     when his block is consistent with a single common error value sigma
-    and decodes r from it.  ``classes`` lists the accepted-block
-    posterior classes as (probability given acceptance, sigma, Eve's
-    probability of guessing r correctly).
+    and decodes r from it.  Given acceptance, Eve either knows r or is
+    blind to it: she is blind exactly when every round carries the blank
+    PR symbol or every round shows her only Bob's bit, and any other
+    accepted block reveals r.
     """
 
     n: int
     p_accept: float
     bob_error: float
-    classes: tuple  # ((weight, sigma, p_correct), ...)
+    blind: float  # P(Eve's posterior on r is uniform | accept)
 
     def eve_information(self) -> float:
         """I(R : Eve's view | accept)."""
-        return 1.0 - self.eve_equivocation(0.0)
-
-    def eve_equivocation(self, q: float) -> float:
-        """H(R + f | view, accept) with Bernoulli(q) noise f on r."""
-        total = 0.0
-        for weight, _, p_correct in self.classes:
-            mixed = p_correct * (1.0 - q) + (1.0 - p_correct) * q
-            total += weight * binary_entropy(mixed)
-        return total
+        return 1.0 - self.blind
 
     def rate(self, q: float = 0.0) -> float:
         """Key-rate sign quantity for the block, with optional noise q.
 
         The noise is applied to the distilled bit before the final
         one-way step, the same Bernoulli pre-processing as in the
-        single-round analysis but acting on the block-level secret.
-        The two 1-bit constants cancel exactly, and the remaining tiny
-        quantities are evaluated through cancellation-free helpers so
-        the sign survives for long blocks.
+        single-round analysis but acting on the block-level secret:
+        [1 - h(q*eps)] - (1 - blind)[1 - h(q)].  The two 1-bit constants
+        cancel exactly, and the remaining tiny quantities are evaluated
+        through cancellation-free helpers so the sign survives for long
+        blocks.
         """
-        blind = 0.0
-        simple = True
-        for weight, _, p_correct in self.classes:
-            if p_correct == 0.5:
-                blind += weight
-            elif p_correct != 1.0:
-                simple = False
-                break
-        if simple:
-            # rate = [1-h(q*eps)] - (1-blind)[1-h(q)]
-            #      = capacity_drop(eps) + blind [1-h(q)]
-            return _capacity_drop(self.bob_error, q) + blind * _one_minus_h(q)
-        eps = self.bob_error
-        mixed_err = eps * (1.0 - q) + (1.0 - eps) * q
-        eve_capacity = 0.0
-        for weight, _, p_correct in self.classes:
-            mixed = p_correct * (1.0 - q) + (1.0 - p_correct) * q
-            eve_capacity += weight * _one_minus_h(mixed)
-        return _one_minus_h(mixed_err) - eve_capacity
+        return _capacity_drop(self.bob_error, q) + self.blind * _one_minus_h(q)
 
 
-def ad_block_ensemble(p_nl: float, n: int, noise: float = 0.0) -> AdBlockEnsemble:
-    """Exact accepted-block ensemble via type-count enumeration.
+def ad_block_ensemble(p_nl: float, n: int) -> AdBlockEnsemble:
+    """Exact accepted-block ensemble in closed form.
 
-    ``noise`` is Bernoulli noise applied to Alice's bits *before* the
-    repetition encoding.  Rounds fall into three classes: symbols where
-    Eve knows both bits, symbols where she knows only Bob's bit, and the
-    blank PR symbol.  Within an accepted block her posterior odds on r
-    depend only on the class counts, so a multinomial sum over the
-    counts is exact.
+    A round is an error with probability u = p_L/4; with s = 1 - u the
+    block is accepted with probability s^n + u^n.  Eve is blind on the
+    all-blank block (probability p_nl^n) and on the blocks where every
+    round shows her only Bob's bit (u^n for each sigma).  Everything is
+    scaled by s^n, so with odds = (u/s)^n:
+
+        p_accept = s^n (1 + odds),  eps = odds / (1 + odds),
+        blind = (2 odds + (p_nl/s)^n) / (1 + odds).
+
+    When both odds and (p_nl/s)^n underflow, every term of the rate is
+    lost and its sign is meaningless, so that raises DomainError.
     """
     if not 0.0 <= p_nl <= 1.0:
         raise DomainError(f"p_nl {p_nl!r} outside [0, 1]")
     if n < 1:
         raise DomainError("block length must be at least 1")
-    if not 0.0 <= noise <= 0.5:
-        raise DomainError(f"noise rate {noise!r} outside [0, 1/2]")
-    p_l = 1.0 - p_nl
-    bern = (1.0 - noise, noise)
-
-    p_sigma = []
-    class_map: dict = {}
-    for sigma in (0, 1):
-        w_known = 0.5 * p_l * bern[sigma]
-        w_half = 0.25 * p_l
-        w_blank = p_nl * bern[sigma]
-        p_acc_sigma = (w_known + w_half + w_blank) ** n
-        p_sigma.append(p_acc_sigma)
-        if p_acc_sigma == 0.0:
-            continue
-        # odds multiplier per known/blank round for the wrong r hypothesis
-        if noise == 0.0:
-            ratio = 0.0 if sigma == 0 else math.inf
-        else:
-            ratio = bern[1 - sigma] / bern[sigma]
-        for n_known in range(n + 1):
-            for n_half in range(n - n_known + 1):
-                n_blank = n - n_known - n_half
-                weight = (
-                    math.comb(n, n_known)
-                    * math.comb(n - n_known, n_half)
-                    * w_known**n_known
-                    * w_half**n_half
-                    * w_blank**n_blank
-                )
-                if weight == 0.0:
-                    continue
-                if n_known + n_half == 0:
-                    p_correct = 0.5  # blank blocks never constrain r
-                else:
-                    exponent = n_known + n_blank
-                    if exponent == 0:
-                        p_correct = 0.5
-                    elif ratio == 0.0:
-                        p_correct = 1.0
-                    elif math.isinf(ratio):
-                        p_correct = 0.0
-                    else:
-                        p_correct = 1.0 / (1.0 + ratio**exponent)
-                key = (sigma, p_correct)
-                class_map[key] = class_map.get(key, 0.0) + weight
-
-    p_accept = sum(p_sigma)
-    classes = tuple(
-        (weight / p_accept, sigma, p_correct)
-        for (sigma, p_correct), weight in sorted(class_map.items())
-    )
+    u = (1.0 - p_nl) / 4.0
+    s = 1.0 - u
+    odds = (u / s) ** n
+    blank = (p_nl / s) ** n
+    if u > 0.0 and max(odds, blank) < sys.float_info.min:
+        raise DomainError(
+            f"block length {n} at p_nl {p_nl!r} underflows double precision"
+        )
     return AdBlockEnsemble(
         n=n,
-        p_accept=p_accept,
-        bob_error=p_sigma[1] / p_accept,
-        classes=classes,
+        p_accept=s**n * (1.0 + odds),
+        bob_error=odds / (1.0 + odds),
+        blind=(2.0 * odds + blank) / (1.0 + odds),
     )
 
 
@@ -468,27 +407,49 @@ class AdThreshold:
     per_n_curve: tuple  # ((n, zero_crossing or None), ...)
 
 
+def _block_zeros(n_max: int, block_rate) -> AdThreshold:
+    """Zero crossing in p_nl of block_rate(ensemble) for each n <= n_max, extrapolated."""
+    if n_max < 2:
+        raise DomainError("n_max must be at least 2")
+    zeros = tuple(
+        (n, _rate_zero(lambda p: block_rate(ad_block_ensemble(p, n))))
+        for n in range(1, n_max + 1)
+    )
+    return AdThreshold(threshold_estimate=_extrapolate_zeros(zeros), per_n_curve=zeros)
+
+
+AD_LIMIT = 0.2  # exact asymptotic threshold, with or without noise; see ad_threshold
+
+
 def ad_threshold(n_max: int) -> AdThreshold:
     """Asymptotic positivity threshold of plain advantage distillation.
 
     Locates the zero crossing of the block rate for every length up to
-    n_max and extrapolates the crossings against 1/N.
+    n_max and extrapolates the crossings against 1/N.  The exact limit
+    is AD_LIMIT = 1/5, where p_nl = u = p_L/4:
+
+    * blind = (2 + r) eps exactly, with r = (p_nl/u)^n, so
+      rate(0) = blind - h(eps), and blind <= 3 eps whenever p_nl <= u,
+      that is whenever p_nl <= 1/5;
+    * on (0, 1/4], h(eps) > 3 eps, and 0 < eps <= u <= 1/4 there, so
+      the rate is negative for every n;
+    * for p_nl > 1/5, r grows geometrically while h(eps)/eps grows like
+      n log2(s/u), so the rate turns positive at large n;
+    * noise cannot lower the limit: to first order in eps,
+      rate(q)/eps = r (1 - h(q)) - g(q) with
+      g(q) = (1-2q) log2((1-q)/q) - 2(1 - h(q)) >= 0 on (0, 1/2), so
+      below 1/5 the rate stays negative once r is small.
+
+    The per-n zeros therefore approach 1/5 from above, and the 1/N
+    extrapolation only estimates it.
     """
-    if n_max < 2:
-        raise DomainError("n_max must be at least 2")
-    zeros = []
-    for n in range(1, n_max + 1):
-        zeros.append((n, _rate_zero(lambda p: ad_rate(p, n))))
-    return AdThreshold(
-        threshold_estimate=_extrapolate_zeros(zeros),
-        per_n_curve=tuple(zeros),
-    )
+    return _block_zeros(n_max, AdBlockEnsemble.rate)
 
 
 # The search stays strictly below 1/2: the rate vanishes there anyway,
 # and within a few 1e-16 of 1/2 its sign is pure rounding noise.
 MAX_NOISE = 0.499
-DEFAULT_Q_GRID = tuple(np.linspace(0.0, 0.49, 50)) + (MAX_NOISE,)
+DEFAULT_Q_GRID = tuple(np.linspace(0.0, 0.49, 50).tolist()) + (MAX_NOISE,)
 
 
 def _golden_max(fun, lo: float, hi: float, iters: int = 60):
@@ -511,10 +472,9 @@ def _golden_max(fun, lo: float, hi: float, iters: int = 60):
     return x, fun(x)
 
 
-def _best_noise_rate(ensemble: AdBlockEnsemble, q_grid) -> tuple:
+def _best_noise_rate(ensemble: AdBlockEnsemble) -> tuple:
     best_q, best_rate = 0.0, ensemble.rate(0.0)
-    for q in q_grid:
-        q = min(float(q), MAX_NOISE)
+    for q in DEFAULT_Q_GRID:
         r = ensemble.rate(q)
         if r > best_rate:
             best_q, best_rate = q, r
@@ -526,7 +486,7 @@ def _best_noise_rate(ensemble: AdBlockEnsemble, q_grid) -> tuple:
     return best_q, best_rate
 
 
-def ad_with_preprocessing(p_nl: float, n_max: int, q_grid=DEFAULT_Q_GRID) -> dict:
+def ad_with_preprocessing(p_nl: float, n_max: int) -> dict:
     """Best block rate at p_nl over lengths up to n_max and noise q.
 
     The Bernoulli noise is composed with the distillation step: it is
@@ -537,29 +497,16 @@ def ad_with_preprocessing(p_nl: float, n_max: int, q_grid=DEFAULT_Q_GRID) -> dic
     best = {"best_rate": -math.inf, "best_rate_sign": -1, "q_used": 0.0, "n_used": 1}
     for n in range(1, n_max + 1):
         ensemble = ad_block_ensemble(p_nl, n)
-        q, rate = _best_noise_rate(ensemble, q_grid)
+        q, rate = _best_noise_rate(ensemble)
         if rate > best["best_rate"]:
             best.update(best_rate=rate, q_used=q, n_used=n)
     best["best_rate_sign"] = 1 if best["best_rate"] > 0.0 else (-1 if best["best_rate"] < 0.0 else 0)
     return best
 
 
-def ad_preprocessing_threshold(n_max: int, q_grid=DEFAULT_Q_GRID) -> AdThreshold:
+def ad_preprocessing_threshold(n_max: int) -> AdThreshold:
     """Positivity threshold of distillation combined with pre-processing."""
-    if n_max < 2:
-        raise DomainError("n_max must be at least 2")
-    zeros = []
-    for n in range(1, n_max + 1):
-
-        def rate_fn(p: float, n=n) -> float:
-            ensemble = ad_block_ensemble(p, n)
-            return _best_noise_rate(ensemble, q_grid)[1]
-
-        zeros.append((n, _rate_zero(rate_fn)))
-    return AdThreshold(
-        threshold_estimate=_extrapolate_zeros(zeros),
-        per_n_curve=tuple(zeros),
-    )
+    return _block_zeros(n_max, lambda ensemble: _best_noise_rate(ensemble)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 perfbench/ drives nskd from outside and looks names up by attribute, so
 a clean-up inside the package can break it without breaking any other
 test.  These checks resolve every traced name, build every workload's
-items, and run the intrinsic workload's items through their answer checks.
+items, and run the intrinsic and sweep workloads' items through their
+answer checks.
 """
 
 import importlib.util
@@ -52,12 +53,21 @@ def test_workload_items_build(workloads, workload, tmp_path):
         assert callable(item.call) and callable(item.check)
 
 
-def test_intrinsic_answers_pass_their_checks(workloads, tmp_path):
-    # the benchmark's answer gate on the minimizer: pinned minima, sandwich, announce zero
-    failed = [
+def _failed_checks(workloads, workload, tmp_path):
+    return [
         (item.label, record)
-        for item in workloads.WORKLOADS["intrinsic"](101, str(tmp_path))
+        for item in workloads.WORKLOADS[workload](101, str(tmp_path))
         for record in item.check(item.call())
         if not record["ok"]
     ]
-    assert failed == []
+
+
+def test_intrinsic_answers_pass_their_checks(workloads, tmp_path):
+    # the benchmark's answer gate on the minimizer: pinned minima, sandwich, announce zero
+    assert _failed_checks(workloads, "intrinsic", tmp_path) == []
+
+
+def test_sweep_answers_pass_their_checks(workloads, tmp_path):
+    # route agreement, the thresholds, and the `nskd ad` JSON payload equal to
+    # the direct call key for key
+    assert _failed_checks(workloads, "sweep", tmp_path) == []

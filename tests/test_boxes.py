@@ -68,6 +68,12 @@ class TestValidate:
         with pytest.raises(NotNormalized):
             validate(values, tolerance=1e-12)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_tolerance(self, tolerance):
+        # nan and inf would switch every check off; -1 would flag valid entries
+        with pytest.raises(DomainError, match="tolerance"):
+            validate(isotropic(0.9).flat(), tolerance=tolerance)
+
     def test_isotropic_grid_validates(self):
         for v in np.linspace(0.0, 1.0, 1001):
             validate(isotropic(float(v)).flat())

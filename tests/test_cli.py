@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ class TestDecompose:
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "decompose", "/nonexistent/box.json")
         assert code == 2
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exits_two(self, capsys, tmp_path, tolerance):
+        box_file = tmp_path / "box.json"
+        box_file.write_text(boxes.isotropic(0.8).to_json())
+        code, _, err = run_cli(capsys, "decompose", str(box_file), "--tolerance", tolerance)
+        assert code == 2
+        assert err.startswith("error:") and "tolerance" in err
 
 
 class TestRates:
@@ -208,6 +217,13 @@ class TestAdCommand:
         assert (
             payload["preprocessing_threshold_estimate"] < payload["threshold_estimate"]
         )
+
+    def test_underflowing_block_length_exits_two(self, capsys):
+        # past n ~ 510 every term of the block rate underflows near p_nl = 1/5
+        code, out, err = run_cli(capsys, "ad", "--n-max", "3000")
+        assert code == 2
+        assert re.match(r"error: block length \d+ at p_nl [0-9.]+ underflows", err)
+        assert out == ""
 
 
 class TestFlagPlacement:

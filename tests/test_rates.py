@@ -368,7 +368,7 @@ def brute_force_block(p_nl: float, n: int):
 
 class TestAdvantageDistillation:
     @pytest.mark.parametrize("p_nl", [0.15, 0.3, 0.6])
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_type_count_engine_matches_brute_force(self, p_nl, n):
         ens = rates.ad_block_ensemble(p_nl, n)
         p_acc, bob_err, eve_info, rate = brute_force_block(p_nl, n)
@@ -376,6 +376,38 @@ class TestAdvantageDistillation:
         assert ens.bob_error == pytest.approx(bob_err, abs=1e-12)
         assert ens.eve_information() == pytest.approx(eve_info, abs=1e-12)
         assert ens.rate() == pytest.approx(rate, abs=1e-12)
+
+    def test_negative_for_every_length_up_to_one_fifth(self):
+        for p_nl in np.linspace(0.0, rates.AD_LIMIT, 201):
+            for n in range(1, 301):
+                assert rates.ad_rate(float(p_nl), n) < 0.0, (p_nl, n)
+
+    def test_per_n_zeros_approach_one_fifth_from_above(self):
+        zeros = dict(rates.ad_threshold(300).per_n_curve)
+        picked = [zeros[n] for n in (30, 100, 300)]
+        assert picked[0] > picked[1] > picked[2] > rates.AD_LIMIT
+        assert picked == pytest.approx([0.2227, 0.2086, 0.2034], abs=1e-4)
+
+    def test_noise_cannot_lower_the_limit(self):
+        # rate(q)/eps = (p_nl/u)^n (1 - h(q)) - g(q) to first order in eps
+        for q in np.linspace(0.0, 0.5, 10001)[1:-1]:
+            q = float(q)
+            g = (1 - 2 * q) * math.log2((1 - q) / q) - 2 * rates._one_minus_h(q)
+            assert g >= 0.0, q
+
+    def test_long_block_underflow_raises(self):
+        # odds (u/s)^n and (p_nl/s)^n both fall below the smallest double at n = 630
+        assert rates.ad_block_ensemble(0.02, 629).rate() < 0.0
+        for n in (630, 2700):
+            with pytest.raises(DomainError, match=f"block length {n} at p_nl 0.02"):
+                rates.ad_block_ensemble(0.02, n)
+
+    def test_noise_rate_is_continuous_at_tiny_q(self):
+        # eps ~ 2e-7 >> q: a Taylor series in eps around q fails here (it gave 31.6 bits at q = 1e-15)
+        ens = rates.ad_block_ensemble(0.6, 7)
+        for q in (1e-300, 1e-15, 1e-12, 1e-9):
+            assert ens.rate(q) == pytest.approx(ens.rate(0.0), abs=1e-5)
+        assert 0.0 < rates.ad_with_preprocessing(0.6, 12)["best_rate"] < 1.0
 
     def test_single_round_reduces_to_oneway(self):
         for p_nl in (0.2, 0.318, 0.5):
