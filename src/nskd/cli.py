@@ -114,8 +114,12 @@ def cmd_rates(config: Config) -> int:
 
 
 def cmd_simulate(v: float, n: int, config: Config, records_path: str = "") -> int:
-    log = simulate.run(v, n, seed=config.seed)
-    report = simulate.estimate(log)
+    # only a records file needs the rounds kept; the report alone is streamed
+    if records_path:
+        log = simulate.run(v, n, seed=config.seed)
+        report = simulate.estimate(log)
+    else:
+        report = simulate.stream_estimate(v, n, seed=config.seed)
     print(f"rounds:   {report.n_rounds}")
     print(f"chsh_hat: {report.chsh_hat:.17g} +- {report.chsh_stderr:.3g}")
     print(f"qber_hat: {report.qber_hat:.17g} +- {report.qber_stderr:.3g}")

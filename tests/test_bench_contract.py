@@ -3,8 +3,7 @@
 perfbench/ drives nskd from outside and looks names up by attribute, so
 a clean-up inside the package can break it without breaking any other
 test.  These checks resolve every traced name, build every workload's
-items, and run the intrinsic and sweep workloads' items through their
-answer checks.
+items, and run every workload's items through their answer checks.
 """
 
 import importlib.util
@@ -71,3 +70,9 @@ def test_sweep_answers_pass_their_checks(workloads, tmp_path):
     # route agreement, the thresholds, and the `nskd ad` JSON payload equal to
     # the direct call key for key
     assert _failed_checks(workloads, "sweep", tmp_path) == []
+
+
+def test_montecarlo_answers_pass_their_checks(workloads, tmp_path):
+    # the 5-sigma estimates, the records CSV window against the log, and the
+    # LP residual and reconstruction of the decompositions
+    assert _failed_checks(workloads, "montecarlo", tmp_path) == []

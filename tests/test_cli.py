@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nskd import attack, boxes, rates
+import nskd
+from nskd import attack, boxes, rates, simulate
 from nskd.cli import main
 
 
@@ -172,6 +177,60 @@ class TestSimulateCommand:
         lines = rec_file.read_text().strip().splitlines()
         assert lines[0] == "x,y,a,b,e,sifted_a"
         assert len(lines) == 101
+
+    def test_records_file_is_the_run(self, capsys, tmp_path):
+        rec_file = tmp_path / "records.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--rounds", "70000", "--seed", "3", "--records", str(rec_file)
+        )
+        assert code == 0
+        assert rec_file.read_bytes() == simulate.run(0.8, 70_000, seed=3).to_csv().encode()
+
+    def test_report_lines_are_pinned(self, capsys):
+        # printed by the kernel this command started from, before it streamed
+        code, out, _ = run_cli(capsys, "simulate", "--rounds", "1000000", "--seed", "42")
+        assert code == 0
+        assert out.splitlines() == [
+            "rounds:   1000000",
+            "chsh_hat: 3.6001851653078201 +- 0.0012",
+            "qber_hat: 0.099953 +- 0.0003",
+            "p_nl_hat: 0.60018516530782007",
+        ]
+
+    def test_streamed_with_or_without_records(self, capsys, tmp_path):
+        argv = ("simulate", "--visibility", "0.6", "--rounds", "140000", "--seed", "8")
+        _, streamed, _ = run_cli(capsys, *argv)
+        _, stored, _ = run_cli(capsys, *argv, "--records", str(tmp_path / "r.csv"))
+        assert streamed == stored
+
+    def test_zero_rounds_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--rounds", "0")
+        assert code == 2
+        assert err == "error: need at least one round\n"
+        assert out == ""
+
+    def test_long_run_memory_is_bounded(self):
+        # the command's own peak RSS, measured inside the child that runs it
+        script = (
+            "import resource, sys\n"
+            "from nskd import cli\n"
+            "code = cli.main(['simulate', '--rounds', '20000000'])\n"
+            "peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(code, peak_kb, file=sys.stderr)\n"
+        )
+        src = str(Path(nskd.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "rounds:   20000000"
+        code, peak_kb = map(int, proc.stderr.split())
+        assert code == 0
+        assert peak_kb < 150 * 1024
 
 
 class TestIntrinsicCommand:
