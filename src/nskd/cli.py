@@ -84,6 +84,7 @@ def cmd_decompose(path: str, config: Config) -> int:
     dec = polytope.min_nonlocal_decomposition(box)
     print(f"nonlocal weight: {dec.nonlocal_weight:.17g}")
     print(f"residual:        {dec.residual:.3e}")
+    print(f"relabeling:      {dec.relabeling.name} (CHSH {dec.chsh:.17g})")
     print(f"{'vertex':<10}weight")
     for name, w in dec.as_dict(polytope.LP_TOL).items():
         print(f"{name:<10}{w:.17g}")
@@ -114,18 +115,11 @@ def cmd_rates(config: Config) -> int:
 
 
 def cmd_simulate(v: float, n: int, config: Config, records_path: str = "") -> int:
-    # only a records file needs the rounds kept; the report alone is streamed
-    if records_path:
-        log = simulate.run(v, n, seed=config.seed)
-        report = simulate.estimate(log)
-    else:
-        report = simulate.stream_estimate(v, n, seed=config.seed)
+    report = simulate.stream_estimate(v, n, seed=config.seed, records=records_path)
     print(f"rounds:   {report.n_rounds}")
     print(f"chsh_hat: {report.chsh_hat:.17g} +- {report.chsh_stderr:.3g}")
     print(f"qber_hat: {report.qber_hat:.17g} +- {report.qber_stderr:.3g}")
     print(f"p_nl_hat: {report.p_nl_hat:.17g}")
-    if records_path:
-        _write_out(records_path, log.to_csv())
     if config.out:
         _write_out(config.out, report.to_json())
     return 0

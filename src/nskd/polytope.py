@@ -5,7 +5,7 @@ polytope has exactly 24 extreme points: 16 deterministic (local) boxes
 and 8 nonlocal boxes with uniform marginals.  Every valid box is a
 convex mixture of them; the mixture minimizing the total weight on
 nonlocal vertices is the geometry behind the optimal individual
-eavesdropping attack, so that minimum is what the solver here computes.
+eavesdropping attack, so that minimum is what this module computes.
 """
 
 from __future__ import annotations
@@ -16,18 +16,14 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  perfbench/tracing.py patches linprog here
 
 from . import boxes
 from .boxes import Box
 from .exceptions import Infeasible
 
-LP_TOL = 1e-8  # residual / weight tolerance for decompositions
-
-_HIGHS_OPTS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+LP_TOL = 1e-8  # weights at or below it are not reported; is_local's default tolerance
+RESIDUAL_TOL = 5e-11  # reconstruction error above which a target is infeasible
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +124,8 @@ class Decomposition:
 
     weights: np.ndarray  # shape (24,), canonical vertex order
     residual: float  # max-abs reconstruction error
+    relabeling: Vertex  # the nonlocal vertex of the highest-scoring CHSH expression
+    chsh: float  # that score; its excess over 3 is the nonlocal weight
 
     @property
     def nonlocal_weight(self) -> float:
@@ -156,67 +154,82 @@ class Decomposition:
         return json.dumps({"weights": entries, "residual": self.residual})
 
 
-def _solve(c, a_eq, b_eq):
-    res = linprog(
-        c,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0.0, 1.0),
-        method="highs",
-        options=_HIGHS_OPTS,
-    )
-    if res.status == 2:
-        raise Infeasible("target is not a convex mixture of no-signaling vertices")
-    if not res.success:  # pragma: no cover - solver trouble
-        raise RuntimeError(f"linear program failed: {res.message}")
-    return res.x
+@functools.cache
+def _local_bases() -> tuple:
+    """Every basis of the local system, as (rows, columns, solver).
+
+    Weights w over the 16 local vertices that rebuild a target t satisfy
+    V_L w = t and sum(w) = 1: 17 equations of rank 9, of which ``rows``
+    are 9 that span the rest.  A set of 9 columns whose 9x9 block on
+    those rows is nonsingular (4096 of the C(16, 9) = 11440) is a basis,
+    and its inverse maps the 9 right-hand sides to its basic weights.
+    The blocks hold 0s and 1s, so each determinant is an integer.
+    ``rhs @ solver`` is every basis's weights, one basis after another;
+    the 9 x 36864 layout makes that one vector-matrix product.
+    """
+    system = np.vstack([_vertex_matrix()[:, :16], np.ones((1, 16))])
+    rows = []
+    for i in range(len(system)):
+        if np.linalg.matrix_rank(system[rows + [i]]) > len(rows):
+            rows.append(i)
+    columns = np.array(list(itertools.combinations(range(16), len(rows))))
+    blocks = system[rows][:, columns].transpose(1, 0, 2)
+    basis = np.abs(np.linalg.det(blocks)) > 0.5
+    inverses = np.linalg.inv(blocks[basis])
+    solver = np.ascontiguousarray(inverses.transpose(2, 0, 1).reshape(len(rows), -1))
+    return np.array(rows), columns[basis], solver
 
 
 def min_nonlocal_decomposition(box: Box, lexicographic: bool = True) -> Decomposition:
     """Mixture of extreme points with minimal total nonlocal weight.
 
-    The minimum itself is unique; the supporting weight vector need not
-    be.  With ``lexicographic=True`` (the default) ties are broken by
-    choosing the lexicographically smallest weight vector in canonical
-    vertex order, which makes the output fully deterministic.
+    The minimal weight is p = max(0, CHSH_g - 3), where g is the
+    relabeling with the highest CHSH score, and it all sits on the
+    nonlocal vertex NL:g (Barrett et al., PRA 71, 022101, 2005; a box is
+    local iff no relabeled CHSH score exceeds 3, Fine, PRL 48, 291,
+    1982).  The remaining 1 - p is spread over the 16 local vertices as
+    the lexicographically smallest weight vector in canonical vertex
+    order.  That minimum is a vertex of the polytope of local weights,
+    hence a basic solution: of all nonnegative basic solutions, the one
+    kept is what is left after narrowing them, coordinate by coordinate,
+    to those within 1e-10 of the smallest value.  The lexicographic
+    minimum is unique, so both values of ``lexicographic`` return the
+    same weights.
 
     Raises Infeasible when the target is not inside the polytope, which
-    for finite inputs means it is not a valid no-signaling box.
+    for finite inputs means it is not a valid no-signaling box: no basic
+    solution is nonnegative, or the weights rebuild the target only to
+    within more than RESIDUAL_TOL.
     """
     target = box.table.ravel()
-    base_a = np.vstack([_vertex_matrix(), np.ones((1, 24))])
-    base_b = np.concatenate([target, [1.0]])
-    cost = _nonlocal_cost()
+    matrix = _vertex_matrix()
+    scores = 2.0 * (matrix[:, 16:].T @ target)
+    g = int(np.argmax(scores))
+    p = float(np.clip(scores[g] - 3.0, 0.0, 1.0))
 
-    w = _solve(cost, base_a, base_b)
-    opt = float(cost @ w)
+    rows, columns, solver = _local_bases()
+    rhs = np.append(target - p * matrix[:, 16 + g], 1.0 - p)[rows]
+    basic = (rhs @ solver).reshape(len(columns), -1)
+    feasible = np.all(basic >= -1e-12, axis=1)
+    if not feasible.any():
+        raise Infeasible("target is not a convex mixture of no-signaling vertices")
+    candidates = np.zeros((int(feasible.sum()), 16))
+    np.put_along_axis(candidates, columns[feasible], basic[feasible], axis=1)
+    for i in range(16):
+        column = candidates[:, i]
+        candidates = candidates[column <= column.min() + 1e-10]
 
-    if lexicographic:
-        rows = [cost]
-        vals = [opt]
-        for i in range(24):
-            if w[i] <= 1e-10:
-                # zero is attainable (the current candidate attains it),
-                # so it is the lexicographic minimum for this coordinate
-                rows.append(_unit_row(i))
-                vals.append(0.0)
-                continue
-            a_eq = np.vstack([base_a, np.array(rows)])
-            b_eq = np.concatenate([base_b, np.array(vals)])
-            unit = _unit_row(i)
-            w = _solve(unit, a_eq, b_eq)
-            rows.append(unit)
-            vals.append(float(w[i]))
-
-    w = np.clip(w, 0.0, None)
-    residual = float(np.abs(_vertex_matrix() @ w - target).max())
-    return Decomposition(weights=w, residual=residual)
-
-
-def _unit_row(i: int) -> np.ndarray:
-    row = np.zeros(24)
-    row[i] = 1.0
-    return row
+    w = np.zeros(24)
+    w[:16] = np.clip(candidates[0], 0.0, None)
+    w[16 + g] = p
+    residual = float(np.abs(matrix @ w - target).max())
+    if residual > RESIDUAL_TOL:
+        raise Infeasible(
+            f"target is not a convex mixture of no-signaling vertices (residual {residual:.3g})"
+        )
+    return Decomposition(
+        weights=w, residual=residual, relabeling=vertices()[16 + g], chsh=float(scores[g])
+    )
 
 
 def is_local(box: Box, tolerance: float = LP_TOL) -> bool:

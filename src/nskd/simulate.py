@@ -10,15 +10,16 @@ Within a block the vertex is the number of cumulative mixture weights
 at or below a uniform draw, and every outcome is one lookup in a table
 over (vertex, x, y, coin).  ``run`` keeps the rounds, at 7 bytes per
 round; ``estimate`` tallies a log one block at a time; ``stream_estimate``
-tallies the same blocks as they are drawn and keeps none, so its memory
-does not grow with the number of rounds.  ``nskd simulate`` streams
-unless a records file is asked for: 20 million rounds take about 1.7 s
-and peak at about 80 MB RSS (2 cores, Python 3.11), against 3.5-4.3 s and
-347 MB when the rounds were kept.
+tallies the same blocks as they are drawn, and can write their records
+CSV as it goes, and keeps none, so its memory does not grow with the
+number of rounds.  ``nskd simulate`` always streams: 20 million rounds
+take about 1.7 s and peak at about 80 MB RSS (2 cores, Python 3.11),
+against 3.5-4.3 s and 347 MB when the rounds were kept.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -85,17 +86,12 @@ class RoundLog:
         Lines are looked up one BLOCK_ROUNDS slice at a time, so the
         lookup keys stay one block long however long the log is.
         """
-        lines = np.array(_csv_lines(self.vertex_names), dtype=object)
-        parts = [_csv_line(("x", "y", "a", "b", "e", "sifted_a"))]
+        lines = _csv_lines(self.vertex_names)
+        parts = [_RECORDS_HEADER]
         for start in range(0, len(self), BLOCK_ROUNDS):
             part = slice(start, start + BLOCK_ROUNDS)
             bits = (self.x[part], self.y[part], self.a[part], self.b[part], self.sifted_a[part])
-            if any(np.any(col & ~1) for col in bits):
-                raise DomainError("records columns x, y, a, b and sifted_a must hold bits")
-            key = self.vertex_index[part].astype(np.intp) << 5
-            for shift, col in zip((4, 3, 2, 1, 0), bits):
-                key |= col.astype(np.intp) << shift
-            parts.append("".join(lines[key].tolist()))
+            parts.append(_csv_block(lines, self.vertex_index[part], bits))
         return "".join(parts)
 
 
@@ -105,7 +101,10 @@ def _csv_line(row) -> str:
     return buf.getvalue()
 
 
-def _csv_lines(names) -> list:
+_RECORDS_HEADER = _csv_line(("x", "y", "a", "b", "e", "sifted_a"))
+
+
+def _csv_lines(names) -> np.ndarray:
     """The CSV line of every (vertex k, x, y, a, b, sifted_a), at index k << 5 | bits.
 
     csv.writer writes a bit as its digit and never quotes it, so only
@@ -116,7 +115,17 @@ def _csv_lines(names) -> list:
         field = _csv_line((0, name, 0))[2:-4]  # between "0," and ",0\r\n"
         for x, y, a, b, s in itertools.product((0, 1), repeat=5):
             lines.append(f"{x},{y},{a},{b},{field},{s}\r\n")
-    return lines
+    return np.array(lines, dtype=object)
+
+
+def _csv_block(lines, k, bits) -> str:
+    """The records lines of one block: vertex indices k, bits (x, y, a, b, sifted_a)."""
+    if any(np.any(col & ~1) for col in bits):
+        raise DomainError("records columns x, y, a, b and sifted_a must hold bits")
+    key = k.astype(np.intp) << 5
+    for shift, col in zip((4, 3, 2, 1, 0), bits):
+        key |= col.astype(np.intp) << shift
+    return "".join(lines[key].tolist())
 
 
 class _Strategy:
@@ -274,15 +283,23 @@ def estimate(log: RoundLog) -> EstimateReport:
     return _report(n, tally)
 
 
-def stream_estimate(v: float, n: int, seed: int = 0) -> EstimateReport:
+def stream_estimate(v: float, n: int, seed: int = 0, records=None) -> EstimateReport:
     """estimate(run(v, n, seed)), tallied block by block without keeping the rounds.
 
-    Memory stays at a few blocks whatever n is.
+    With a ``records`` path, the file receives run(v, n, seed).to_csv(),
+    written one block at a time as the blocks are drawn.  Memory stays at
+    a few blocks whatever n is.
     """
     _check_rounds(n)
     strategy = _Strategy(v)
     tally = np.zeros(9, dtype=np.int64)
-    for x, y, _, index in strategy.blocks(n, seed):
-        a, b, sifted = (np.take(t, index) for t in (strategy.a, strategy.b, strategy.sifted_a))
-        tally += _tally(x, y, a, b, sifted)
+    with open(records, "w") if records else contextlib.nullcontext() as out:
+        if out is not None:
+            lines = _csv_lines(strategy.names)
+            out.write(_RECORDS_HEADER)
+        for x, y, k, index in strategy.blocks(n, seed):
+            a, b, sifted = (np.take(t, index) for t in (strategy.a, strategy.b, strategy.sifted_a))
+            tally += _tally(x, y, a, b, sifted)
+            if out is not None:
+                out.write(_csv_block(lines, k, (x, y, a, b, sifted)))
     return _report(n, tally)

@@ -53,6 +53,15 @@ class TestDecompose:
         assert weights["NL:000"] == pytest.approx(0.6, abs=1e-8)
         assert payload["residual"] < 1e-8
 
+    def test_prints_the_certifying_relabeling(self, capsys, tmp_path):
+        box_file = tmp_path / "box.json"
+        box_file.write_text(boxes.isotropic(0.8).to_json())
+        code, out, _ = run_cli(capsys, "decompose", str(box_file))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[2] == "relabeling:      NL:000 (CHSH 3.6000000000000001)"
+        assert lines[3] == "vertex    weight"
+
     def test_bb84_csv_file(self, capsys, tmp_path):
         box_file = tmp_path / "bb84.csv"
         box_file.write_text(boxes.bb84_box().to_csv())
@@ -209,13 +218,20 @@ class TestSimulateCommand:
         assert err == "error: need at least one round\n"
         assert out == ""
 
-    def test_long_run_memory_is_bounded(self):
-        # the command's own peak RSS, measured inside the child that runs it
+    @staticmethod
+    def _child_peak_kb(argv):
+        """Run the command in a child; return its stdout lines and its own peak RSS in kB.
+
+        The peak is the child's VmHWM, read inside it: on Linux ru_maxrss
+        keeps the forking parent's high-water mark across exec, so it
+        reports the test runner's memory when that is larger.
+        """
         script = (
-            "import resource, sys\n"
+            "import sys\n"
             "from nskd import cli\n"
-            "code = cli.main(['simulate', '--rounds', '20000000'])\n"
-            "peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            f"code = cli.main({list(argv)!r})\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    peak_kb = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
             "print(code, peak_kb, file=sys.stderr)\n"
         )
         src = str(Path(nskd.__file__).resolve().parents[1])
@@ -227,10 +243,25 @@ class TestSimulateCommand:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[0] == "rounds:   20000000"
         code, peak_kb = map(int, proc.stderr.split())
         assert code == 0
+        return proc.stdout.splitlines(), peak_kb
+
+    def test_long_run_memory_is_bounded(self):
+        # the command's own peak RSS, measured inside the child that runs it
+        out, peak_kb = self._child_peak_kb(["simulate", "--rounds", "20000000"])
+        assert out[0] == "rounds:   20000000"
         assert peak_kb < 150 * 1024
+
+    def test_records_run_memory_is_bounded(self, tmp_path):
+        # the records file is written block by block: about 85 MB here, where
+        # keeping the rounds and the whole CSV string took about 165 MB
+        rec_file = tmp_path / "records.csv"
+        argv = ["simulate", "--rounds", "2000000", "--records", str(rec_file)]
+        out, peak_kb = self._child_peak_kb(argv)
+        assert out[0] == "rounds:   2000000"
+        assert rec_file.stat().st_size == 20 + 2_000_000 * 18
+        assert peak_kb < 120 * 1024
 
 
 class TestIntrinsicCommand:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from nskd import polytope
-from nskd.boxes import bb84_box, chsh, isotropic, twirl_to_isotropic
+from nskd.boxes import _make_box, bb84_box, chsh, chsh_symmetrized, isotropic, twirl_to_isotropic
 from nskd.exceptions import Infeasible
 from nskd.polytope import (
     is_local,
@@ -27,6 +28,71 @@ def _feasible_as_mixture(target_flat, columns):
         method="highs",
     )
     return res.status == 0
+
+
+_HIGHS_OPTS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
+
+
+def _lp_solve(c, a_eq, b_eq):
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0), method="highs", options=_HIGHS_OPTS)
+    if res.status == 2:
+        raise Infeasible("target is not a convex mixture of no-signaling vertices")
+    assert res.success, res.message
+    return res.x
+
+
+def lexicographic_lp(box):
+    """Oracle: the chain of linear programs the decomposition was first computed with.
+
+    One LP minimizes the nonlocal weight; then, in canonical vertex
+    order, each coordinate that is not already at zero is minimized with
+    every earlier coordinate and the optimum held fixed.
+    """
+    target = box.table.ravel()
+    base_a = np.vstack([polytope._vertex_matrix(), np.ones((1, 24))])
+    base_b = np.concatenate([target, [1.0]])
+    cost = polytope._nonlocal_cost()
+    w = _lp_solve(cost, base_a, base_b)
+    rows, vals = [cost], [float(cost @ w)]
+    for i in range(24):
+        unit = np.eye(24)[i]
+        if w[i] <= 1e-10:
+            vals.append(0.0)  # the current candidate attains zero
+        else:
+            w = _lp_solve(unit, np.vstack([base_a, rows]), np.concatenate([base_b, vals]))
+            vals.append(float(w[i]))
+        rows.append(unit)
+    return np.clip(w, 0.0, None)
+
+
+@functools.cache
+def _oracle_boxes():
+    rng = np.random.default_rng(31)
+    local = [random_mixture_box(rng) for _ in range(200)]
+    nonlocal_ = []
+    while len(nonlocal_) < 200:
+        box = random_mixture_box(rng, concentration=0.1)
+        if chsh_symmetrized(box) > 3.0:
+            nonlocal_.append(box)
+    grid = [isotropic(float(v)) for v in np.linspace(0.0, 1.0, 101)]
+    return {
+        "local": local,
+        "nonlocal": nonlocal_,
+        "vertices": [v.box for v in vertices()],
+        "isotropic": grid,
+        "bb84": [bb84_box()],
+    }
+
+
+def _shifted_isotropic(shift):
+    """isotropic(0.4) with Alice's x = 0 marginal under y = 0 moved by ``shift``."""
+    table = isotropic(0.4).table.copy()
+    table[0, 0, 0, 0] += shift
+    table[0, 0, 1, 0] -= shift
+    return _make_box(table)
 
 
 class TestVertices:
@@ -167,6 +233,55 @@ class TestDecomposition:
         table[0, 0] = [[1.0, 0.0], [0.0, 0.0]]
         with pytest.raises(Infeasible):
             min_nonlocal_decomposition(_make_box(table))
+
+
+class TestLexicographicOracle:
+    @pytest.mark.parametrize("family", list(_oracle_boxes()))
+    def test_matches_the_lp_chain(self, family):
+        for box in _oracle_boxes()[family]:
+            expected = lexicographic_lp(box)
+            for lexicographic in (True, False):
+                dec = min_nonlocal_decomposition(box, lexicographic=lexicographic)
+                assert np.abs(dec.weights - expected).max() <= 1e-12
+
+    def test_families_cover_both_sides(self):
+        families = _oracle_boxes()
+        assert all(chsh_symmetrized(b) <= 3.0 for b in families["local"])
+        assert all(
+            min_nonlocal_decomposition(b).nonlocal_weight > 0.0
+            for b in families["nonlocal"]
+        )
+
+    def test_relabeling_certifies_the_weight(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            dec = min_nonlocal_decomposition(random_mixture_box(rng, concentration=0.1))
+            assert dec.chsh == pytest.approx(chsh_symmetrized(dec.reconstruct()), abs=1e-12)
+            assert dec.nonlocal_weight == pytest.approx(max(0.0, dec.chsh - 3.0), abs=1e-15)
+            if dec.nonlocal_weight > 0.0:
+                assert dec.weight_of(dec.relabeling) == dec.nonlocal_weight
+
+    def test_small_signaling_decomposes(self):
+        dec = min_nonlocal_decomposition(_shifted_isotropic(1e-11))
+        assert dec.residual <= 1e-11 * (1 + 1e-3)
+        lexicographic_lp(_shifted_isotropic(1e-11))
+
+    def test_larger_signaling_raises(self):
+        with pytest.raises(Infeasible):
+            min_nonlocal_decomposition(_shifted_isotropic(1e-9))
+        with pytest.raises(Infeasible):
+            lexicographic_lp(_shifted_isotropic(1e-9))
+
+    def test_negative_entry_raises(self):
+        # (1 + e) * PR - e * uniform: normalized and no-signaling, but four
+        # entries at -1e-6
+        e = 4e-6
+        table = (1 + e) * isotropic(1.0).table - e * 0.25
+        assert table.min() == pytest.approx(-1e-6)
+        with pytest.raises(Infeasible):
+            min_nonlocal_decomposition(_make_box(table))
+        with pytest.raises(Infeasible):
+            lexicographic_lp(_make_box(table))
 
 
 class TestMinimalityOracle:

@@ -171,6 +171,14 @@ class TestStreamEstimate:
         for field in ("n_rounds", *REPORT_FIELDS):
             assert getattr(streamed, field) == getattr(stored, field), field
 
+    def test_records_file_is_to_csv_of_run(self, tmp_path):
+        path = tmp_path / "records.csv"
+        n = 2 * simulate.BLOCK_ROUNDS + 17
+        streamed = simulate.stream_estimate(0.3, n, seed=9, records=path)
+        log = simulate.run(0.3, n, seed=9)
+        assert streamed == simulate.estimate(log)
+        assert path.read_bytes() == log.to_csv().encode()
+
     def test_same_errors_as_estimate_of_run(self):
         with pytest.raises(DomainError):
             simulate.stream_estimate(0.8, 0)
