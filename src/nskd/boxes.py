@@ -65,6 +65,8 @@ class Box:
     @staticmethod
     def from_json(text: str, tolerance: float = PROB_TOL) -> "Box":
         data = json.loads(text)
+        if not isinstance(data, dict) or "p" not in data:
+            raise ValueError('box JSON needs a "p" key holding the 16 probabilities')
         return validate(data["p"], tolerance=tolerance)
 
     def to_csv(self) -> str:
@@ -85,6 +87,8 @@ class Box:
             values = [float(data[order[name]]) for name in CSV_HEADER]
         except KeyError as exc:
             raise ValueError(f"box CSV missing column {exc}") from exc
+        except IndexError as exc:
+            raise ValueError("box CSV data row is shorter than its header") from exc
         return validate(values, tolerance=tolerance)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -106,13 +110,17 @@ def validate(values, tolerance: float = PROB_TOL) -> Box:
     """Check 16 raw numbers and return them as a Box.
 
     Raises NegativeProbability, NotNormalized or Signaling when the input
-    violates the corresponding constraint beyond ``tolerance``, and
-    DomainError when the tolerance itself is not finite and nonnegative.
+    violates the corresponding constraint beyond ``tolerance``, ValueError
+    when the input is not 16 finite numbers, and DomainError when the
+    tolerance itself is not finite and nonnegative.
     Entries are clamped to [0, 1] on success.
     """
     if not 0.0 <= tolerance < math.inf:
         raise DomainError(f"tolerance {tolerance!r} must be finite and nonnegative")
-    arr = np.asarray(values, dtype=float).ravel()
+    try:
+        arr = np.asarray(values, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise ValueError("box entries must be numbers") from exc
     if arr.size != 16:
         raise ValueError(f"expected 16 probabilities, got {arr.size}")
     if not np.all(np.isfinite(arr)):

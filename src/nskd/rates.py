@@ -24,7 +24,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize  # noqa: F401  perfbench/tracing.py patches minimize here
 
 from . import info
 from .attack import JointABE, alice_bob_stats, table_joint
@@ -546,3 +545,12 @@ def curve_rows(d_values, restarts: int = 16, seed: int = 0):
             }
         )
     return rows
+
+
+def __getattr__(name):
+    # Only perfbench/tracing.py looks this up; ROADMAP item 4 (in-package tracing) deletes this shim.
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

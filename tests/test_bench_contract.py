@@ -43,6 +43,24 @@ def test_traced_names_resolve_in_every_owner(tracing):
     assert missing == []
 
 
+def test_scipy_names_load_on_lookup_and_survive_tracing(tracing):
+    # nskd imports no scipy; the tracer's two scipy names load on first lookup
+    import scipy.optimize
+
+    from nskd import polytope, rates
+
+    assert rates.minimize is scipy.optimize.minimize
+    assert polytope.linprog is scipy.optimize.linprog
+    with tracing.Tracer().installed():
+        assert rates.minimize is not scipy.optimize.minimize
+        assert polytope.linprog is not scipy.optimize.linprog
+    assert rates.minimize is scipy.optimize.minimize
+    assert polytope.linprog is scipy.optimize.linprog
+    for module in (rates, polytope):
+        with pytest.raises(AttributeError):
+            getattr(module, "no_such_name")
+
+
 @pytest.mark.parametrize("workload", ["intrinsic", "sweep", "montecarlo"])
 def test_workload_items_build(workloads, workload, tmp_path):
     items = workloads.WORKLOADS[workload](101, str(tmp_path))

@@ -74,6 +74,11 @@ class TestValidate:
         with pytest.raises(DomainError, match="tolerance"):
             validate(isotropic(0.9).flat(), tolerance=tolerance)
 
+    @pytest.mark.parametrize("values", [{"a": 1}, [{"a": 1}] + [0.0625] * 15])
+    def test_rejects_non_numeric_entries(self, values):
+        with pytest.raises(ValueError, match="box entries must be numbers"):
+            validate(values)
+
     def test_isotropic_grid_validates(self):
         for v in np.linspace(0.0, 1.0, 1001):
             validate(isotropic(float(v)).flat())
@@ -244,6 +249,16 @@ class TestSerialization:
         box = werner_box(0.73)
         again = Box.from_csv(box.to_csv())
         assert again.allclose(box, atol=1e-15)
+
+    @pytest.mark.parametrize("text", ['{"q": 1}', "[0.25]"])
+    def test_json_without_p_key_says_so(self, text):
+        with pytest.raises(ValueError, match='"p" key'):
+            Box.from_json(text)
+
+    def test_csv_short_data_row_raises_value_error(self):
+        header = ",".join(boxes.CSV_HEADER)
+        with pytest.raises(ValueError, match="shorter than its header"):
+            Box.from_csv(header + "\n0.25,0.25\n")
 
     def test_csv_header_labels(self):
         header = boxes.CSV_HEADER

@@ -89,6 +89,23 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", "/nonexistent/box.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("dict.json", '{"p": {"a": 1}}', "box entries must be numbers"),
+            ("object.json", '{"p": [{"a": 1}]}', "box entries must be numbers"),
+            ("no_p.json", '{"q": [0.25]}', '"p" key'),
+            ("short.csv", ",".join(boxes.CSV_HEADER) + "\n0.25\n", "shorter than its header"),
+        ],
+        ids=["p_dict", "p_object", "no_p", "short_csv_row"],
+    )
+    def test_unreadable_box_exits_two(self, capsys, tmp_path, name, text, message):
+        bad = tmp_path / name
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "decompose", str(bad))
+        assert code == 2
+        assert err.startswith("error:") and message in err
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
     def test_bad_tolerance_exits_two(self, capsys, tmp_path, tolerance):
         box_file = tmp_path / "box.json"
@@ -324,3 +341,24 @@ class TestFlagPlacement:
     def test_flags_accepted_before_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "--seed", "1", "simulate", "--rounds", "1000")
         assert code == 0
+
+
+def test_cold_start_loads_no_scipy():
+    # the library and every command run on numpy alone; scipy costs most of a cold start
+    script = (
+        "import sys\n"
+        "import nskd, nskd.cli\n"
+        "assert nskd.cli.main(['vertices']) == 0\n"
+        "nskd.min_nonlocal_decomposition(nskd.isotropic(0.8))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(nskd.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
