@@ -10,12 +10,15 @@ PR rounds are monogamous and tell her nothing.
 After the protocol's reconciliation step (Bob announces his settings,
 Alice flips her bit when both settings were 1) Eve's useful knowledge
 per round collapses onto five symbols (e_a, e_b), where "?" marks a bit
-she cannot predict.
+she cannot predict.  Sifting reads each vertex's ``responses`` (its
+answer at every x, y and coin, written once in ``polytope``): Eve knows
+a bit when it is the same over everything she cannot see.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -120,9 +123,7 @@ def optimal_attack(v: float) -> FullAttack:
         return FullAttack(visibility=v, p_nl=p_nl, components=_facet_plus_pr(p_nl))
     on, off = (1.0 + 2.0 * v) / 16.0, (1.0 - 2.0 * v) / 16.0
     components = []
-    for vertex in polytope.vertices():
-        if not vertex.is_local:
-            continue
+    for vertex in polytope.vertices()[:16]:  # the local vertices
         w = on if vertex.on_chsh_facet else off
         if w > 0.0:
             components.append((vertex, w))
@@ -187,30 +188,36 @@ def _accumulate(contribs: dict):
     return p, symbols
 
 
+def _known(bits: np.ndarray) -> Optional[int]:
+    """The bit when every entry agrees, else None."""
+    return int(bits.flat[0]) if bits.min() == bits.max() else None
+
+
+@functools.cache
+def _cells(vertex: polytope.Vertex, announce: bool) -> tuple:
+    """(EveSymbol, kept, b) for each of the vertex's 8 answers at (x, y, coin).
+
+    Alice keeps a XOR xy.  Eve, who knows the vertex and y, records a
+    bit when it is the same over everything she cannot see: Alice's
+    setting x' and the coin, or only the coin once Alice announces x.
+    """
+    x, y, _ = np.indices((2, 2, 2))
+    kept = vertex.responses[..., 0] ^ (x & y)
+    b = vertex.responses[..., 1]
+    cells = []
+    for xx, yy, coin in itertools.product((0, 1), repeat=3):
+        e_a = _known(kept[xx, yy] if announce else kept[:, yy])
+        sym = EveSymbol(e_a, _known(b[:, yy]))
+        cells.append((sym, int(kept[xx, yy, coin]), int(b[xx, yy, coin])))
+    return tuple(cells)
+
+
 def _sift(attack: FullAttack, announce: bool) -> JointABE:
     """Reconciled round statistics; ``announce`` makes Alice's setting public."""
     contribs: dict = {}
     for vertex, w in attack.components:
-        for x, y in itertools.product((0, 1), repeat=2):
-            if vertex.is_local:
-                alpha, beta, gamma, delta = vertex.params
-                a = (alpha & x) ^ beta
-                b = (gamma & y) ^ delta
-                kept = a ^ (x & y)
-                if announce:
-                    e_a = kept
-                else:
-                    candidates = {((alpha & xx) ^ beta) ^ (xx & y) for xx in (0, 1)}
-                    e_a = kept if len(candidates) == 1 else None
-                sym = EveSymbol(e_a, b)
-                contribs.setdefault((sym, kept, b), []).append(w * 0.25)
-            else:
-                alpha, beta, gamma = vertex.params
-                sym = EveSymbol(None, None)
-                for a in (0, 1):
-                    b = a ^ (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
-                    kept = a ^ (x & y)
-                    contribs.setdefault((sym, kept, b), []).append(w * 0.125)
+        for cell in _cells(vertex, announce):
+            contribs.setdefault(cell, []).append(w * 0.125)
     p, symbols = _accumulate(contribs)
     return JointABE(p=p, symbols=symbols, p_nl=attack.p_nl)
 

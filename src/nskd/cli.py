@@ -21,7 +21,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -240,14 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = Config(
-        grid=getattr(args, "grid", 0.005),
-        restarts=getattr(args, "restarts", 8),
-        seed=getattr(args, "seed", 0),
-        format=getattr(args, "format", "csv"),
-        out=getattr(args, "out", ""),
-        tolerance=getattr(args, "tolerance", boxes.PROB_TOL),
-    )
+    # shared flags default to SUPPRESS, so an absent one takes the Config default
+    given = {f.name: getattr(args, f.name) for f in fields(Config) if hasattr(args, f.name)}
+    config = Config(**given)
     try:
         if args.command == "vertices":
             return cmd_vertices(config)

@@ -29,16 +29,16 @@ RESIDUAL_TOL = 5e-11  # reconstruction error above which a target is infeasible
 class Vertex:
     """One extreme point of the no-signaling polytope.
 
-    Local vertices are parametrized by (alpha, beta, gamma, delta) with
-    a = alpha*x XOR beta and b = gamma*y XOR delta.  Nonlocal vertices
-    are parametrized by (alpha, beta, gamma) with outcomes uniform and
-    a XOR b = xy XOR alpha*x XOR beta*y XOR gamma; (0, 0, 0) is the PR
-    box.
+    Local vertices are parametrized by (alpha, beta, gamma, delta),
+    nonlocal vertices by (alpha, beta, gamma); (0, 0, 0) is the PR box.
+    ``responses`` is the vertex's answer rule (see ``_responses``), and
+    ``box`` is that rule averaged over the coin.
     """
 
     kind: str  # "local" | "nonlocal"
     params: tuple
     box: Box
+    responses: np.ndarray  # int8, [x, y, coin] -> (a, b); read-only
 
     @property
     def name(self) -> str:
@@ -49,33 +49,33 @@ class Vertex:
     def is_local(self) -> bool:
         return self.kind == "local"
 
-    @property
+    @functools.cached_property
     def on_chsh_facet(self) -> bool:
-        """True for the 8 deterministic points saturating CHSH = 3."""
-        if self.kind != "local":
-            return False
-        alpha, beta, gamma, delta = self.params
-        return (beta ^ delta) == (alpha & gamma)
+        """True for the 8 deterministic points saturating CHSH = 3 (exact: entries are 0 or 1)."""
+        return self.is_local and boxes.chsh(self.box) == 3.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Vertex({self.name})"
 
 
-def _local_table(alpha: int, beta: int, gamma: int, delta: int) -> np.ndarray:
-    table = np.zeros((2, 2, 2, 2))
-    for x, y in itertools.product((0, 1), repeat=2):
-        a = (alpha & x) ^ beta
-        b = (gamma & y) ^ delta
-        table[x, y, a, b] = 1.0
-    return table
+def _responses(kind: str, params: tuple) -> np.ndarray:
+    """Outcomes (a, b) of a vertex at [x, y, coin], shape (2, 2, 2, 2).
 
-
-def _nonlocal_table(alpha: int, beta: int, gamma: int) -> np.ndarray:
-    table = np.zeros((2, 2, 2, 2))
-    for x, y, a in itertools.product((0, 1), repeat=3):
-        b = a ^ (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
-        table[x, y, a, b] = 0.5
-    return table
+    A local vertex ignores the coin: a = alpha*x XOR beta and
+    b = gamma*y XOR delta.  A nonlocal vertex answers a = coin and
+    b = coin XOR xy XOR alpha*x XOR beta*y XOR gamma, so its outcomes
+    are uniform and a XOR b follows the relabeled PR rule.
+    """
+    x, y, coin = np.indices((2, 2, 2), dtype=np.int8)
+    if kind == "local":
+        alpha, beta, gamma, delta = params
+        a, b = (alpha & x) ^ beta, (gamma & y) ^ delta
+    else:
+        alpha, beta, gamma = params
+        a, b = coin, coin ^ (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
+    out = np.stack([a, b], axis=-1).astype(np.int8)
+    out.setflags(write=False)
+    return out
 
 
 @functools.cache
@@ -84,15 +84,17 @@ def vertices() -> tuple:
 
     The 16 local vertices come first, ordered lexicographically in
     (alpha, beta, gamma, delta), followed by the 8 nonlocal vertices
-    ordered in (alpha, beta, gamma).
+    ordered in (alpha, beta, gamma).  Each table adds 1/2 per coin at
+    the cell its responses name.
     """
+    x, y, _ = np.indices((2, 2, 2))
     out = []
-    for params in itertools.product((0, 1), repeat=4):
-        out.append(Vertex("local", params, boxes._make_box(_local_table(*params))))
-    for params in itertools.product((0, 1), repeat=3):
-        out.append(
-            Vertex("nonlocal", params, boxes._make_box(_nonlocal_table(*params)))
-        )
+    for kind, n_params in (("local", 4), ("nonlocal", 3)):
+        for params in itertools.product((0, 1), repeat=n_params):
+            responses = _responses(kind, params)
+            table = np.zeros((2, 2, 2, 2))
+            np.add.at(table, (x, y, responses[..., 0], responses[..., 1]), 0.5)
+            out.append(Vertex(kind, params, boxes._make_box(table), responses))
     return tuple(out)
 
 
@@ -179,7 +181,7 @@ def _local_bases() -> tuple:
     return np.array(rows), columns[basis], solver
 
 
-def min_nonlocal_decomposition(box: Box, lexicographic: bool = True) -> Decomposition:
+def min_nonlocal_decomposition(box: Box) -> Decomposition:
     """Mixture of extreme points with minimal total nonlocal weight.
 
     The minimal weight is p = max(0, CHSH_g - 3), where g is the
@@ -191,9 +193,7 @@ def min_nonlocal_decomposition(box: Box, lexicographic: bool = True) -> Decompos
     order.  That minimum is a vertex of the polytope of local weights,
     hence a basic solution: of all nonnegative basic solutions, the one
     kept is what is left after narrowing them, coordinate by coordinate,
-    to those within 1e-10 of the smallest value.  The lexicographic
-    minimum is unique, so both values of ``lexicographic`` return the
-    same weights.
+    to those within 1e-10 of the smallest value.
 
     Raises Infeasible when the target is not inside the polytope, which
     for finite inputs means it is not a valid no-signaling box: no basic
@@ -233,7 +233,7 @@ def min_nonlocal_decomposition(box: Box, lexicographic: bool = True) -> Decompos
 
 def is_local(box: Box, tolerance: float = LP_TOL) -> bool:
     """True when the box admits a decomposition with no nonlocal weight."""
-    dec = min_nonlocal_decomposition(box, lexicographic=False)
+    dec = min_nonlocal_decomposition(box)
     return dec.nonlocal_weight <= tolerance
 
 

@@ -138,6 +138,7 @@ def cmi_given_channel(joint: JointABE, channel: Channel) -> float:
 EG_STEP = 1.0
 EG_STEPS = 1000
 START_MIX = 1e-2
+MAX_OUTPUTS = 5  # the channel maps Eve's symbol to min(MAX_OUTPUTS, |E|) outputs
 
 
 @dataclass(frozen=True)
@@ -176,12 +177,7 @@ def _starts(p_abe: np.ndarray, restarts: int, seed: int, m: int) -> np.ndarray:
     return np.array(starts)
 
 
-def intrinsic_search(
-    joint: JointABE,
-    restarts: int = 64,
-    seed: int = 0,
-    max_outputs: int = 5,
-) -> IntrinsicResult:
+def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> IntrinsicResult:
     """Minimize I(A:B|Ē) over channels acting on Eve's symbol.
 
     Every start (identity, constant, uniform, the best deterministic
@@ -199,7 +195,7 @@ def intrinsic_search(
     if restarts < 1:
         raise DomainError("restarts must be at least 1")
     p_abe = np.asarray(joint.p, dtype=float)
-    m = min(max_outputs, p_abe.shape[2])
+    m = min(MAX_OUTPUTS, p_abe.shape[2])
     starts = _starts(p_abe, restarts, seed, m)
     w = (1.0 - START_MIX) * starts + START_MIX / m
     for _ in range(EG_STEPS):
@@ -217,14 +213,9 @@ def intrinsic_search(
     )
 
 
-def intrinsic_numeric(
-    joint: JointABE,
-    restarts: int = 64,
-    seed: int = 0,
-    max_outputs: int = 5,
-) -> float:
+def intrinsic_numeric(joint: JointABE, restarts: int = 64, seed: int = 0) -> float:
     """The value of ``intrinsic_search``: the best I(A:B|Ē) found, at least 0."""
-    return intrinsic_search(joint, restarts, seed, max_outputs).value
+    return intrinsic_search(joint, restarts, seed).value
 
 
 def intrinsic_upper_bound(joint: JointABE) -> float:
@@ -493,6 +484,8 @@ def ad_with_preprocessing(p_nl: float, n_max: int) -> dict:
     which penalizes the eavesdropper's mostly-certain posterior more
     than Bob's estimate.
     """
+    if n_max < 1:
+        raise DomainError("n_max must be at least 1")
     best = {"best_rate": -math.inf, "best_rate_sign": -1, "q_used": 0.0, "n_used": 1}
     for n in range(1, n_max + 1):
         ensemble = ad_block_ensemble(p_nl, n)

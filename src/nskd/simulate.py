@@ -8,7 +8,8 @@ serial stream exactly and merging is plain concatenation.
 
 Within a block the vertex is the number of cumulative mixture weights
 at or below a uniform draw, and every outcome is one lookup in a table
-over (vertex, x, y, coin).  ``run`` keeps the rounds, at 7 bytes per
+over (vertex, x, y, coin), stacked from the vertices' ``responses``
+arrays (``polytope``).  ``run`` keeps the rounds, at 7 bytes per
 round; ``estimate`` tallies a log one block at a time; ``stream_estimate``
 tallies the same blocks as they are drawn, and can write their records
 CSV as it goes, and keeps none, so its memory does not grow with the
@@ -140,18 +141,9 @@ class _Strategy:
         self.names = [vert.name for vert, _ in components]
         # u falls in bin k = #{j : cumulative[j] <= u}; the last edge is 1 > u
         self.edges = np.cumsum([w for _, w in components])[:-1]
-        x, y, coin = np.indices((2, 2, 2), dtype=np.int8)
-        a = np.empty((len(components), 2, 2, 2), dtype=np.int8)
-        b = np.empty_like(a)
-        for k, (vert, _) in enumerate(components):
-            if vert.is_local:
-                alpha, beta, gamma, delta = vert.params
-                a[k] = (alpha & x) ^ beta
-                b[k] = (gamma & y) ^ delta
-            else:
-                alpha, beta, gamma = vert.params
-                a[k] = coin
-                b[k] = coin ^ (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
+        responses = np.stack([vert.responses for vert, _ in components])
+        a, b = responses[..., 0], responses[..., 1]
+        x, y, _ = np.indices((2, 2, 2), dtype=np.int8)
         self.a = a.ravel()
         self.b = b.ravel()
         self.sifted_a = (a ^ (x & y)).ravel()

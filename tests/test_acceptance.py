@@ -258,8 +258,7 @@ def test_criterion_10_property_suites():
 
     worst_residual = 0.0
     for box in mixtures:
-        # reconstruction quality does not depend on the tie-break pass
-        dec = polytope.min_nonlocal_decomposition(box, lexicographic=False)
+        dec = polytope.min_nonlocal_decomposition(box)
         worst_residual = max(worst_residual, dec.residual)
     print(f"    worst reconstruction residual = {worst_residual:.2e}")
     crit.check(worst_residual < 1e-8, f"residual {worst_residual}")

@@ -6,6 +6,7 @@ import pytest
 from nskd import polytope
 from nskd.attack import (
     EveSymbol,
+    FullAttack,
     TABLE_SYMBOLS,
     alice_bob_stats,
     attack_from_pnl,
@@ -113,6 +114,47 @@ class TestSift:
         blank = joint.symbols.index(EveSymbol(None, None))
         assert joint.p[0, 1, blank] == 0.0
         assert joint.p[1, 0, blank] == 0.0
+
+
+
+def single_vertex_oracle(vertex, announce: bool) -> dict:
+    """(kept, b, symbol) -> probability for one vertex, written from its params."""
+    cells = {}
+    for x, y in itertools.product((0, 1), repeat=2):
+        if vertex.is_local:
+            alpha, beta, gamma, delta = vertex.params
+            kept = ((alpha & x) ^ beta) ^ (x & y)
+            b = (gamma & y) ^ delta
+            hidden = {((alpha & xx) ^ beta) ^ (xx & y) for xx in (0, 1)}
+            e_a = kept if announce or len(hidden) == 1 else None
+            key = (kept, b, EveSymbol(e_a, b))
+            cells[key] = cells.get(key, 0.0) + 0.25
+        else:
+            alpha, beta, gamma = vertex.params
+            for a in (0, 1):
+                b = a ^ (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
+                key = (a ^ (x & y), b, EveSymbol(None, None))
+                cells[key] = cells.get(key, 0.0) + 0.125
+    return cells
+
+
+class TestSingleVertexSift:
+    @pytest.mark.parametrize("announce", [False, True])
+    @pytest.mark.parametrize("index", range(24))
+    def test_symbols_match_the_params_oracle(self, index, announce):
+        vertex = polytope.vertices()[index]
+        strategy = FullAttack(
+            visibility=1.0, p_nl=0.0 if vertex.is_local else 1.0, components=((vertex, 1.0),)
+        )
+        joint = sift_alice_announces(strategy) if announce else sift(strategy)
+        expected = single_vertex_oracle(vertex, announce)
+        assert set(joint.symbols) == {sym for _, _, sym in expected}
+        got = {
+            (a, b, joint.symbols[k]): float(val)
+            for (a, b, k), val in np.ndenumerate(joint.p)
+            if val > 0
+        }
+        assert got == expected
 
 
 class TestAliceBobStats:

@@ -125,6 +125,17 @@ class TestVertices:
         for v in polytope.facet_vertices():
             assert chsh(v.box) == 3.0
 
+    def test_responses_average_to_the_table(self):
+        # the coin average of each vertex's answers is its box, exactly
+        for v in vertices():
+            assert v.responses.dtype == np.int8 and not v.responses.flags.writeable
+            table = np.zeros((2, 2, 2, 2))
+            for (x, y, coin), (a, b) in zip(
+                itertools.product((0, 1), repeat=3), v.responses.reshape(8, 2)
+            ):
+                table[x, y, a, b] += 0.5
+            assert np.array_equal(table, v.box.table)
+
     def test_all_vertices_validate(self):
         from nskd.boxes import validate
 
@@ -153,7 +164,7 @@ class TestDecomposition:
 
     def test_grid_matches_closed_form(self):
         for v in np.linspace(0.0, 1.0, 51):
-            dec = min_nonlocal_decomposition(isotropic(float(v)), lexicographic=False)
+            dec = min_nonlocal_decomposition(isotropic(float(v)))
             assert dec.nonlocal_weight == pytest.approx(
                 max(0.0, 2.0 * v - 1.0), abs=1e-8
             )
@@ -183,7 +194,7 @@ class TestDecomposition:
     def test_reconstruction_on_random_mixtures(self, rng):
         for _ in range(300):
             box = random_mixture_box(rng)
-            dec = min_nonlocal_decomposition(box, lexicographic=False)
+            dec = min_nonlocal_decomposition(box)
             assert dec.residual < 1e-8
             rebuilt = dec.reconstruct()
             assert rebuilt.allclose(box, atol=1e-8)
@@ -217,7 +228,7 @@ class TestDecomposition:
     def test_chsh_bounded_by_three_plus_nonlocal_weight(self):
         for v in np.linspace(0.0, 1.0, 21):
             box = isotropic(float(v))
-            dec = min_nonlocal_decomposition(box, lexicographic=False)
+            dec = min_nonlocal_decomposition(box)
             gap = chsh(box) - 3.0
             if v >= 0.5:
                 assert dec.nonlocal_weight == pytest.approx(gap, abs=1e-8)
@@ -240,9 +251,8 @@ class TestLexicographicOracle:
     def test_matches_the_lp_chain(self, family):
         for box in _oracle_boxes()[family]:
             expected = lexicographic_lp(box)
-            for lexicographic in (True, False):
-                dec = min_nonlocal_decomposition(box, lexicographic=lexicographic)
-                assert np.abs(dec.weights - expected).max() <= 1e-12
+            dec = min_nonlocal_decomposition(box)
+            assert np.abs(dec.weights - expected).max() <= 1e-12
 
     def test_families_cover_both_sides(self):
         families = _oracle_boxes()
@@ -309,7 +319,7 @@ class TestMinimalityOracle:
 
     @pytest.mark.parametrize("v", np.arange(0.0, 1.0001, 0.05).tolist())
     def test_lp_matches_brute_force(self, v):
-        lp = min_nonlocal_decomposition(isotropic(float(v)), lexicographic=False)
+        lp = min_nonlocal_decomposition(isotropic(float(v)))
         brute = self.brute_force_nonlocal_weight(float(v))
         assert lp.nonlocal_weight == pytest.approx(brute, abs=1e-3)
 
@@ -330,9 +340,7 @@ class TestSerializationFormat:
     def test_twirl_connection(self):
         # the minimal nonlocal weight of a twirled box matches the raw one
         box = bb84_box()
-        dec_raw = min_nonlocal_decomposition(box, lexicographic=False)
-        dec_twirled = min_nonlocal_decomposition(
-            twirl_to_isotropic(box), lexicographic=False
-        )
+        dec_raw = min_nonlocal_decomposition(box)
+        dec_twirled = min_nonlocal_decomposition(twirl_to_isotropic(box))
         assert dec_raw.nonlocal_weight == pytest.approx(0.0, abs=1e-9)
         assert dec_twirled.nonlocal_weight == pytest.approx(0.0, abs=1e-9)

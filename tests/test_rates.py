@@ -443,6 +443,14 @@ class TestAdvantageDistillation:
         assert combined["best_rate_sign"] == 1
         assert 0.0 < combined["q_used"] < 0.5
 
+    def test_preprocessing_rejects_empty_block_range(self):
+        # no block is evaluated for n_max < 1, so there is no rate to report
+        for p_nl, n_max in ((0.3, 0), (1.7, 0), (0.3, -1)):
+            with pytest.raises(DomainError, match="n_max must be at least 1"):
+                rates.ad_with_preprocessing(p_nl, n_max)
+        with pytest.raises(DomainError, match="outside"):
+            rates.ad_with_preprocessing(1.7, 1)
+
     def test_preprocessing_threshold_below_plain(self):
         plain = rates.ad_threshold(20).threshold_estimate
         combined = rates.ad_preprocessing_threshold(20).threshold_estimate
