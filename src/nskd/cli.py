@@ -74,7 +74,7 @@ def _load_box(path: str, tolerance: float) -> boxes.Box:
     with open(path) as fh:
         text = fh.read()
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         return boxes.Box.from_json(text, tolerance=tolerance)
     return boxes.Box.from_csv(text, tolerance=tolerance)
 

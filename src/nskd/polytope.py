@@ -181,6 +181,11 @@ def _local_bases() -> tuple:
     return np.array(rows), columns[basis], solver
 
 
+def _chsh_scores(target: np.ndarray) -> np.ndarray:
+    """The 8 relabeled CHSH scores 2 NL_g . P of a flattened table, in NL vertex order."""
+    return 2.0 * (_vertex_matrix()[:, 16:].T @ target)
+
+
 def min_nonlocal_decomposition(box: Box) -> Decomposition:
     """Mixture of extreme points with minimal total nonlocal weight.
 
@@ -202,7 +207,7 @@ def min_nonlocal_decomposition(box: Box) -> Decomposition:
     """
     target = box.table.ravel()
     matrix = _vertex_matrix()
-    scores = 2.0 * (matrix[:, 16:].T @ target)
+    scores = _chsh_scores(target)
     g = int(np.argmax(scores))
     p = float(np.clip(scores[g] - 3.0, 0.0, 1.0))
 
@@ -232,9 +237,13 @@ def min_nonlocal_decomposition(box: Box) -> Decomposition:
 
 
 def is_local(box: Box, tolerance: float = LP_TOL) -> bool:
-    """True when the box admits a decomposition with no nonlocal weight."""
-    dec = min_nonlocal_decomposition(box)
-    return dec.nonlocal_weight <= tolerance
+    """True when the minimal nonlocal weight, max(0, highest CHSH score - 3), is at most tolerance.
+
+    That weight is the one ``min_nonlocal_decomposition`` puts on NL:g,
+    read from the scores alone, without building the local rest.
+    """
+    weight = np.clip(_chsh_scores(box.table.ravel()).max() - 3.0, 0.0, 1.0)
+    return float(weight) <= tolerance
 
 
 def __getattr__(name):

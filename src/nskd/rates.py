@@ -6,7 +6,9 @@ module covers:
 
 * the one-way key-rate bound I(A:B) - I(A:E) and its closed form,
 * Alice's Bernoulli pre-processing and its optimization over the noise,
-  evaluated exactly as the length-1 distillation block,
+  evaluated exactly as the length-1 distillation block; every threshold
+  with noise is the exact sign test ``AdBlockEnsemble.noise_margin()``,
+  not a noise search (for one round it is sqrt(5) - 2),
 * intrinsic information, both the closed-form reference curve and an
   honest numerical minimization over Eve's processing channels,
 * the two-way advantage-distillation protocol (repetition blocks with a
@@ -74,7 +76,10 @@ def optimize_preprocessing(p_nl: float) -> PreprocessingOptimum:
     A single round with noise q on Alice's bit is the length-1
     distillation block with that noise on its secret, so the rate is
     1 - h(eps*q) - (p_L/2)(1 - h(q)) with eps = p_L/4, evaluated by the
-    exact block engine and maximized by its noise search.
+    exact block engine and maximized by its noise search over
+    q <= MAX_NOISE.  The sign of the supremum is ``noise_margin``'s:
+    just above sqrt(5) - 2 the positive rates lie only beyond the cap,
+    so there the reported rate can be at most 0.
     """
     return PreprocessingOptimum(*_best_noise_rate(ad_block_ensemble(p_nl, 1)))
 
@@ -84,9 +89,19 @@ def oneway_threshold(tol: float = 1e-9) -> float:
     return _rate_zero(ck_rate, 0.1, 0.9, tol)
 
 
-def preprocessing_threshold(tol: float = 1e-5) -> float:
-    """Smallest p_nl with a positive rate after optimal pre-processing."""
-    return _rate_zero(lambda p: optimize_preprocessing(p).rate, 0.15, 0.35, tol)
+def preprocessing_threshold() -> float:
+    """Smallest p_nl with a positive rate after optimal pre-processing: sqrt(5) - 2.
+
+    Some noise q gives a positive rate exactly when the length-1 block's
+    ``noise_margin`` is positive.  With u = p_L/4 = (1 - p_nl)/4 that
+    block has eps = u and blind = p_nl + 2u = (1 + p_nl)/2, so
+
+        4 margin = 2(1 + p_nl) - (1 - p_nl)(3 + p_nl) = p_nl^2 + 4 p_nl - 1,
+
+    whose root in [0, 1] is sqrt(5) - 2 = 0.2360680 (Kraus, Gisin &
+    Renner, PRL 95, 080501, 2005), a disturbance of 6.298%.
+    """
+    return math.sqrt(5.0) - 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +322,30 @@ class AdBlockEnsemble:
         """I(R : Eve's view | accept)."""
         return 1.0 - self.blind
 
+    def noise_margin(self) -> float:
+        """blind - 4 eps (1 - eps): positive exactly when some noise q gives rate(q) > 0.
+
+        Bob's bit is the block secret through a binary symmetric channel
+        with crossover eps, and Alice's noisy secret is that secret
+        through one with crossover q.  The strong data-processing
+        constant of the first channel is (1 - 2 eps)^2 (Ahlswede & Gacs,
+        Ann. Probab. 4, 925, 1976), so
+
+            1 - h(q*eps) <= (1 - 2 eps)^2 (1 - h(q))   for every q,
+
+        and since (1 - 2 eps)^2 = 1 - 4 eps (1 - eps),
+        rate(q) <= margin (1 - h(q)).  The bound is tight at q -> 1/2:
+        with q = (1 - t)/2, q*eps = (1 - t(1 - 2 eps))/2, and
+        1 - h((1 - x)/2) = x^2 / (2 ln 2) + O(x^4), so
+        rate(q) / (1 - h(q)) -> margin.  Hence a margin of at most 0
+        keeps every rate(q) at most 0, and a positive margin makes
+        rate(q) positive for q close enough to 1/2.  Written as
+        (1 - 2 eps)^2 - (1 - blind) the two terms would cancel to
+        rounding noise once blind and eps are tiny (n of about 20 and
+        more), so keep this form.
+        """
+        return self.blind - 4.0 * self.bob_error * (1.0 - self.bob_error)
+
     def rate(self, q: float = 0.0) -> float:
         """Key-rate sign quantity for the block, with optional noise q.
 
@@ -425,10 +464,10 @@ def ad_threshold(n_max: int) -> AdThreshold:
       the rate is negative for every n;
     * for p_nl > 1/5, r grows geometrically while h(eps)/eps grows like
       n log2(s/u), so the rate turns positive at large n;
-    * noise cannot lower the limit: to first order in eps,
-      rate(q)/eps = r (1 - h(q)) - g(q) with
-      g(q) = (1-2q) log2((1-q)/q) - 2(1 - h(q)) >= 0 on (0, 1/2), so
-      below 1/5 the rate stays negative once r is small.
+    * noise cannot lower the limit: some q gives a positive rate
+      exactly when ``noise_margin`` = blind - 4 eps (1 - eps) > 0, and
+      for p_nl <= 1/5, blind <= 3 eps with eps <= u <= 1/4, so the
+      margin is at most -eps (1 - 4 eps) <= 0 for every n and q.
 
     The per-n zeros therefore approach 1/5 from above, and the 1/N
     extrapolation only estimates it.
@@ -437,7 +476,8 @@ def ad_threshold(n_max: int) -> AdThreshold:
 
 
 # The search stays strictly below 1/2: the rate vanishes there anyway,
-# and within a few 1e-16 of 1/2 its sign is pure rounding noise.
+# and within a few 1e-16 of 1/2 its sign is pure rounding noise.  No
+# threshold uses the search; noise_margin settles the sign exactly.
 MAX_NOISE = 0.499
 DEFAULT_Q_GRID = tuple(np.linspace(0.0, 0.49, 50).tolist()) + (MAX_NOISE,)
 
@@ -497,8 +537,8 @@ def ad_with_preprocessing(p_nl: float, n_max: int) -> dict:
 
 
 def ad_preprocessing_threshold(n_max: int) -> AdThreshold:
-    """Positivity threshold of distillation combined with pre-processing."""
-    return _block_zeros(n_max, lambda ensemble: _best_noise_rate(ensemble)[1])
+    """Positivity threshold of distillation with pre-processing: the zeros of ``noise_margin``."""
+    return _block_zeros(n_max, AdBlockEnsemble.noise_margin)
 
 
 # ---------------------------------------------------------------------------

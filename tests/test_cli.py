@@ -96,8 +96,9 @@ class TestDecompose:
             ("object.json", '{"p": [{"a": 1}]}', "box entries must be numbers"),
             ("no_p.json", '{"q": [0.25]}', '"p" key'),
             ("short.csv", ",".join(boxes.CSV_HEADER) + "\n0.25\n", "shorter than its header"),
+            ("list.json", "[0.25, 0.25]", '"p" key'),
         ],
-        ids=["p_dict", "p_object", "no_p", "short_csv_row"],
+        ids=["p_dict", "p_object", "no_p", "short_csv_row", "bare_list"],
     )
     def test_unreadable_box_exits_two(self, capsys, tmp_path, name, text, message):
         bad = tmp_path / name

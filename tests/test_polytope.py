@@ -191,6 +191,20 @@ class TestDecomposition:
             if vertex.is_local:
                 assert is_local(vertex.box)
 
+    def test_is_local_agrees_with_the_decomposition(self, rng):
+        boxes = [random_mixture_box(rng) for _ in range(300)]
+        # points of the CHSH facet moved by w toward the PR box have nonlocal weight w
+        facet = np.array([v.box.table for v in polytope.facet_vertices()])
+        pr = polytope.pr_box_vertex().box.table
+        for w in (0.0, 1e-9, 5e-9, 1e-8, 2e-8, 1e-7):
+            for mix in rng.dirichlet(np.ones(8), size=8):
+                boxes.append(_make_box((1.0 - w) * np.tensordot(mix, facet, 1) + w * pr))
+        boxes += [v.box for v in vertices()] + [bb84_box()]
+        boxes += [isotropic(float(v)) for v in np.linspace(0.0, 1.0, 101)]
+        for box in boxes:
+            expected = min_nonlocal_decomposition(box).nonlocal_weight <= polytope.LP_TOL
+            assert is_local(box) == expected
+
     def test_reconstruction_on_random_mixtures(self, rng):
         for _ in range(300):
             box = random_mixture_box(rng)

@@ -389,11 +389,10 @@ class TestAdvantageDistillation:
         assert picked == pytest.approx([0.2227, 0.2086, 0.2034], abs=1e-4)
 
     def test_noise_cannot_lower_the_limit(self):
-        # rate(q)/eps = (p_nl/u)^n (1 - h(q)) - g(q) to first order in eps
-        for q in np.linspace(0.0, 0.5, 10001)[1:-1]:
-            q = float(q)
-            g = (1 - 2 * q) * math.log2((1 - q) / q) - 2 * rates._one_minus_h(q)
-            assert g >= 0.0, q
+        # a negative margin up to 1/5 means no noise q makes any block rate positive there
+        for p_nl in np.linspace(0.0, rates.AD_LIMIT, 41)[1:]:
+            for n in range(1, 512):
+                assert rates.ad_block_ensemble(float(p_nl), n).noise_margin() < 0.0, (p_nl, n)
 
     def test_long_block_underflow_raises(self):
         # odds (u/s)^n and (p_nl/s)^n both fall below the smallest double at n = 630
@@ -474,7 +473,40 @@ class TestAdvantageDistillation:
         # preprocessed rate, so the zeros must coincide
         combined = rates.ad_preprocessing_threshold(2)
         zeros = dict(combined.per_n_curve)
-        assert zeros[1] == pytest.approx(rates.preprocessing_threshold(), abs=1e-3)
+        assert rates.preprocessing_threshold() == math.sqrt(5.0) - 2.0
+        assert zeros[1] == pytest.approx(rates.preprocessing_threshold(), abs=1e-6)
+
+
+class TestNoiseMargin:
+    """noise_margin() > 0 exactly when some noise q makes the block rate positive."""
+
+    def test_threshold_matches_the_noise_search(self):
+        # the search caps q at MAX_NOISE, so near n = 1 and 3 it misses rates
+        # positive only close to q = 1/2 and its zeros sit 8.9e-7 higher
+        exact = rates.ad_preprocessing_threshold(30)
+        search = rates._block_zeros(30, lambda e: rates._best_noise_rate(e)[1])
+        for (n, z), (_, z_search) in zip(exact.per_n_curve, search.per_n_curve):
+            if n in (1, 3):
+                assert z == pytest.approx(z_search, abs=1e-6)
+            else:
+                assert z == z_search, n
+        assert exact.threshold_estimate == 0.19994692792228388
+
+    def test_margin_bounds_every_noisy_rate(self):
+        qs = np.linspace(0.0, 0.4999, 201)
+        for p_nl in np.linspace(0.0, 1.0, 21):
+            for n in range(1, 31):
+                ens = rates.ad_block_ensemble(float(p_nl), n)
+                margin = ens.noise_margin()
+                for q in qs:
+                    bound = margin * rates._one_minus_h(float(q))
+                    assert ens.rate(float(q)) <= bound + 1e-15, (p_nl, n, q)
+
+    @pytest.mark.parametrize("p_nl, n", [(0.1, 1), (0.236, 1), (0.3, 2), (0.6, 5), (0.9, 3)])
+    def test_margin_is_the_limit_at_half_noise(self, p_nl, n):
+        ens = rates.ad_block_ensemble(p_nl, n)
+        q = 0.5 - 1e-4
+        assert ens.rate(q) / rates._one_minus_h(q) == pytest.approx(ens.noise_margin(), abs=1e-8)
 
 
 class TestRateReport:
