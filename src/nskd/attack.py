@@ -134,14 +134,22 @@ def optimal_attack(v: float) -> FullAttack:
 class JointABE:
     """Sifted joint distribution of Alice's bit, Bob's bit and Eve's symbol."""
 
-    p: np.ndarray  # shape (2, 2, n_symbols)
+    p: np.ndarray  # shape (2, 2, n_symbols); a read-only copy of the input
     symbols: tuple  # EveSymbol entries matching the last axis
     p_nl: float
 
     def __post_init__(self):
-        if abs(float(self.p.sum()) - 1.0) > PROB_TOL:
+        p = np.array(self.p, dtype=float)
+        if p.shape != (2, 2, len(self.symbols)):
+            raise ValueError(f"joint table has shape {p.shape}, not (2, 2, {len(self.symbols)})")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("joint entries must be finite")
+        if np.any(p < -PROB_TOL):
+            raise ValueError("joint entries must be nonnegative")
+        if abs(float(p.sum()) - 1.0) > PROB_TOL:
             raise ValueError("joint distribution must be normalized")
-        self.p.setflags(write=False)
+        p.setflags(write=False)
+        object.__setattr__(self, "p", p)
 
     def prob(self, a: int, b: int, symbol: EveSymbol) -> float:
         try:

@@ -86,7 +86,7 @@ def cmd_decompose(path: str, config: Config) -> int:
     print(f"residual:        {dec.residual:.3e}")
     print(f"relabeling:      {dec.relabeling.name} (CHSH {dec.chsh:.17g})")
     print(f"{'vertex':<10}weight")
-    for name, w in dec.as_dict(polytope.LP_TOL).items():
+    for name, w in dec.as_dict(polytope.REPORT_TOL).items():
         print(f"{name:<10}{w:.17g}")
     if config.out:
         _write_out(config.out, dec.to_json())

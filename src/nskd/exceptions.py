@@ -35,7 +35,7 @@ class Signaling(BoxError):
 
 
 class Infeasible(ValueError):
-    """The decomposition linear program has no feasible point."""
+    """A target is not a convex mixture of no-signaling vertices."""
 
 
 class DomainError(ValueError):

@@ -21,7 +21,7 @@ from . import boxes
 from .boxes import Box
 from .exceptions import Infeasible
 
-LP_TOL = 1e-8  # weights at or below it are not reported; is_local's default tolerance
+REPORT_TOL = 1e-8  # weights at or below it are not reported; is_local's bound on the nonlocal weight
 RESIDUAL_TOL = 5e-11  # reconstruction error above which a target is infeasible
 
 
@@ -150,7 +150,7 @@ class Decomposition:
         entries = [
             {"vertex": v.name, "w": float(w)}
             for v, w in zip(vertices(), self.weights)
-            if w > LP_TOL
+            if w > REPORT_TOL
         ]
         return json.dumps({"weights": entries, "residual": self.residual})
 
@@ -236,18 +236,18 @@ def min_nonlocal_decomposition(box: Box) -> Decomposition:
     )
 
 
-def is_local(box: Box, tolerance: float = LP_TOL) -> bool:
-    """True when the minimal nonlocal weight, max(0, highest CHSH score - 3), is at most tolerance.
+def is_local(box: Box) -> bool:
+    """True when the minimal nonlocal weight, max(0, highest CHSH score - 3), is at most REPORT_TOL.
 
     That weight is the one ``min_nonlocal_decomposition`` puts on NL:g,
     read from the scores alone, without building the local rest.
     """
     weight = np.clip(_chsh_scores(box.table.ravel()).max() - 3.0, 0.0, 1.0)
-    return float(weight) <= tolerance
+    return float(weight) <= REPORT_TOL
 
 
 def __getattr__(name):
-    # Only perfbench/tracing.py looks this up; ROADMAP item 4 (in-package tracing) deletes this shim.
+    # Only perfbench/tracing.py looks this up; ROADMAP item 3 (in-package tracing) deletes this shim.
     if name == "linprog":
         from scipy.optimize import linprog
 

@@ -5,8 +5,8 @@ the attack module and is expressed in bits per sifted symbol.  The
 module covers:
 
 * the one-way key-rate bound I(A:B) - I(A:E) and its closed form,
-* Alice's Bernoulli pre-processing and its optimization over the noise,
-  evaluated exactly as the length-1 distillation block; every threshold
+* Alice's Bernoulli pre-processing, evaluated exactly as the length-1
+  distillation block, its rate unimodal in the noise; every threshold
   with noise is the exact sign test ``AdBlockEnsemble.noise_margin()``,
   not a noise search (for one round it is sqrt(5) - 2),
 * intrinsic information, both the closed-form reference curve and an
@@ -75,18 +75,16 @@ def optimize_preprocessing(p_nl: float) -> PreprocessingOptimum:
 
     A single round with noise q on Alice's bit is the length-1
     distillation block with that noise on its secret, so the rate is
-    1 - h(eps*q) - (p_L/2)(1 - h(q)) with eps = p_L/4, evaluated by the
-    exact block engine and maximized by its noise search over
-    q <= MAX_NOISE.  The sign of the supremum is ``noise_margin``'s:
-    just above sqrt(5) - 2 the positive rates lie only beyond the cap,
-    so there the reported rate can be at most 0.
+    1 - h(eps*q) - (p_L/2)(1 - h(q)) with eps = p_L/4.  It is unimodal in
+    q (see ``_best_noise_rate``); at or below sqrt(5) - 2 its maximum is
+    exactly 0, at q = 1/2.
     """
     return PreprocessingOptimum(*_best_noise_rate(ad_block_ensemble(p_nl, 1)))
 
 
-def oneway_threshold(tol: float = 1e-9) -> float:
+def oneway_threshold() -> float:
     """Smallest p_nl with a positive one-way rate (no pre-processing)."""
-    return _rate_zero(ck_rate, 0.1, 0.9, tol)
+    return _rate_zero(ck_rate, 0.1, 0.9, 1e-9)
 
 
 def preprocessing_threshold() -> float:
@@ -475,21 +473,14 @@ def ad_threshold(n_max: int) -> AdThreshold:
     return _block_zeros(n_max, AdBlockEnsemble.rate)
 
 
-# The search stays strictly below 1/2: the rate vanishes there anyway,
-# and within a few 1e-16 of 1/2 its sign is pure rounding noise.  No
-# threshold uses the search; noise_margin settles the sign exactly.
-MAX_NOISE = 0.499
-DEFAULT_Q_GRID = tuple(np.linspace(0.0, 0.49, 50).tolist()) + (MAX_NOISE,)
-
-
-def _golden_max(fun, lo: float, hi: float, iters: int = 60):
+def _golden_max(fun, lo: float, hi: float):
     """Golden-section maximization of a unimodal scalar function."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(60):  # the bracket shrinks by invphi^60, about 3e-13
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -503,17 +494,25 @@ def _golden_max(fun, lo: float, hi: float, iters: int = 60):
 
 
 def _best_noise_rate(ensemble: AdBlockEnsemble) -> tuple:
-    best_q, best_rate = 0.0, ensemble.rate(0.0)
-    for q in DEFAULT_Q_GRID:
-        r = ensemble.rate(q)
-        if r > best_rate:
-            best_q, best_rate = q, r
-    lo = max(0.0, best_q - 0.01)
-    hi = min(MAX_NOISE, best_q + 0.01)
-    q_ref, rate_ref = _golden_max(ensemble.rate, lo, hi)
-    if rate_ref > best_rate:
-        best_q, best_rate = q_ref, rate_ref
-    return best_q, best_rate
+    """(q, rate(q)) maximizing the block rate over noise q in [0, 1/2].
+
+    With t = 1 - 2q and c = 1 - 2 eps, 1 - 2 (q*eps) = ct; the series
+    1 - h((1 - x)/2) = sum_k x^{2k} / (2k (2k - 1) ln 2) then gives
+
+        rate(q) = sum_k (c^{2k} - (1 - blind)) t^{2k} / (2k (2k - 1) ln 2).
+
+    The numerators fall in k, so the coefficients change sign at most
+    once; by Descartes' rule of signs for power series the t-derivative
+    then has at most one zero in (0, 1).  So the rate is unimodal in q,
+    and one golden-section search finds its maximum (q = 0, which the
+    search never evaluates, is compared apart).  The first coefficient
+    is noise_margin / (2 ln 2): a margin of at most 0 makes every
+    coefficient at most 0, so the maximum is rate(1/2) = 0.
+    """
+    if ensemble.noise_margin() <= 0.0:
+        return 0.5, 0.0
+    best = _golden_max(ensemble.rate, 0.0, 0.5)
+    return max(best, (0.0, ensemble.rate(0.0)), key=lambda qr: qr[1])
 
 
 def ad_with_preprocessing(p_nl: float, n_max: int) -> dict:
@@ -581,7 +580,7 @@ def curve_rows(d_values, restarts: int = 16, seed: int = 0):
 
 
 def __getattr__(name):
-    # Only perfbench/tracing.py looks this up; ROADMAP item 4 (in-package tracing) deletes this shim.
+    # Only perfbench/tracing.py looks this up; ROADMAP item 3 (in-package tracing) deletes this shim.
     if name == "minimize":
         from scipy.optimize import minimize
 

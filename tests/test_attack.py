@@ -7,6 +7,7 @@ from nskd import polytope
 from nskd.attack import (
     EveSymbol,
     FullAttack,
+    JointABE,
     TABLE_SYMBOLS,
     alice_bob_stats,
     attack_from_pnl,
@@ -136,6 +137,39 @@ def single_vertex_oracle(vertex, announce: bool) -> dict:
                 key = (a ^ (x & y), b, EveSymbol(None, None))
                 cells[key] = cells.get(key, 0.0) + 0.125
     return cells
+
+
+def negative_table() -> np.ndarray:
+    """Sums to one, with a -0.5 entry."""
+    table = np.zeros((2, 2, 5))
+    table[0, 0, 0], table[1, 1, 0] = 1.5, -0.5
+    return table
+
+
+class TestJointValidation:
+    @pytest.mark.parametrize(
+        "table, match",
+        [
+            (np.full((2, 2, 5), np.nan), "finite"),
+            (np.full((2, 2, 5), np.inf), "finite"),
+            (negative_table(), "nonnegative"),
+            (np.full(20, 1 / 20), "shape"),
+            (np.full((2, 2, 4), 1 / 16), "shape"),
+            (np.full((2, 2, 5), 1 / 10), "normalized"),
+        ],
+        ids=["nan", "inf", "negative", "flat", "symbol-count", "unnormalized"],
+    )
+    def test_rejects_malformed_tables(self, table, match):
+        with pytest.raises(ValueError, match=match):
+            JointABE(p=table, symbols=TABLE_SYMBOLS, p_nl=0.5)
+
+    def test_stores_a_read_only_copy(self):
+        table = table_joint(0.3).p.copy()
+        joint = JointABE(p=table, symbols=TABLE_SYMBOLS, p_nl=0.3)
+        assert table.flags.writeable
+        assert not joint.p.flags.writeable
+        table[0, 0, 0] = 0.5
+        assert joint.p[0, 0, 0] == table_joint(0.3).p[0, 0, 0]
 
 
 class TestSingleVertexSift:

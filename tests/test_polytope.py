@@ -202,7 +202,7 @@ class TestDecomposition:
         boxes += [v.box for v in vertices()] + [bb84_box()]
         boxes += [isotropic(float(v)) for v in np.linspace(0.0, 1.0, 101)]
         for box in boxes:
-            expected = min_nonlocal_decomposition(box).nonlocal_weight <= polytope.LP_TOL
+            expected = min_nonlocal_decomposition(box).nonlocal_weight <= polytope.REPORT_TOL
             assert is_local(box) == expected
 
     def test_reconstruction_on_random_mixtures(self, rng):

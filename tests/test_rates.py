@@ -481,16 +481,32 @@ class TestNoiseMargin:
     """noise_margin() > 0 exactly when some noise q makes the block rate positive."""
 
     def test_threshold_matches_the_noise_search(self):
-        # the search caps q at MAX_NOISE, so near n = 1 and 3 it misses rates
-        # positive only close to q = 1/2 and its zeros sit 8.9e-7 higher
         exact = rates.ad_preprocessing_threshold(30)
         search = rates._block_zeros(30, lambda e: rates._best_noise_rate(e)[1])
-        for (n, z), (_, z_search) in zip(exact.per_n_curve, search.per_n_curve):
-            if n in (1, 3):
-                assert z == pytest.approx(z_search, abs=1e-6)
-            else:
-                assert z == z_search, n
+        assert search.per_n_curve == exact.per_n_curve
         assert exact.threshold_estimate == 0.19994692792228388
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-7])
+    def test_noise_helps_just_above_the_threshold(self, delta):
+        # the rate is positive only within a few sqrt(delta) of q = 1/2
+        opt = rates.optimize_preprocessing(math.sqrt(5.0) - 2.0 + delta)
+        assert opt.rate > 0.0
+        assert 0.499 < opt.q_opt < 0.5
+
+    @pytest.mark.parametrize("delta", [-1e-9, -1e-7, -0.1])
+    def test_no_noise_helps_at_or_below_the_threshold(self, delta):
+        opt = rates.optimize_preprocessing(math.sqrt(5.0) - 2.0 + delta)
+        assert (opt.q_opt, opt.rate) == (0.5, 0.0)
+
+    def test_rate_is_unimodal_in_noise(self):
+        # so one golden-section search finds the best q: diff(rate) changes sign at most once
+        qs = np.linspace(0.0, 0.5, 201)
+        for p_nl in np.linspace(0.0, 1.0, 21):
+            for n in range(1, 31):
+                ens = rates.ad_block_ensemble(float(p_nl), n)
+                steps = np.sign(np.diff([ens.rate(float(q)) for q in qs]))
+                steps = steps[steps != 0]
+                assert np.count_nonzero(steps[1:] != steps[:-1]) <= 1, (p_nl, n)
 
     def test_margin_bounds_every_noisy_rate(self):
         qs = np.linspace(0.0, 0.4999, 201)
