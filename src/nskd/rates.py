@@ -164,10 +164,24 @@ class IntrinsicResult:
     steps: int  # descent steps from that start: 0 or EG_STEPS
 
 
-def _cmi_gradient(p_abe: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """dI(A:B|Ē)/dW[e, z] = sum_ab p(a,b,e) log-ratio(a,b,z), for channels w[..., e, z]."""
-    log_ratio = info._cmi_log_ratio(p_abe @ w[..., None, :, :])
-    return np.einsum("abe,...abz->...ez", p_abe, log_ratio)
+# q = _MARGINALS @ p(a,b,e).reshape(4, k), rows (a, b) = 00, 01, 10, 11, maps
+# a channel W to m(a,b,z), p(z), p(a=0,z), p(a=1,z), p(b=0,z), p(b=1,z), and
+# _LOG_RATIO combines their logs into log2(m(a,b,z) p(z) / (p(a,z) p(b,z))).
+_MARGINALS = np.vstack([np.eye(4), np.ones(4), np.repeat(np.eye(2), 2, 1), np.tile(np.eye(2), 2)])
+_LOG_RATIO = _MARGINALS.T * np.repeat([1.0, -1.0], [5, 4])
+
+
+def _cmi_gradient(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """dI(A:B|Ē)/dW[e, z] = sum_ab p(a,b,e) log-ratio(a,b,z), channels side by side in w[e, :].
+
+    Logs are of values clamped at 1e-300, and the log-ratio is 0 where m(a,b,z) <= 1e-300, as in
+    ``info._cmi_log_ratio``.  Each column's rounding is its own, whatever columns sit beside it.
+    """
+    lin = q @ w
+    empty = lin[:4] <= 1e-300
+    log_ratio = _LOG_RATIO @ np.log2(np.maximum(lin, 1e-300, out=lin), out=lin)
+    log_ratio[empty] = 0.0
+    return q[:4].T @ log_ratio
 
 
 def _starts(p_abe: np.ndarray, restarts: int, seed: int, m: int) -> np.ndarray:
@@ -179,7 +193,7 @@ def _starts(p_abe: np.ndarray, restarts: int, seed: int, m: int) -> np.ndarray:
     constant[:, 0] = 1.0
     structured = [identity, constant, np.full((k, m), 1.0 / m)]
     if restarts > len(structured):
-        codes = np.array(list(np.ndindex(*([m] * k))))  # all m**k deterministic maps
+        codes = np.indices((m,) * k).reshape(k, -1).T  # all m**k deterministic maps, ndindex order
         det = np.zeros((len(codes), k, m))
         np.put_along_axis(det, codes[:, :, None], 1.0, axis=2)
         scores = info._cmi(p_abe @ det[:, None])
@@ -190,6 +204,17 @@ def _starts(p_abe: np.ndarray, restarts: int, seed: int, m: int) -> np.ndarray:
     return np.array(starts)
 
 
+def _descend(q: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The channels after EG_STEPS steps from each start[i] mixed with START_MIX of uniform."""
+    w = ((1.0 - START_MIX) * starts + START_MIX / starts.shape[-1]).transpose(1, 2, 0).copy()
+    for _ in range(EG_STEPS):  # w[e, z, start], the z sums and minima run across contiguous rows
+        grad = _cmi_gradient(q, w.reshape(len(w), -1)).reshape(w.shape)
+        grad -= grad.min(axis=1, keepdims=True)
+        w *= np.exp(np.multiply(grad, -EG_STEP, out=grad), out=grad)
+        w /= w.sum(axis=1, keepdims=True)
+    return w.transpose(2, 0, 1)
+
+
 def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> IntrinsicResult:
     """Minimize I(A:B|Ē) over channels acting on Eve's symbol.
 
@@ -197,10 +222,10 @@ def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> Intr
     maps, then seeded row-Dirichlet draws) is mixed with START_MIX of the
     uniform channel and descends by EG_STEPS exponentiated-gradient steps
     W <- W exp(-EG_STEP (G - min_z G)), rows renormalized, all starts at
-    once.  The result is the best of the unmixed starts and the final
-    channels, so it never exceeds a start's exact value.  Each start
-    descends on its own, and more restarts only extend the start list,
-    so the value is nonincreasing in ``restarts``.
+    once in one ``_cmi_gradient`` per step.  The result is the best of the
+    unmixed starts and the final channels (the lowest index on a tie), so
+    it never exceeds a start's exact value.  A start's descent rounds the
+    same alone or in any batch, so the value is nonincreasing in ``restarts``.
 
     A local method cannot certify the global minimum; the returned
     channel certifies that the minimum is at most ``value``.
@@ -210,12 +235,7 @@ def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> Intr
     p_abe = np.asarray(joint.p, dtype=float)
     m = min(MAX_OUTPUTS, p_abe.shape[2])
     starts = _starts(p_abe, restarts, seed, m)
-    w = (1.0 - START_MIX) * starts + START_MIX / m
-    for _ in range(EG_STEPS):
-        grad = _cmi_gradient(p_abe, w)
-        w = w * np.exp(-EG_STEP * (grad - grad.min(axis=-1, keepdims=True)))
-        w /= w.sum(axis=-1, keepdims=True)
-    candidates = np.concatenate([starts, w])
+    candidates = np.concatenate([starts, _descend(_MARGINALS @ p_abe.reshape(4, -1), starts)])
     best = int(np.argmin(info._cmi(p_abe @ candidates[:, None])))
     certificate = Channel(candidates[best])
     return IntrinsicResult(

@@ -219,6 +219,51 @@ class TestIntrinsicClosed:
         assert rates.intrinsic_closed(0.5) == pytest.approx(expected, abs=1e-12)
 
 
+def _announce(p_nl: float) -> JointABE:
+    return attack.sift_alice_announces(attack.attack_from_pnl(p_nl))
+
+
+def einsum_gradient(p_abe, w):
+    """The einsum form of the gradient, the oracle for the fused kernel; channels w[..., e, z]."""
+    return np.einsum("abe,...abz->...ez", p_abe, info._cmi_log_ratio(p_abe @ w[..., None, :, :]))
+
+
+def fused_gradient(p_abe, w):
+    """rates._cmi_gradient on channels w[i, e, z] laid side by side, returned as [i, e, z]."""
+    q = rates._MARGINALS @ p_abe.reshape(4, -1)
+    side_by_side = rates._cmi_gradient(q, np.concatenate(list(w), axis=1))
+    return side_by_side.reshape(len(w[0]), len(w), -1).transpose(1, 0, 2)
+
+
+def einsum_descent(p_abe, starts):
+    """The einsum form of the descent, the oracle for rates._descend: every start's final channel."""
+    w = (1.0 - rates.START_MIX) * starts + rates.START_MIX / starts.shape[-1]
+    for _ in range(rates.EG_STEPS):
+        grad = einsum_gradient(p_abe, w)
+        w = w * np.exp(-rates.EG_STEP * (grad - grad.min(axis=-1, keepdims=True)))
+        w /= w.sum(axis=-1, keepdims=True)
+    return w
+
+
+def ndindex_starts(p_abe, restarts, seed, m):
+    """The start list with the deterministic maps enumerated by np.ndindex."""
+    k = p_abe.shape[2]
+    identity = np.zeros((k, m))
+    identity[np.arange(k), np.arange(k) % m] = 1.0
+    constant = np.zeros((k, m))
+    constant[:, 0] = 1.0
+    structured = [identity, constant, np.full((k, m), 1.0 / m)]
+    if restarts > len(structured):
+        codes = np.array(list(np.ndindex(*([m] * k))))
+        det = np.zeros((len(codes), k, m))
+        np.put_along_axis(det, codes[:, :, None], 1.0, axis=2)
+        structured.extend(det[np.argsort(info._cmi(p_abe @ det[:, None]), kind="stable")[:8]])
+    rng = np.random.default_rng(seed)
+    starts = structured[:restarts]
+    starts += [rng.dirichlet(np.ones(m), size=k) for _ in range(restarts - len(starts))]
+    return np.array(starts)
+
+
 class TestIntrinsicNumeric:
     def test_identity_channel_is_an_upper_bound(self):
         joint = table_joint(0.5)
@@ -275,7 +320,58 @@ class TestIntrinsicNumeric:
                 dw = np.zeros_like(w)
                 dw[idx] = step
                 numeric[idx] = (info._cmi(p_abe @ (w + dw)) - info._cmi(p_abe @ (w - dw))) / (2 * step)
-            assert np.allclose(rates._cmi_gradient(p_abe, w), numeric, rtol=0.0, atol=1e-6)
+            q = rates._MARGINALS @ p_abe.reshape(4, -1)
+            assert np.allclose(rates._cmi_gradient(q, w), numeric, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("joint", [table_joint(0.3), _announce(0.3)], ids=["table", "announce"])
+    def test_fused_gradient_matches_the_einsum_oracle(self, joint, rng):
+        w = rng.dirichlet(np.ones(5), size=(12, 5))
+        assert np.allclose(fused_gradient(joint.p, w), einsum_gradient(joint.p, w), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_fused_gradient_masks_empty_cells_like_the_oracle(self, rng):
+        p_abe = table_joint(0.5).p
+        w = rng.dirichlet(np.ones(5), size=(2, 5))
+        w[0, :, 2] = 0.0  # output 2 is never used
+        w[1, p_abe[0, 1] > 0, 4] = 0.0  # output 4 is empty on the support of (a, b) = (0, 1) alone
+        w /= w.sum(axis=-1, keepdims=True)
+        assert (p_abe @ w[1])[0, 1, 4] == 0.0 < (p_abe @ w[1])[..., 4].sum()
+        fused = fused_gradient(p_abe, w)
+        assert np.all(np.isfinite(fused))
+        assert np.allclose(fused, einsum_gradient(p_abe, w), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "joint",
+        [table_joint(0.1), table_joint(0.5), table_joint(0.9), _announce(0.15), _announce(0.3)],
+        ids=["table-0.1", "table-0.5", "table-0.9", "announce-0.15", "announce-0.3"],
+    )
+    def test_fused_descent_is_no_worse_than_the_einsum_loop(self, joint):
+        # the oracle loop keeps the mixed constant start frozen, an exact
+        # stationary point; the fused rounding may let it descend further
+        p_abe = joint.p
+        starts = rates._starts(p_abe, 12, 0, 5)
+        reference = einsum_descent(p_abe, starts)
+        fused = rates._descend(rates._MARGINALS @ p_abe.reshape(4, -1), starts)
+        assert np.all(info._cmi(p_abe @ fused[:, None]) <= info._cmi(p_abe @ reference[:, None]) + 1e-12)
+        candidates = np.concatenate([starts, reference])
+        best = candidates[np.argmin(info._cmi(p_abe @ candidates[:, None]))]
+        oracle = rates.cmi_given_channel(joint, rates.Channel(best))
+        assert abs(rates.intrinsic_numeric(joint, restarts=12, seed=0) - oracle) <= 1e-15
+
+    @pytest.mark.parametrize("joint", [table_joint(0.5), _announce(0.3)], ids=["table", "announce"])
+    def test_each_start_descends_the_same_alone_or_in_a_batch(self, joint):
+        # exact, so a larger restart count only adds candidates to the search
+        p_abe = joint.p
+        q = rates._MARGINALS @ p_abe.reshape(4, -1)
+        starts = rates._starts(p_abe, 12, 0, 5)
+        batch = rates._descend(q, starts)
+        for i in range(len(starts)):
+            assert np.array_equal(rates._descend(q, starts[i : i + 1])[0], batch[i])
+
+    @pytest.mark.parametrize("restarts", [1, 4, 12, 64])
+    def test_starts_enumerate_maps_in_ndindex_order(self, restarts):
+        p_abe = _announce(0.3).p
+        assert np.array_equal(rates._starts(p_abe, restarts, 7, 5), ndindex_starts(p_abe, restarts, 7, 5))
 
     @pytest.mark.parametrize("p_nl", np.linspace(0.05, 0.95, 19).tolist())
     def test_sandwich_between_key_rate_and_merge_channel(self, p_nl):
