@@ -184,8 +184,24 @@ def _cmi_gradient(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     return q[:4].T @ log_ratio
 
 
+def _partitions(k: int, m: int) -> np.ndarray:
+    """Restricted-growth strings of k symbols into at most m blocks, in lexicographic order.
+
+    Each is the lexicographically (np.ndindex) first of the deterministic
+    maps that induce its partition of the k symbols.
+    """
+    codes = [()]
+    for _ in range(k):
+        codes = [c + (z,) for c in codes for z in range(min(max(c, default=-1) + 2, m))]
+    return np.array(codes)
+
+
 def _starts(p_abe: np.ndarray, restarts: int, seed: int, m: int) -> np.ndarray:
-    """Identity, constant, uniform, the 8 best deterministic maps, then Dirichlet draws."""
+    """Identity, constant, uniform, the 8 best partitions of Eve's symbols, then Dirichlet draws.
+
+    A deterministic map's value depends only on the partition of Eve's
+    symbols it induces, so one map per partition is scored.
+    """
     k = p_abe.shape[2]
     identity = np.zeros((k, m))
     identity[np.arange(k), np.arange(k) % m] = 1.0
@@ -193,7 +209,7 @@ def _starts(p_abe: np.ndarray, restarts: int, seed: int, m: int) -> np.ndarray:
     constant[:, 0] = 1.0
     structured = [identity, constant, np.full((k, m), 1.0 / m)]
     if restarts > len(structured):
-        codes = np.indices((m,) * k).reshape(k, -1).T  # all m**k deterministic maps, ndindex order
+        codes = _partitions(k, m)
         det = np.zeros((len(codes), k, m))
         np.put_along_axis(det, codes[:, :, None], 1.0, axis=2)
         scores = info._cmi(p_abe @ det[:, None])
@@ -218,9 +234,10 @@ def _descend(q: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> IntrinsicResult:
     """Minimize I(A:B|Ē) over channels acting on Eve's symbol.
 
-    Every start (identity, constant, uniform, the best deterministic
-    maps, then seeded row-Dirichlet draws) is mixed with START_MIX of the
-    uniform channel and descends by EG_STEPS exponentiated-gradient steps
+    Every start (identity, constant, uniform, the deterministic maps of
+    the best partitions of Eve's symbols, then seeded row-Dirichlet
+    draws) is mixed with START_MIX of the uniform channel and descends
+    by EG_STEPS exponentiated-gradient steps
     W <- W exp(-EG_STEP (G - min_z G)), rows renormalized, all starts at
     once in one ``_cmi_gradient`` per step.  The result is the best of the
     unmixed starts and the final channels (the lowest index on a tie), so

@@ -6,16 +6,18 @@ applies the reconciliation flip.  Generation is blocked: block j of a
 run is seeded by (seed, j), so shards computed in parallel reproduce the
 serial stream exactly and merging is plain concatenation.
 
-Within a block the vertex is the number of cumulative mixture weights
-at or below a uniform draw, and every outcome is one lookup in a table
-over (vertex, x, y, coin), stacked from the vertices' ``responses``
-arrays (``polytope``).  ``run`` keeps the rounds, at 7 bytes per
-round; ``estimate`` tallies a log one block at a time; ``stream_estimate``
-tallies the same blocks as they are drawn, and can write their records
-CSV as it goes, and keeps none, so its memory does not grow with the
-number of rounds.  ``nskd simulate`` always streams: 20 million rounds
-take about 1.7 s and peak at about 80 MB RSS (2 cores, Python 3.11),
-against 3.5-4.3 s and 347 MB when the rounds were kept.
+Each block is one ``random_raw`` call of its bit generator, read bit
+for bit as numpy's ``Generator`` would draw it.  Within a block the
+vertex is the number of cumulative mixture weights at or below a
+uniform draw, counted on the raw words, and the outcomes are one lookup
+in a packed table over (vertex, x, y, coin), stacked from the vertices'
+``responses`` arrays (``polytope``).  ``run`` keeps the rounds, at 7
+bytes per round; ``estimate`` tallies a log one block at a time;
+``stream_estimate`` tallies the same blocks as they are drawn, and can
+write their records CSV as it goes, and keeps none, so its memory does
+not grow with the number of rounds.  ``nskd simulate`` always streams:
+20 million rounds take about 0.44 s cold and peak at about 38 MB RSS
+(2 cores, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -130,49 +132,76 @@ def _csv_block(lines, k, bits) -> str:
 
 
 class _Strategy:
-    """Eve's preparation at visibility v as tables over (vertex, x, y, coin).
+    """Eve's preparation at visibility v as one table over (vertex, x, y, coin).
 
-    Flat index (k << 3) | (x << 2) | (y << 1) | coin gives Alice's and
-    Bob's outcomes and Alice's sifted bit when Eve prepares vertex k.
+    Flat index (k << 3) | (x << 2) | (y << 1) | coin gives
+    a | b << 1 | sifted_a << 2, Alice's and Bob's outcomes and Alice's
+    sifted bit when Eve prepares vertex k.
     """
 
     def __init__(self, v: float):
         components = attack_mod.optimal_attack(v).components
         self.names = [vert.name for vert, _ in components]
         # u falls in bin k = #{j : cumulative[j] <= u}; the last edge is 1 > u
-        self.edges = np.cumsum([w for _, w in components])[:-1]
+        self.thresholds = _word_thresholds(np.cumsum([w for _, w in components])[:-1])
         responses = np.stack([vert.responses for vert, _ in components])
         a, b = responses[..., 0], responses[..., 1]
         x, y, _ = np.indices((2, 2, 2), dtype=np.int8)
-        self.a = a.ravel()
-        self.b = b.ravel()
-        self.sifted_a = (a ^ (x & y)).ravel()
+        self.outcomes = (a | b << 1 | (a ^ (x & y)) << 2).ravel()
 
     def blocks(self, n: int, seed: int, first_round: int = 0):
-        """Per block, (x, y, k, index) of the rounds [first_round, first_round + n) in it.
+        """Per block, (x, y, k, a, b, sifted_a) of the rounds [first_round, first_round + n) in it.
 
         Every block draws x, y, u and the coin for all its BLOCK_ROUNDS
         rounds from its own (seed, block index) sequence, in that order,
-        and then keeps the part inside the window.
+        and then keeps the part inside the window.  The draws are read
+        from ``_block_draws``, one ``random_raw`` call of the block's PCG64,
+        bit for bit what ``default_rng`` on the same SeedSequence returns
+        (verified on numpy 2.4.6):
+
+        - ``integers(0, 2, size=B, dtype=np.int8)`` buffers the bytes of
+          ``next_uint32``, the low then the high half of each 64-bit
+          word, and Lemire's method maps a byte to (2 * byte) >> 8, its
+          top bit; so x, y and the coin take B / 8 words each;
+        - ``random(B)`` is (word >> 11) * 2**-53, one word per round, so
+          u >= edge exactly when word >= the edge's threshold
+          (``_word_thresholds``) and u is never formed.
         """
         lo_block = first_round // BLOCK_ROUNDS
         hi_block = (first_round + n - 1) // BLOCK_ROUNDS
         for block in range(lo_block, hi_block + 1):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(block,))
-            )
-            x = rng.integers(0, 2, size=BLOCK_ROUNDS, dtype=np.int8)
-            y = rng.integers(0, 2, size=BLOCK_ROUNDS, dtype=np.int8)
-            u = rng.random(BLOCK_ROUNDS)
-            coin = rng.integers(0, 2, size=BLOCK_ROUNDS, dtype=np.int8)
-
             base = block * BLOCK_ROUNDS
             window = slice(max(first_round - base, 0), min(first_round + n - base, BLOCK_ROUNDS))
-            x, y, u, coin = x[window], y[window], u[window], coin[window]
-            k = np.zeros(len(u), dtype=np.int16)
-            for edge in self.edges:
-                k += u >= edge
-            yield x, y, k, (k << 3) | (x << 2) | (y << 1) | coin
+            x_bytes, y_bytes, u_words, coin_bytes = _block_draws(seed, block)
+            x, y, coin = (draws[window] >> 7 for draws in (x_bytes, y_bytes, coin_bytes))
+            u_words = u_words[window]
+            k = np.zeros(len(u_words), dtype=np.uint8)  # at most 24 vertices, so the index fits
+            for threshold in self.thresholds:
+                k += u_words >= threshold
+            packed = np.take(self.outcomes, (k << 3) | (x << 2) | (y << 1) | coin)
+            del x_bytes, y_bytes, u_words, coin_bytes  # free the words before the next block's
+            yield x.view(np.int8), y.view(np.int8), k, packed & 1, (packed >> 1) & 1, packed >> 2
+
+
+def _block_draws(seed: int, block: int):
+    """Block (seed, block)'s raw draws: x's and y's bytes, u's words, the coin's bytes."""
+    bits = BLOCK_ROUNDS // 8  # words of a bit column, 8 bytes each
+    bitgen = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+    words = bitgen.random_raw(3 * bits + BLOCK_ROUNDS).astype("<u8", copy=False)
+    x, y, u_words, coin = np.split(words, np.cumsum([bits, bits, BLOCK_ROUNDS]))
+    return x.view(np.uint8), y.view(np.uint8), u_words, coin.view(np.uint8)
+
+
+def _word_thresholds(edges) -> np.ndarray:
+    """The uint64 t of each edge with (word >> 11) * 2**-53 >= edge exactly when word >= t.
+
+    edge * 2**53 is exact, so the condition is word >> 11 >= ceil(edge * 2**53).
+    An edge at or below 0 gets t = 0 and always counts; an edge at or above
+    1 has no t (2**53 << 11 overflows uint64) and never counts.
+    """
+    scaled = np.ceil(np.asarray(edges, dtype=float) * 2.0**53)
+    scaled = np.maximum(scaled[scaled < 2.0**53], 0.0)
+    return scaled.astype(np.uint64) << np.uint64(11)
 
 
 def _check_rounds(n: int, first_round: int = 0) -> None:
@@ -195,12 +224,10 @@ def run(v: float, n: int, seed: int = 0, first_round: int = 0) -> RoundLog:
     x, y, a, b, sifted = (np.empty(n, dtype=np.int8) for _ in range(5))
     k = np.empty(n, dtype=np.int16)
     stop = 0
-    for bx, by, bk, index in strategy.blocks(n, seed, first_round):
-        part = slice(stop, stop + len(bk))
+    for columns in strategy.blocks(n, seed, first_round):
+        part = slice(stop, stop + len(columns[0]))
         stop = part.stop
-        x[part], y[part], k[part] = bx, by, bk
-        for table, out in ((strategy.a, a), (strategy.b, b), (strategy.sifted_a, sifted)):
-            np.take(table, index, out=out[part])
+        x[part], y[part], k[part], a[part], b[part], sifted[part] = columns
     return RoundLog(
         x=x, y=y, a=a, b=b, vertex_index=k, sifted_a=sifted, vertex_names=strategy.names
     )
@@ -289,8 +316,7 @@ def stream_estimate(v: float, n: int, seed: int = 0, records=None) -> EstimateRe
         if out is not None:
             lines = _csv_lines(strategy.names)
             out.write(_RECORDS_HEADER)
-        for x, y, k, index in strategy.blocks(n, seed):
-            a, b, sifted = (np.take(t, index) for t in (strategy.a, strategy.b, strategy.sifted_a))
+        for x, y, k, a, b, sifted in strategy.blocks(n, seed):
             tally += _tally(x, y, a, b, sifted)
             if out is not None:
                 out.write(_csv_block(lines, k, (x, y, a, b, sifted)))

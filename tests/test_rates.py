@@ -245,8 +245,8 @@ def einsum_descent(p_abe, starts):
     return w
 
 
-def ndindex_starts(p_abe, restarts, seed, m):
-    """The start list with the deterministic maps enumerated by np.ndindex."""
+def partition_starts(p_abe, restarts, seed, m):
+    """The start list with one deterministic map per partition: the first in np.ndindex order."""
     k = p_abe.shape[2]
     identity = np.zeros((k, m))
     identity[np.arange(k), np.arange(k) % m] = 1.0
@@ -254,7 +254,12 @@ def ndindex_starts(p_abe, restarts, seed, m):
     constant[:, 0] = 1.0
     structured = [identity, constant, np.full((k, m), 1.0 / m)]
     if restarts > len(structured):
-        codes = np.array(list(np.ndindex(*([m] * k))))
+        firsts = {}
+        for code in np.ndindex(*([m] * k)):
+            # the partition of Eve's symbols: each symbol's block, blocks named by first use
+            label = tuple(code.index(z) for z in code)
+            firsts.setdefault(label, code)
+        codes = np.array(list(firsts.values()))
         det = np.zeros((len(codes), k, m))
         np.put_along_axis(det, codes[:, :, None], 1.0, axis=2)
         structured.extend(det[np.argsort(info._cmi(p_abe @ det[:, None]), kind="stable")[:8]])
@@ -369,9 +374,15 @@ class TestIntrinsicNumeric:
             assert np.array_equal(rates._descend(q, starts[i : i + 1])[0], batch[i])
 
     @pytest.mark.parametrize("restarts", [1, 4, 12, 64])
-    def test_starts_enumerate_maps_in_ndindex_order(self, restarts):
-        p_abe = _announce(0.3).p
-        assert np.array_equal(rates._starts(p_abe, restarts, 7, 5), ndindex_starts(p_abe, restarts, 7, 5))
+    @pytest.mark.parametrize("joint", [table_joint(0.5), _announce(0.3)], ids=["table", "announce"])
+    def test_starts_score_one_map_per_partition(self, joint, restarts):
+        starts = rates._starts(joint.p, restarts, 7, 5)
+        assert np.array_equal(starts, partition_starts(joint.p, restarts, 7, 5))
+
+    def test_partitions_are_the_bell_numbers(self):
+        # 1, 2, 5, 15, 52 partitions of 1..5 symbols; at most 2 blocks: 2**(k-1)
+        assert [len(rates._partitions(k, k)) for k in range(1, 6)] == [1, 2, 5, 15, 52]
+        assert len(rates._partitions(5, 2)) == 16
 
     @pytest.mark.parametrize("p_nl", np.linspace(0.05, 0.95, 19).tolist())
     def test_sandwich_between_key_rate_and_merge_channel(self, p_nl):

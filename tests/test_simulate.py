@@ -11,6 +11,7 @@ from nskd.exceptions import DomainError, EmptyInput
 
 FIELDS = ("x", "y", "a", "b", "vertex_index", "sifted_a")
 REPORT_FIELDS = ("chsh_hat", "chsh_stderr", "qber_hat", "qber_stderr", "p_nl_hat")
+_B = simulate.BLOCK_ROUNDS
 
 
 def _sha(data) -> str:
@@ -76,6 +77,108 @@ class TestRun:
     def test_rejects_empty_run(self):
         with pytest.raises(DomainError):
             simulate.run(0.8, 0)
+
+
+def _generator_draws(seed, block):
+    """Block (seed, block)'s x, y, u and coin as numpy's Generator draws them."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+
+    def bits():
+        return rng.integers(0, 2, size=_B, dtype=np.int8)
+
+    return bits(), bits(), rng.random(_B), bits()
+
+
+class TestBlockDraws:
+    """The raw words read by blocks are the Generator's draws, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    @pytest.mark.parametrize("block", [0, 1, 30, 305])
+    def test_bit_columns_are_the_top_bits_of_lemire_bytes(self, seed, block):
+        # Generator.integers(0, 2, dtype=int8) maps each buffered byte to (2 * byte) >> 8
+        x_bytes, y_bytes, _, coin_bytes = simulate._block_draws(seed, block)
+        x, y, _, coin = _generator_draws(seed, block)
+        for got, want in zip((x_bytes, y_bytes, coin_bytes), (x, y, coin)):
+            got = (got >> 7).view(np.int8)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    @pytest.mark.parametrize("block", [0, 1, 30, 305])
+    def test_u_is_the_top_53_bits_of_a_word(self, seed, block):
+        # Generator.random is (next_uint64 >> 11) * 2**-53
+        u_words = simulate._block_draws(seed, block)[2]
+        u = _generator_draws(seed, block)[2]
+        got = (u_words >> 11) * 2.0**-53
+        assert got.dtype == u.dtype and np.array_equal(got, u)
+
+    @pytest.mark.parametrize(
+        "v, n, first",
+        [(0.3, 3 * _B, 0), (0.5, 1000, _B - 300), (0.8, 5000, 7), (1.0, 100, 0)],
+    )
+    def test_blocks_match_the_generator_oracle(self, v, n, first):
+        # the round kernel as first written: u formed, compared with every edge
+        strategy = simulate._Strategy(v)
+        components = attack.optimal_attack(v).components
+        edges = np.cumsum([w for _, w in components])[:-1]
+        responses = np.stack([vert.responses for vert, _ in components])
+        start = first
+        for x, y, k, a, b, sifted in strategy.blocks(n, seed=4, first_round=first):
+            block, lo = divmod(start, _B)
+            window = slice(lo, lo + len(x))
+            start += len(x)
+            gx, gy, gu, gcoin = (col[window] for col in _generator_draws(4, block))
+            gk = (gu[:, None] >= edges).sum(axis=1)
+            ga, gb = np.moveaxis(responses[gk, gx, gy, gcoin], -1, 0)
+            assert np.array_equal(x, gx) and np.array_equal(y, gy) and np.array_equal(k, gk)
+            assert np.array_equal(a, ga) and np.array_equal(b, gb)
+            assert np.array_equal(sifted, ga ^ (gx & gy))
+        assert start == first + n
+
+
+def _edges_of(v):
+    return np.cumsum([w for _, w in attack.optimal_attack(float(v)).components])[:-1]
+
+
+class TestWordThresholds:
+    """word >= threshold exactly when (word >> 11) * 2**-53 >= edge, at the ends too."""
+
+    REAL_EDGES = np.unique(
+        np.concatenate(
+            [_edges_of(v) for v in np.linspace(0.0, 1.0, 2001)]
+            + [_edges_of(np.nextafter(0.5, 1.0)), _edges_of(np.nextafter(1.0, 0.0))]
+        )
+    )
+    SYNTHETIC_EDGES = [-0.5, -0.0, 0.0, 2.0**-1074, 1.0 - 2.0**-53, 1.0, 1.5]
+
+    @staticmethod
+    def _check(edge):
+        thresholds = simulate._word_thresholds([edge])
+        words = {0, 2**64 - 1}
+        for t in thresholds.tolist():
+            words |= {w for w in (t - 1, t, t + 1) if 0 <= w < 2**64}
+        for word in words:
+            counted = int(np.count_nonzero(np.uint64(word) >= thresholds))
+            assert counted == ((word >> 11) * 2.0**-53 >= edge), (edge, word)
+        return thresholds
+
+    def test_real_edges(self):
+        assert self.REAL_EDGES.min() < 1e-16 and self.REAL_EDGES.max() < 1.0
+        for edge in self.REAL_EDGES:
+            assert len(self._check(edge)) == 1
+
+    def test_synthetic_edges(self):
+        counts = [len(self._check(edge)) for edge in self.SYNTHETIC_EDGES]
+        assert counts == [1, 1, 1, 1, 1, 0, 0]
+        assert simulate._word_thresholds([1.0 - 2.0**-53]).tolist() == [2**64 - 2**11]
+        assert simulate._word_thresholds([-0.5, 0.0]).tolist() == [0, 0]
+
+    @pytest.mark.parametrize("v", [0.0, 0.5, np.nextafter(1.0, 0.0), 1.0])
+    def test_every_edge_of_the_strategy_keeps_its_threshold(self, v):
+        edges = _edges_of(v)
+        thresholds = simulate._Strategy(float(v)).thresholds
+        assert thresholds.dtype == np.uint64 and len(thresholds) == len(edges)
+        if v == 1.0:
+            assert len(edges) == 0
 
 
 class TestEstimate:
@@ -251,7 +354,6 @@ class TestRecordsCsv:
 # estimate of seeded runs, as produced by the searchsorted-and-gather kernel
 # this module started from: a rewrite of the round kernel, the estimator or
 # the CSV writer must keep the stream bit for bit.
-_B = simulate.BLOCK_ROUNDS
 PINNED_STREAMS = {
     "local v=0.3": {
         "args": (0.3, 5000, 1, 0),
