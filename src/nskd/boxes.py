@@ -9,13 +9,16 @@ party's setting.
 Tables are numpy arrays of shape (2, 2, 2, 2) with axes ordered
 (x, y, a, b); the same row-major order is used whenever a box is
 flattened to 16 numbers for serialization.
+
+The CHSH game and its eight relabelings g = (alpha, beta, gamma) are
+written once, as ``_winning_parity`` and its win mask ``_WIN``; every
+CHSH score, the twirl and the polytope's nonlocal vertices read them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ import numpy as np
 
 from .exceptions import DomainError, NegativeProbability, NotNormalized, Signaling
 
-PROB_TOL = 1e-9  # default tolerance for normalization / no-signaling checks
+PROB_TOL = 1e-9  # tolerance of every sign, normalization and no-signaling check
 
 CSV_HEADER = tuple(
     f"a{a}b{b}x{x}y{y}"
@@ -37,16 +40,9 @@ CSV_HEADER = tuple(
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """An immutable no-signaling correlation.
+    """An immutable no-signaling correlation, stored as its full table."""
 
-    The full table is stored alongside the two single-party marginals,
-    which are computed once (averaged over the remote setting) so that
-    downstream code never re-derives them from a possibly noisy table.
-    """
-
-    table: np.ndarray  # shape (2, 2, 2, 2), axes (x, y, a, b)
-    alice_marginal: np.ndarray  # shape (2, 2), axes (x, a)
-    bob_marginal: np.ndarray  # shape (2, 2), axes (y, b)
+    table: np.ndarray  # shape (2, 2, 2, 2), axes (x, y, a, b); read-only
 
     def prob(self, a: int, b: int, x: int, y: int) -> float:
         """P(a, b | x, y)."""
@@ -64,7 +60,10 @@ class Box:
 
     @staticmethod
     def from_json(text: str, tolerance: float = PROB_TOL) -> "Box":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError("box JSON is nested too deeply") from exc
         if not isinstance(data, dict) or "p" not in data:
             raise ValueError('box JSON needs a "p" key holding the 16 probabilities')
         return validate(data["p"], tolerance=tolerance)
@@ -78,7 +77,10 @@ class Box:
 
     @staticmethod
     def from_csv(text: str, tolerance: float = PROB_TOL) -> "Box":
-        rows = list(csv.reader(io.StringIO(text)))
+        try:
+            rows = list(csv.reader(io.StringIO(text)))
+        except csv.Error as exc:
+            raise ValueError(f"box CSV is unreadable: {exc}") from exc
         if len(rows) < 2:
             raise ValueError("box CSV needs a header row and one data row")
         header, data = rows[0], rows[1]
@@ -96,14 +98,10 @@ class Box:
 
 
 def _make_box(table: np.ndarray) -> Box:
-    """Wrap a table without validity checks; marginals are canonicalized."""
+    """Wrap a table without validity checks."""
     table = np.asarray(table, dtype=float).reshape(2, 2, 2, 2)
-    alice = table.sum(axis=3).mean(axis=1)  # (x, a), averaged over y
-    bob = table.sum(axis=2).mean(axis=0)  # (y, b), averaged over x
     table.setflags(write=False)
-    alice.setflags(write=False)
-    bob.setflags(write=False)
-    return Box(table=table, alice_marginal=alice, bob_marginal=bob)
+    return Box(table=table)
 
 
 def validate(values, tolerance: float = PROB_TOL) -> Box:
@@ -153,6 +151,32 @@ def validate(values, tolerance: float = PROB_TOL) -> Box:
     return _make_box(np.clip(table, 0.0, 1.0))
 
 
+def _winning_parity(x, y, alpha, beta, gamma):
+    """The a XOR b that wins the CHSH game relabeled by g = (alpha, beta, gamma).
+
+    g = (0, 0, 0) is the canonical game; the eight g, in order, are the
+    eight nonlocal vertices.  Works on ints and integer arrays alike.
+    """
+    return (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
+
+
+# Settings and outcomes of the 16 flattened cells, and the (16, 8) mask of
+# the cells each relabeling g wins, columns in NL vertex order.
+_X, _Y, _A, _B = np.indices((2, 2, 2, 2)).reshape(4, 16)
+_WIN = (_A ^ _B)[:, None] == _winning_parity(
+    _X[:, None], _Y[:, None], *np.indices((2, 2, 2)).reshape(3, 8)
+)
+# Half the mask is each nonlocal vertex's table.  Scores are taken from this
+# float array: a product with the boolean mask skips BLAS, sums in another
+# order and moves scores by an ulp.
+_HALF_WIN = 0.5 * _WIN
+
+
+def _chsh_scores(box: Box) -> np.ndarray:
+    """The 8 relabeled CHSH scores of a box, in NL vertex order g = (alpha, beta, gamma)."""
+    return 2.0 * (_HALF_WIN.T @ box.table.ravel())
+
+
 def isotropic(v: float) -> Box:
     """The isotropic box with visibility v.
 
@@ -162,15 +186,7 @@ def isotropic(v: float) -> Box:
     """
     if not 0.0 <= v <= 1.0:
         raise DomainError(f"visibility {v!r} outside [0, 1]")
-    return _make_box(_isotropic_table(v))
-
-
-def _isotropic_table(v: float) -> np.ndarray:
-    table = np.empty((2, 2, 2, 2))
-    for x, y, a, b in itertools.product((0, 1), repeat=4):
-        aligned = (a ^ b) == (x & y)
-        table[x, y, a, b] = v * 0.5 * aligned + (1.0 - v) * 0.25
-    return table
+    return _make_box(v * 0.5 * _WIN[:, 0] + (1.0 - v) * 0.25)
 
 
 def chsh(box: Box) -> float:
@@ -180,31 +196,19 @@ def chsh(box: Box) -> float:
     (1,1).  Local boxes stay at or below 3; the algebraic maximum is 4,
     reached only by the PR box.
     """
-    t = box.table
-    total = 0.0
-    for x, y in ((0, 0), (0, 1), (1, 0)):
-        total += t[x, y, 0, 0] + t[x, y, 1, 1]
-    total += t[1, 1, 0, 1] + t[1, 1, 1, 0]
-    return float(total)
+    return float(_chsh_scores(box)[0])
 
 
 def chsh_symmetrized(box: Box) -> float:
     """Largest CHSH value over the eight input/output relabelings.
 
     Each relabeling replaces the winning condition a XOR b = x AND y by
-    a XOR b = xy XOR ax XOR by XOR g.  The result is the
+    a XOR b = xy XOR alpha x XOR beta y XOR gamma.  The result is the
     labeling-independent Bell score of the box: > 3 iff the box is
-    CHSH-nonlocal under some choice of labels.
+    CHSH-nonlocal under some choice of labels.  It equals the ``chsh``
+    field of ``polytope.min_nonlocal_decomposition`` exactly.
     """
-    t = box.table
-    best = 0.0
-    for alpha, beta, gamma in itertools.product((0, 1), repeat=3):
-        total = 0.0
-        for x, y, a, b in itertools.product((0, 1), repeat=4):
-            if (a ^ b) == ((x & y) ^ (alpha & x) ^ (beta & y) ^ gamma):
-                total += t[x, y, a, b]
-        best = max(best, float(total))
-    return best
+    return float(_chsh_scores(box).max())
 
 
 def werner_box(w: float) -> Box:
@@ -226,46 +230,25 @@ def bb84_box() -> Box:
     uncorrelated otherwise.  The box is local: it admits a deterministic
     hidden-variable model, so these statistics alone certify nothing.
     """
-    table = np.empty((2, 2, 2, 2))
-    for x, y, a, b in itertools.product((0, 1), repeat=4):
-        if x == y:
-            table[x, y, a, b] = 0.5 if a == b else 0.0
-        else:
-            table[x, y, a, b] = 0.25
-    return _make_box(table)
-
-
-# The eight local relabelings (s, t, c) that leave the CHSH expression
-# invariant: x -> x^s, y -> y^t, a -> a ^ (t & x) ^ c,
-# b -> b ^ (s & y) ^ (s & t) ^ c.
-_RELABELINGS = tuple(itertools.product((0, 1), repeat=3))
-
-
-def _relabeling_permutation(s: int, t: int, c: int) -> np.ndarray:
-    perm = np.empty(16, dtype=np.intp)
-    for x, y, a, b in itertools.product((0, 1), repeat=4):
-        xp, yp = x ^ s, y ^ t
-        ap = a ^ (t & x) ^ c
-        bp = b ^ (s & y) ^ (s & t) ^ c
-        src = ((x * 2 + y) * 2 + a) * 2 + b
-        dst = ((xp * 2 + yp) * 2 + ap) * 2 + bp
-        perm[dst] = src
-    return perm
-
-
-_RELABEL_PERMS = np.stack([_relabeling_permutation(*g) for g in _RELABELINGS])
+    return _make_box(np.where(_X == _Y, 0.5 * (_A == _B), 0.25))
 
 
 def twirl_to_isotropic(box: Box) -> Box:
     """Average a box over the CHSH symmetry group.
 
-    The output always lies on the isotropic line and has the same CHSH
-    value as the input, so the twirl maps any box to isotropic noise
-    with visibility chsh(box)/2 - 1.  Isotropic boxes are exact fixed
-    points: the eight images coincide cellwise and the balanced pairwise
-    sum below keeps equal addends exact at every level.
+    The eight relabelings that leave the CHSH expression invariant carry
+    each winning cell onto every winning cell exactly once, and likewise
+    the losing cells.  So the average puts the mean of the 8 winning
+    cells on each winning cell and the mean of the 8 losing cells on each
+    losing cell: the output lies on the isotropic line with the input's
+    CHSH value, visibility chsh(box)/2 - 1.  Each mean is a balanced
+    pairwise sum, which keeps equal addends exact at every level, so
+    isotropic boxes are exact fixed points.
     """
-    images = box.table.ravel()[_RELABEL_PERMS]
-    while images.shape[0] > 1:
-        images = images[0::2] + images[1::2]
-    return _make_box((images[0] / 8.0).reshape(2, 2, 2, 2))
+    win = _WIN[:, 0]
+    t = box.table.ravel()
+    sums = np.stack([t[win], t[~win]])
+    while sums.shape[1] > 1:
+        sums = sums[:, 0::2] + sums[:, 1::2]
+    means = sums[:, 0] / 8.0
+    return _make_box(np.where(win, means[0], means[1]))

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .boxes import PROB_TOL
 from .exceptions import DomainError, NotNormalized
-
-NORM_TOL = 1e-9
 
 
 def binary_entropy(p: float) -> float:
@@ -67,8 +66,8 @@ def _cmi_log_ratio(p: np.ndarray) -> np.ndarray:
 def _check_normalized(p: np.ndarray) -> None:
     if not np.all(np.isfinite(p)):
         raise NotNormalized("non-finite weight in distribution")
-    if np.any(p < -NORM_TOL):
+    if np.any(p < -PROB_TOL):
         raise NotNormalized("negative weight in distribution")
     total = float(p.sum())
-    if abs(total - 1.0) > NORM_TOL:
+    if abs(total - 1.0) > PROB_TOL:
         raise NotNormalized(f"distribution sums to {total!r}, expected 1")

@@ -64,7 +64,7 @@ def _responses(kind: str, params: tuple) -> np.ndarray:
     A local vertex ignores the coin: a = alpha*x XOR beta and
     b = gamma*y XOR delta.  A nonlocal vertex answers a = coin and
     b = coin XOR xy XOR alpha*x XOR beta*y XOR gamma, so its outcomes
-    are uniform and a XOR b follows the relabeled PR rule.
+    are uniform and a XOR b follows ``boxes._winning_parity``.
     """
     x, y, coin = np.indices((2, 2, 2), dtype=np.int8)
     if kind == "local":
@@ -72,7 +72,7 @@ def _responses(kind: str, params: tuple) -> np.ndarray:
         a, b = (alpha & x) ^ beta, (gamma & y) ^ delta
     else:
         alpha, beta, gamma = params
-        a, b = coin, coin ^ (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
+        a, b = coin, coin ^ boxes._winning_parity(x, y, alpha, beta, gamma)
     out = np.stack([a, b], axis=-1).astype(np.int8)
     out.setflags(write=False)
     return out
@@ -181,24 +181,20 @@ def _local_bases() -> tuple:
     return np.array(rows), columns[basis], solver
 
 
-def _chsh_scores(target: np.ndarray) -> np.ndarray:
-    """The 8 relabeled CHSH scores 2 NL_g . P of a flattened table, in NL vertex order."""
-    return 2.0 * (_vertex_matrix()[:, 16:].T @ target)
-
-
 def min_nonlocal_decomposition(box: Box) -> Decomposition:
     """Mixture of extreme points with minimal total nonlocal weight.
 
     The minimal weight is p = max(0, CHSH_g - 3), where g is the
-    relabeling with the highest CHSH score, and it all sits on the
-    nonlocal vertex NL:g (Barrett et al., PRA 71, 022101, 2005; a box is
-    local iff no relabeled CHSH score exceeds 3, Fine, PRL 48, 291,
-    1982).  The remaining 1 - p is spread over the 16 local vertices as
-    the lexicographically smallest weight vector in canonical vertex
-    order.  That minimum is a vertex of the polytope of local weights,
-    hence a basic solution: of all nonnegative basic solutions, the one
-    kept is what is left after narrowing them, coordinate by coordinate,
-    to those within 1e-10 of the smallest value.
+    relabeling with the highest score of ``boxes._chsh_scores``, and it
+    all sits on the nonlocal vertex NL:g (Barrett et al., PRA 71,
+    022101, 2005; a box is local iff no relabeled CHSH score exceeds 3,
+    Fine, PRL 48, 291, 1982).  The remaining 1 - p is spread over the 16
+    local vertices as the lexicographically smallest weight vector in
+    canonical vertex order.  That minimum is a vertex of the polytope of
+    local weights, hence a basic solution: of all nonnegative basic
+    solutions, the one kept is what is left after narrowing them,
+    coordinate by coordinate, to those within 1e-10 of the smallest
+    value.
 
     Raises Infeasible when the target is not inside the polytope, which
     for finite inputs means it is not a valid no-signaling box: no basic
@@ -207,7 +203,7 @@ def min_nonlocal_decomposition(box: Box) -> Decomposition:
     """
     target = box.table.ravel()
     matrix = _vertex_matrix()
-    scores = _chsh_scores(target)
+    scores = boxes._chsh_scores(box)
     g = int(np.argmax(scores))
     p = float(np.clip(scores[g] - 3.0, 0.0, 1.0))
 
@@ -242,7 +238,7 @@ def is_local(box: Box) -> bool:
     That weight is the one ``min_nonlocal_decomposition`` puts on NL:g,
     read from the scores alone, without building the local rest.
     """
-    weight = np.clip(_chsh_scores(box.table.ravel()).max() - 3.0, 0.0, 1.0)
+    weight = np.clip(boxes._chsh_scores(box).max() - 3.0, 0.0, 1.0)
     return float(weight) <= REPORT_TOL
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import info
 from .attack import JointABE, alice_bob_stats, table_joint
+from .boxes import PROB_TOL
 from .exceptions import DomainError
 from .info import (  # noqa: F401  perfbench/tracing.py patches mutual_information here
     binary_entropy,
@@ -37,7 +38,6 @@ from .info import (  # noqa: F401  perfbench/tracing.py patches mutual_informati
 )
 
 SQRT2 = math.sqrt(2.0)
-OPT_TOL = 1e-3  # agreement tolerance for the numerical intrinsic minimum
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +130,10 @@ class Channel:
             raise ValueError("channel matrix must be 2-d")
         if not np.all(np.isfinite(m)):
             raise ValueError("channel entries must be finite")
-        if np.any(m < -info.NORM_TOL):
+        if np.any(m < -PROB_TOL):
             raise ValueError("channel rows must be nonnegative")
         rows = m.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > info.NORM_TOL):
+        if np.any(np.abs(rows - 1.0) > PROB_TOL):
             raise ValueError("channel rows must sum to one")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

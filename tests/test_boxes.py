@@ -23,6 +23,7 @@ from nskd.exceptions import (
     NotNormalized,
     Signaling,
 )
+from nskd.polytope import min_nonlocal_decomposition
 from tests.conftest import random_mixture_box
 
 SQRT2 = math.sqrt(2.0)
@@ -83,12 +84,6 @@ class TestValidate:
         for v in np.linspace(0.0, 1.0, 1001):
             validate(isotropic(float(v)).flat())
 
-    def test_marginals_are_canonicalized(self):
-        box = validate(isotropic(0.7).flat())
-        assert box.alice_marginal.shape == (2, 2)
-        assert np.allclose(box.alice_marginal, 0.5)
-        assert np.allclose(box.bob_marginal, 0.5)
-
 
 class TestIsotropic:
     def test_endpoints(self):
@@ -125,19 +120,27 @@ class TestChsh:
             )
 
     def test_oracle_direct_sum(self, rng):
-        # independent arithmetic straight from the definition
+        # independent arithmetic straight from the definition, for all 8 relabelings
         box = random_mixture_box(rng)
-        total = 0.0
-        for x, y, a, b in itertools.product((0, 1), repeat=4):
-            win = (a ^ b) == (x & y)
-            if win:
-                total += box.prob(a, b, x, y)
-        assert chsh(box) == pytest.approx(total, abs=1e-12)
+        scores = boxes._chsh_scores(box)
+        for g, (alpha, beta, gamma) in enumerate(itertools.product((0, 1), repeat=3)):
+            total = 0.0
+            for x, y, a, b in itertools.product((0, 1), repeat=4):
+                win = (a ^ b) == (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
+                if win:
+                    total += box.prob(a, b, x, y)
+            assert scores[g] == pytest.approx(total, abs=1e-12)
+        assert chsh(box) == scores[0]
 
     def test_symmetrized_at_least_canonical(self, rng):
         for _ in range(50):
             box = random_mixture_box(rng)
             assert chsh_symmetrized(box) >= chsh(box) - 1e-12
+
+    def test_symmetrized_is_the_decomposition_score(self, rng):
+        for _ in range(300):
+            box = random_mixture_box(rng)
+            assert chsh_symmetrized(box) == min_nonlocal_decomposition(box).chsh
 
 
 class TestWerner:
@@ -196,7 +199,32 @@ class TestBB84:
         assert chsh_symmetrized(bb84_box()) == pytest.approx(3.0, abs=1e-15)
 
 
+def _group_average(box: Box) -> np.ndarray:
+    """Reference twirl: the mean of the 8 images under the CHSH-preserving relabelings.
+
+    Relabeling (s, t, c) maps x -> x^s, y -> y^t, a -> a ^ (t & x) ^ c and
+    b -> b ^ (s & y) ^ (s & t) ^ c; the 8 images are summed as a balanced
+    pairwise tree in (s, t, c) order.
+    """
+    flat = box.table.ravel()
+    images = np.empty((8, 16))
+    for k, (s, t, c) in enumerate(itertools.product((0, 1), repeat=3)):
+        for x, y, a, b in itertools.product((0, 1), repeat=4):
+            dst = (((x ^ s) * 2 + (y ^ t)) * 2 + (a ^ (t & x) ^ c)) * 2 + (b ^ (s & y) ^ (s & t) ^ c)
+            images[k, dst] = flat[((x * 2 + y) * 2 + a) * 2 + b]
+    while images.shape[0] > 1:
+        images = images[0::2] + images[1::2]
+    return (images[0] / 8.0).reshape(2, 2, 2, 2)
+
+
 class TestTwirl:
+    def test_matches_group_average_bitwise(self, rng):
+        for _ in range(300):
+            box = random_mixture_box(rng)
+            assert np.array_equal(twirl_to_isotropic(box).table, _group_average(box))
+        for box in (bb84_box(), isotropic(0.3)):
+            assert np.array_equal(twirl_to_isotropic(box).table, _group_average(box))
+
     def test_fixed_point_is_bitwise(self):
         for v in (0.0, 0.3, 0.5, 0.77, 1.0):
             iso = isotropic(v)

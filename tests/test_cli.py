@@ -97,8 +97,10 @@ class TestDecompose:
             ("no_p.json", '{"q": [0.25]}', '"p" key'),
             ("short.csv", ",".join(boxes.CSV_HEADER) + "\n0.25\n", "shorter than its header"),
             ("list.json", "[0.25, 0.25]", '"p" key'),
+            ("deep.json", "[" * 100_000, "nested too deeply"),
+            ("wide.csv", ",".join(boxes.CSV_HEADER) + "\n" + "0" * 200_000 + "\n", "box CSV is unreadable"),
         ],
-        ids=["p_dict", "p_object", "no_p", "short_csv_row", "bare_list"],
+        ids=["p_dict", "p_object", "no_p", "short_csv_row", "bare_list", "deep_json", "wide_csv_field"],
     )
     def test_unreadable_box_exits_two(self, capsys, tmp_path, name, text, message):
         bad = tmp_path / name

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from nskd import polytope
+from nskd import boxes, polytope
 from nskd.boxes import _make_box, bb84_box, chsh, chsh_symmetrized, isotropic, twirl_to_isotropic
 from nskd.exceptions import Infeasible
 from nskd.polytope import (
@@ -135,6 +135,17 @@ class TestVertices:
             ):
                 table[x, y, a, b] += 0.5
             assert np.array_equal(table, v.box.table)
+
+    def test_nonlocal_tables_are_half_the_win_mask(self):
+        # NL:g puts 1/2 on each cell where a XOR b = xy XOR alpha x XOR beta y XOR gamma
+        for g, v in enumerate(vertices()[16:]):
+            alpha, beta, gamma = v.params
+            half = np.zeros((2, 2, 2, 2))
+            for x, y, a, b in itertools.product((0, 1), repeat=4):
+                if a ^ b == (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma:
+                    half[x, y, a, b] = 0.5
+            assert np.array_equal(v.box.table, half)
+            assert np.array_equal(v.box.table.ravel(), boxes._HALF_WIN[:, g])
 
     def test_all_vertices_validate(self):
         from nskd.boxes import validate
