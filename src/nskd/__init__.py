@@ -64,6 +64,6 @@ from .rates import (
     pnl_to_disturbance,
     preprocessing_threshold,
 )
-from .simulate import EstimateReport, RoundLog, RoundRecord, estimate, run, stream_estimate
+from .simulate import EstimateReport, RoundLog, estimate, run, stream_estimate
 
 __version__ = "0.1.0"

@@ -129,10 +129,12 @@ def cmd_intrinsic(p_nl: float, config: Config, announce: bool = False) -> int:
     strategy = attack.attack_from_pnl(p_nl)
     joint = attack.sift_alice_announces(strategy) if announce else attack.sift(strategy)
     result = rates.intrinsic_search(joint, restarts=config.restarts, seed=config.seed)
-    closed = rates.intrinsic_closed(p_nl)
+    # intrinsic_closed is the sifted table's reference curve; it is no value of the announce variant
+    reference = {} if announce else {"intrinsic_closed": rates.intrinsic_closed(p_nl)}
     bound = rates.intrinsic_upper_bound(joint)
     print(f"p_nl:              {p_nl:.17g}")
-    print(f"intrinsic_closed:  {closed:.17g}")
+    for name, value in reference.items():
+        print(f"{name}:  {value:.17g}")
     print(f"intrinsic_numeric: {result.value:.17g}")
     print(f"upper bound:       {bound:.17g}")
     print(f"winning start:     {result.start} ({result.steps} descent steps)")
@@ -146,7 +148,7 @@ def cmd_intrinsic(p_nl: float, config: Config, announce: bool = False) -> int:
                 {
                     "p_nl": p_nl,
                     "announce": announce,
-                    "intrinsic_closed": closed,
+                    **reference,
                     "intrinsic_numeric": result.value,
                     "upper_bound": bound,
                     "channel": result.channel.tolist(),

@@ -9,15 +9,17 @@ serial stream exactly and merging is plain concatenation.
 Each block is one ``random_raw`` call of its bit generator, read bit
 for bit as numpy's ``Generator`` would draw it.  Within a block the
 vertex is the number of cumulative mixture weights at or below a
-uniform draw, counted on the raw words, and the outcomes are one lookup
-in a packed table over (vertex, x, y, coin), stacked from the vertices'
-``responses`` arrays (``polytope``).  ``run`` keeps the rounds, at 7
-bytes per round; ``estimate`` tallies a log one block at a time;
-``stream_estimate`` tallies the same blocks as they are drawn, and can
-write their records CSV as it goes, and keeps none, so its memory does
-not grow with the number of rounds.  ``nskd simulate`` always streams:
-20 million rounds take about 0.44 s cold and peak at about 38 MB RSS
-(2 cores, Python 3.11.7, numpy 2.4.6).
+uniform draw, read from a table over the top 16 bits of the raw word
+and counted exactly only for the few words whose 16-bit bucket has a
+threshold strictly inside it; the outcomes are one lookup in a packed table over
+(vertex, x, y, coin), stacked from the vertices' ``responses`` arrays
+(``polytope``).  ``run`` keeps the rounds, at 7 bytes per round;
+``estimate`` tallies a log one block at a time, from seven
+``count_nonzero`` calls per block; ``stream_estimate`` tallies the same
+blocks as they are drawn, and can write their records CSV as it goes,
+and keeps none, so its memory does not grow with the number of rounds.
+``nskd simulate`` always streams: 20 million rounds take about 0.51 s
+cold and peak at about 38 MB RSS (2 cores, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -38,23 +40,12 @@ from .exceptions import DomainError, EmptyInput
 BLOCK_ROUNDS = 1 << 16
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    x: int
-    y: int
-    a: int
-    b: int
-    eve_label: str  # canonical name of the prepared vertex
-    sifted_a: int
-
-
 class RoundLog:
     """Columnar store of simulated rounds.
 
-    Behaves like a sequence of RoundRecord but keeps numpy arrays
-    internally so million-round runs stay cheap: x, y, a, b and sifted_a
-    hold bits (int8) and vertex_index indexes vertex_names (int16), 7
-    bytes per round.
+    x, y, a, b and sifted_a hold bits (int8) and vertex_index indexes
+    vertex_names (int16), 7 bytes per round, so million-round runs stay
+    cheap.
     """
 
     def __init__(self, x, y, a, b, vertex_index, sifted_a, vertex_names):
@@ -68,20 +59,6 @@ class RoundLog:
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def __getitem__(self, i: int) -> RoundRecord:
-        return RoundRecord(
-            x=int(self.x[i]),
-            y=int(self.y[i]),
-            a=int(self.a[i]),
-            b=int(self.b[i]),
-            eve_label=self.vertex_names[self.vertex_index[i]],
-            sifted_a=int(self.sifted_a[i]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     def to_csv(self) -> str:
         """The rounds as csv.writer writes them, one looked-up line per round.
@@ -121,10 +98,14 @@ def _csv_lines(names) -> np.ndarray:
     return np.array(lines, dtype=object)
 
 
+def _check_bits(use: str, columns) -> None:
+    if any(np.bitwise_or.reduce(col) & ~1 for col in columns):
+        raise DomainError(f"{use} columns x, y, a, b and sifted_a must hold bits")
+
+
 def _csv_block(lines, k, bits) -> str:
     """The records lines of one block: vertex indices k, bits (x, y, a, b, sifted_a)."""
-    if any(np.any(col & ~1) for col in bits):
-        raise DomainError("records columns x, y, a, b and sifted_a must hold bits")
+    _check_bits("records", bits)
     key = k.astype(np.intp) << 5
     for shift, col in zip((4, 3, 2, 1, 0), bits):
         key |= col.astype(np.intp) << shift
@@ -134,7 +115,7 @@ def _csv_block(lines, k, bits) -> str:
 class _Strategy:
     """Eve's preparation at visibility v as one table over (vertex, x, y, coin).
 
-    Flat index (k << 3) | (x << 2) | (y << 1) | coin gives
+    Flat index k * 8 + x * 4 + y * 2 + coin gives
     a | b << 1 | sifted_a << 2, Alice's and Bob's outcomes and Alice's
     sifted bit when Eve prepares vertex k.
     """
@@ -144,6 +125,7 @@ class _Strategy:
         self.names = [vert.name for vert, _ in components]
         # u falls in bin k = #{j : cumulative[j] <= u}; the last edge is 1 > u
         self.thresholds = _word_thresholds(np.cumsum([w for _, w in components])[:-1])
+        self.buckets = _bucket_table(self.thresholds)
         responses = np.stack([vert.responses for vert, _ in components])
         a, b = responses[..., 0], responses[..., 1]
         x, y, _ = np.indices((2, 2, 2), dtype=np.int8)
@@ -166,6 +148,9 @@ class _Strategy:
         - ``random(B)`` is (word >> 11) * 2**-53, one word per round, so
           u >= edge exactly when word >= the edge's threshold
           (``_word_thresholds``) and u is never formed.
+
+        k * 8 is read by ``_vertex_x8``.  Bits are scaled by multiplication:
+        numpy's left shift of small integers is about ten times slower.
         """
         lo_block = first_round // BLOCK_ROUNDS
         hi_block = (first_round + n - 1) // BLOCK_ROUNDS
@@ -174,13 +159,10 @@ class _Strategy:
             window = slice(max(first_round - base, 0), min(first_round + n - base, BLOCK_ROUNDS))
             x_bytes, y_bytes, u_words, coin_bytes = _block_draws(seed, block)
             x, y, coin = (draws[window] >> 7 for draws in (x_bytes, y_bytes, coin_bytes))
-            u_words = u_words[window]
-            k = np.zeros(len(u_words), dtype=np.uint8)  # at most 24 vertices, so the index fits
-            for threshold in self.thresholds:
-                k += u_words >= threshold
-            packed = np.take(self.outcomes, (k << 3) | (x << 2) | (y << 1) | coin)
+            k8 = _vertex_x8(self.buckets, self.thresholds, u_words[window])
+            packed = np.take(self.outcomes, k8 + x * 4 + y * 2 + coin)
             del x_bytes, y_bytes, u_words, coin_bytes  # free the words before the next block's
-            yield x.view(np.int8), y.view(np.int8), k, packed & 1, (packed >> 1) & 1, packed >> 2
+            yield x.view(np.int8), y.view(np.int8), k8 >> 3, packed & 1, (packed >> 1) & 1, packed >> 2
 
 
 def _block_draws(seed: int, block: int):
@@ -202,6 +184,35 @@ def _word_thresholds(edges) -> np.ndarray:
     scaled = np.ceil(np.asarray(edges, dtype=float) * 2.0**53)
     scaled = np.maximum(scaled[scaled < 2.0**53], 0.0)
     return scaled.astype(np.uint64) << np.uint64(11)
+
+
+_BUCKET_SHIFT = 48  # a word's bucket is its top 16 bits
+_SPLIT = 255  # no real entry: there are at most 24 vertices, so k * 8 <= 184
+
+
+def _bucket_table(thresholds) -> np.ndarray:
+    """Per bucket word >> 48: k * 8 when all its words share k, else _SPLIT.
+
+    k counts the thresholds at or below the word, and the thresholds are
+    sorted, so k steps up by one at bucket ceil(t / 2**48) of each
+    threshold t: the table is one repeat of the values k * 8.  A
+    threshold strictly inside a bucket splits it.
+    """
+    firsts = [-(-t >> _BUCKET_SHIFT) for t in thresholds.tolist()]  # ceil(t / 2**48)
+    runs = np.diff([0, *firsts, 1 << (64 - _BUCKET_SHIFT)])
+    table = np.repeat(np.arange(0, 8 * len(runs), 8, dtype=np.uint8), runs)
+    inside = thresholds[(thresholds & np.uint64((1 << _BUCKET_SHIFT) - 1)) != 0]
+    table[inside >> np.uint64(_BUCKET_SHIFT)] = _SPLIT
+    return table
+
+
+def _vertex_x8(buckets, thresholds, u_words) -> np.ndarray:
+    """k * 8 of each word: its bucket's entry, or where that is _SPLIT, searchsorted's count."""
+    # a bucket is below 2**16, so its uint64 bits read as int64 are the same number
+    k8 = np.take(buckets, (u_words >> np.uint64(_BUCKET_SHIFT)).view(np.int64))
+    split = np.flatnonzero(k8 == _SPLIT)
+    k8[split] = np.searchsorted(thresholds, u_words[split], side="right") * 8
+    return k8
 
 
 def _check_rounds(n: int, first_round: int = 0) -> None:
@@ -255,10 +266,24 @@ class EstimateReport:
         )
 
 
+# Inclusion-exclusion, one factor per bit: (rounds, rounds with the bit set)
+# -> (rounds with it clear, rounds with it set).
+_ONE_BIT = np.array([[1, -1], [0, 1]])
+_CELLS_FROM_SUBSETS = np.kron(np.kron(_ONE_BIT, _ONE_BIT), _ONE_BIT)
+
+
 def _tally(x, y, a, b, sifted_a) -> np.ndarray:
-    """Rounds per (x, y, a != b) at index (x << 2) | (y << 1) | (a != b), then errors."""
-    cells = np.bincount((x << 2) | (y << 1) | (a != b), minlength=8)
-    return np.append(cells, np.count_nonzero(sifted_a != b))
+    """Rounds per (x, y, a != b) at index x * 4 + y * 2 + (a != b), then errors.
+
+    Seven ``count_nonzero`` calls count the rounds with every bit of each
+    nonempty subset S of (x, y, d = a ^ b) set, at the index of S's
+    indicator, and ``_CELLS_FROM_SUBSETS`` turns them into the 8 cells.
+    """
+    d = a ^ b
+    xy = x & y
+    subsets = (d, y, y & d, x, x & d, xy, xy & d)
+    counts = np.array([len(x)] + [np.count_nonzero(s) for s in subsets], dtype=np.int64)
+    return np.append(_CELLS_FROM_SUBSETS @ counts, np.count_nonzero(sifted_a ^ b))
 
 
 def _report(n: int, tally) -> EstimateReport:
@@ -290,7 +315,8 @@ def estimate(log: RoundLog) -> EstimateReport:
     """Plug-in CHSH and error-rate estimators with binomial errors.
 
     The log is tallied one BLOCK_ROUNDS slice at a time, so the count
-    arrays stay one block long however long the log is.
+    arrays stay one block long however long the log is.  The tally is
+    exact only on bits, so other values raise DomainError.
     """
     n = len(log)
     if n == 0:
@@ -298,7 +324,9 @@ def estimate(log: RoundLog) -> EstimateReport:
     tally = np.zeros(9, dtype=np.int64)
     for start in range(0, n, BLOCK_ROUNDS):
         part = slice(start, start + BLOCK_ROUNDS)
-        tally += _tally(log.x[part], log.y[part], log.a[part], log.b[part], log.sifted_a[part])
+        columns = (log.x[part], log.y[part], log.a[part], log.b[part], log.sifted_a[part])
+        _check_bits("estimate", columns)
+        tally += _tally(*columns)
     return _report(n, tally)
 
 

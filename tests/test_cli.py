@@ -311,6 +311,25 @@ class TestIntrinsicCommand:
         certified = rates.cmi_given_channel(joint, rates.Channel(np.array(payload["channel"])))
         assert certified == pytest.approx(payload["intrinsic_numeric"], abs=1e-12)
 
+    @pytest.mark.parametrize("announce", [False, True])
+    def test_reference_curve_only_for_the_sifted_table(self, capsys, tmp_path, announce):
+        # intrinsic_closed is the sifted table's curve: 0.146 at p_nl = 0.15, where the
+        # announce variant's intrinsic information is exactly 0
+        out_file = tmp_path / "intrinsic.json"
+        argv = ["intrinsic", "--p-nl", "0.15", "--restarts", "2", "--out", str(out_file)]
+        code, out, _ = run_cli(capsys, *argv, *(["--announce"] if announce else []))
+        assert code == 0
+        payload = json.loads(out_file.read_text())
+        closed_lines = [line for line in out.splitlines() if line.startswith("intrinsic_closed:")]
+        if announce:
+            assert closed_lines == [] and "intrinsic_closed" not in payload
+            assert payload["intrinsic_numeric"] == pytest.approx(0.0, abs=1e-9)
+        else:
+            closed = rates.intrinsic_closed(0.15)
+            assert closed_lines == [f"intrinsic_closed:  {closed:.17g}"]
+            assert list(payload)[:4] == ["p_nl", "announce", "intrinsic_closed", "intrinsic_numeric"]
+            assert payload["intrinsic_closed"] == closed
+
     def test_bad_p_nl_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "intrinsic", "--p-nl", "1.5", "--restarts", "2")
         assert code == 2

@@ -66,13 +66,11 @@ class TestRun:
         log = simulate.run(1.0, 30000, seed=9)
         assert (log.sifted_a == log.b).all()
 
-    def test_record_interface(self):
+    def test_vertex_labels(self):
         log = simulate.run(0.9, 100, seed=0)
-        rec = log[7]
-        assert rec.x in (0, 1) and rec.b in (0, 1)
-        assert rec.sifted_a == rec.a ^ (rec.x & rec.y)
-        assert rec.eve_label.startswith(("L:", "NL:"))
-        assert len(list(iter(log))) == 100
+        assert len(log) == 100 and log.vertex_index.dtype == np.int16
+        labels = np.array(log.vertex_names)[log.vertex_index]
+        assert all(label.startswith(("L:", "NL:")) for label in labels)
 
     def test_rejects_empty_run(self):
         with pytest.raises(DomainError):
@@ -172,6 +170,47 @@ class TestWordThresholds:
         assert simulate._word_thresholds([1.0 - 2.0**-53]).tolist() == [2**64 - 2**11]
         assert simulate._word_thresholds([-0.5, 0.0]).tolist() == [0, 0]
 
+    BUCKET_STARTS = np.arange(1 << 16, dtype=np.uint64) << np.uint64(48)
+    BUCKET_WORDS = np.concatenate([BUCKET_STARTS, BUCKET_STARTS | np.uint64(2**48 - 1)])
+
+    @classmethod
+    def _check_lookup(cls, buckets, thresholds):
+        """The bucket table plus fix-up gives the per-edge count wherever the count can change.
+
+        The words are the first and last of every bucket, t - 1, t and
+        t + 1 of every threshold t, and 0 and 2**64 - 1.
+        """
+        near = {w for t in thresholds.tolist() for w in (t - 1, t, t + 1) if 0 <= w < 2**64}
+        near = np.array(sorted(near | {0, 2**64 - 1}), dtype=np.uint64)
+        for words in (cls.BUCKET_WORDS, near):
+            counted = np.zeros(len(words), dtype=np.uint8)
+            for threshold in thresholds:  # the per-edge passes the blocks first made
+                counted += words >= threshold
+            k8 = simulate._vertex_x8(buckets, thresholds, words)
+            assert k8.dtype == np.uint8 and np.array_equal(k8, 8 * counted)
+
+    def test_bucket_lookup_on_real_strategies(self):
+        visibilities = [*np.linspace(0.0, 1.0, 2001), np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)]
+        for v in visibilities:
+            strategy = simulate._Strategy(float(v))
+            assert np.array_equal(strategy.buckets, simulate._bucket_table(strategy.thresholds))
+            self._check_lookup(strategy.buckets, strategy.thresholds)
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [
+            simulate._word_thresholds(SYNTHETIC_EDGES),  # 0 three times, 2**11, the top threshold
+            [0, 7 << 48, 7 << 48, (7 << 48) + 1, (9 << 48) - 1, 2**64 - 2**11],
+            [1, 2, 2**48, 2**48, 2**49 + 5, 2**49 + 5, 2**64 - 1],
+            [2**48 * k + 3 for k in range(23)],  # 24 vertices, each bucket split
+            [],
+        ],
+        ids=["synthetic-edges", "bucket-starts", "duplicates", "24-vertices", "one-vertex"],
+    )
+    def test_bucket_lookup_on_synthetic_thresholds(self, thresholds):
+        thresholds = np.array(thresholds, dtype=np.uint64)
+        self._check_lookup(simulate._bucket_table(thresholds), thresholds)
+
     @pytest.mark.parametrize("v", [0.0, 0.5, np.nextafter(1.0, 0.0), 1.0])
     def test_every_edge_of_the_strategy_keeps_its_threshold(self, v):
         edges = _edges_of(v)
@@ -179,6 +218,42 @@ class TestWordThresholds:
         assert thresholds.dtype == np.uint64 and len(thresholds) == len(edges)
         if v == 1.0:
             assert len(edges) == 0
+
+
+class TestTally:
+    """The count-only tally equals a direct 5-bit bincount of the rounds."""
+
+    @staticmethod
+    def _oracle(x, y, a, b, sifted_a):
+        key = x.astype(np.intp) << 4 | y << 3 | a << 2 | b << 1 | sifted_a
+        rounds = np.bincount(key, minlength=32).reshape(2, 2, 2, 2, 2)  # (x, y, a, b, sifted_a)
+        per_ab = rounds.sum(axis=4)
+        agree = per_ab[..., 0, 0] + per_ab[..., 1, 1]
+        differ = per_ab[..., 0, 1] + per_ab[..., 1, 0]
+        errors = rounds[..., 0, 1].sum() + rounds[..., 1, 0].sum()
+        return np.append(np.stack([agree, differ], axis=-1).ravel(), errors)
+
+    @staticmethod
+    def _columns(n, seed):
+        return np.random.default_rng(seed).integers(0, 2, size=(5, n), dtype=np.int8)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            _columns(1000, 0),
+            _columns(_B + 3, 1),
+            np.zeros((5, 100), dtype=np.int8),
+            np.ones((5, 100), dtype=np.int8),
+            *(np.array(bits, dtype=np.int8).reshape(5, 1) for bits in np.ndindex(2, 2, 2, 2, 2)),
+        ],
+    )
+    def test_equals_bincount(self, columns):
+        got = simulate._tally(*columns)
+        assert got.dtype == np.int64 and np.array_equal(got, self._oracle(*columns))
+
+    def test_equals_bincount_on_block_columns(self):
+        for x, y, _, a, b, sifted in simulate._Strategy(0.4).blocks(_B + 500, seed=2, first_round=7):
+            assert np.array_equal(simulate._tally(x, y, a, b, sifted), self._oracle(x, y, a, b, sifted))
 
 
 class TestEstimate:
@@ -239,6 +314,16 @@ class TestEstimate:
         log = simulate.run(0.8, 10, seed=0)
         log.x = log.x[:0]
         with pytest.raises(EmptyInput):
+            simulate.estimate(log)
+
+    @pytest.mark.parametrize("field, value", [("x", 2), ("b", 2), ("sifted_a", -1)])
+    def test_rejects_columns_that_are_not_bits(self, field, value):
+        # the count-only tally would count such a round in the wrong cell
+        log = simulate.run(0.8, _B + 10, seed=0)
+        column = getattr(log, field).copy()
+        column[_B + 3] = value
+        setattr(log, field, column)
+        with pytest.raises(DomainError, match="estimate columns .* must hold bits"):
             simulate.estimate(log)
 
     def test_report_serialization(self):
