@@ -17,11 +17,8 @@ a bit when it is the same over everything she cannot see.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -29,7 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import info, polytope
-from .boxes import Box, PROB_TOL, _make_box
+from .boxes import PROB_TOL
 from .exceptions import DomainError
 
 
@@ -69,42 +66,25 @@ class FullAttack:
     is no-signaling by construction.
     """
 
-    visibility: float
     p_nl: float
     components: tuple  # ((Vertex, weight), ...)
 
-    def marginal_box(self) -> Box:
-        table = np.zeros((2, 2, 2, 2))
-        for vertex, w in self.components:
-            table += w * vertex.box.table
-        return _make_box(table)
 
-    def to_json(self) -> str:
-        entries = {}
-        for x, y in itertools.product((0, 1), repeat=2):
-            for vertex, w in self.components:
-                key = f"x{x}y{y}|{vertex.name}"
-                cells = [
-                    float(w * vertex.box.table[x, y, a, b])
-                    for a in (0, 1)
-                    for b in (0, 1)
-                ]
-                entries[key] = cells
-        return json.dumps(
-            {"visibility": self.visibility, "p_nl": self.p_nl, "p": entries}
-        )
+def attack_from_pnl(p_nl: float) -> FullAttack:
+    """The optimal attack parametrized by its nonlocal weight directly.
 
-
-def _facet_plus_pr(p_nl: float) -> tuple:
-    """PR box with weight p_nl plus the eight facet points, uniformly."""
-    components = []
+    The PR box carries p_nl and the eight CHSH-facet points (1 - p_nl)/8
+    each.  ``optimal_attack(v)`` delegates here with p_nl = 2v - 1 for
+    v >= 1/2, where that subtraction is exact (Sterbenz); calling this
+    directly keeps the caller's p_nl without a trip through v.
+    """
+    if not 0.0 <= p_nl <= 1.0:
+        raise DomainError(f"p_nl {p_nl!r} outside [0, 1]")
     facet_w = (1.0 - p_nl) / 8.0
-    for vertex in polytope.facet_vertices():
-        if facet_w > 0.0:
-            components.append((vertex, facet_w))
+    components = [(vertex, facet_w) for vertex in polytope.facet_vertices() if facet_w > 0.0]
     if p_nl > 0.0:
         components.append((polytope.pr_box_vertex(), p_nl))
-    return tuple(components)
+    return FullAttack(p_nl=p_nl, components=tuple(components))
 
 
 def optimal_attack(v: float) -> FullAttack:
@@ -118,16 +98,15 @@ def optimal_attack(v: float) -> FullAttack:
     """
     if not 0.0 <= v <= 1.0:
         raise DomainError(f"visibility {v!r} outside [0, 1]")
-    p_nl = max(0.0, 2.0 * v - 1.0)
     if v >= 0.5:
-        return FullAttack(visibility=v, p_nl=p_nl, components=_facet_plus_pr(p_nl))
+        return attack_from_pnl(2.0 * v - 1.0)
     on, off = (1.0 + 2.0 * v) / 16.0, (1.0 - 2.0 * v) / 16.0
     components = []
     for vertex in polytope.vertices()[:16]:  # the local vertices
         w = on if vertex.on_chsh_facet else off
         if w > 0.0:
             components.append((vertex, w))
-    return FullAttack(visibility=v, p_nl=p_nl, components=tuple(components))
+    return FullAttack(p_nl=0.0, components=tuple(components))
 
 
 @dataclass(frozen=True)
@@ -160,26 +139,6 @@ class JointABE:
 
     def ab_marginal(self) -> np.ndarray:
         return self.p.sum(axis=2)
-
-    def eve_marginal(self) -> np.ndarray:
-        return self.p.sum(axis=(0, 1))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["a", "b", "e_a", "e_b", "prob"])
-        for (a, b, k), value in np.ndenumerate(self.p):
-            sym = self.symbols[k]
-            writer.writerow(
-                [
-                    a,
-                    b,
-                    "?" if sym.e_a is None else sym.e_a,
-                    "?" if sym.e_b is None else sym.e_b,
-                    repr(float(value)),
-                ]
-            )
-        return buf.getvalue()
 
 
 def _accumulate(contribs: dict):
@@ -251,19 +210,6 @@ def sift_alice_announces(attack: FullAttack) -> JointABE:
     extra information beyond that and are summed out.
     """
     return _sift(attack, announce=True)
-
-
-def attack_from_pnl(p_nl: float) -> FullAttack:
-    """The optimal attack parametrized by its nonlocal weight directly.
-
-    Equivalent to optimal_attack((1 + p_nl)/2) but keeps the caller's
-    p_nl value exactly, avoiding a round trip through the visibility.
-    """
-    if not 0.0 <= p_nl <= 1.0:
-        raise DomainError(f"p_nl {p_nl!r} outside [0, 1]")
-    return FullAttack(
-        visibility=(1.0 + p_nl) / 2.0, p_nl=p_nl, components=_facet_plus_pr(p_nl)
-    )
 
 
 def table_joint(p_nl: float) -> JointABE:

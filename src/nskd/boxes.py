@@ -117,7 +117,7 @@ def validate(values, tolerance: float = PROB_TOL) -> Box:
         raise DomainError(f"tolerance {tolerance!r} must be finite and nonnegative")
     try:
         arr = np.asarray(values, dtype=float).ravel()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError("box entries must be numbers") from exc
     if arr.size != 16:
         raise ValueError(f"expected 16 probabilities, got {arr.size}")

@@ -132,9 +132,6 @@ class Decomposition:
     def nonlocal_weight(self) -> float:
         return float(self.weights @ _nonlocal_cost())
 
-    def weight_of(self, vertex: Vertex) -> float:
-        return float(self.weights[vertices().index(vertex)])
-
     def as_dict(self, threshold: float = 0.0) -> dict:
         return {
             v.name: float(w)

@@ -436,11 +436,13 @@ def ad_rate(p_nl: float, n: int) -> float:
 
 
 def _rate_zero(rate_fn, lo: float = 0.02, hi: float = 0.95, tol: float = 1e-6):
-    """Bisect the sign change of a rate that increases with p_nl."""
+    """Bisect the sign change of a rate that increases with p_nl.
+
+    Needs rate_fn(lo) <= 0: ck_rate(0.1) is -0.219, and every block rate
+    and noise margin is negative at p_nl <= 1/5 (see ``ad_threshold``).
+    """
     if rate_fn(hi) <= 0.0:
         return None
-    if rate_fn(lo) > 0.0:
-        return lo
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
         if rate_fn(mid) > 0.0:

@@ -58,20 +58,22 @@ class TestOptimalAttack:
     def test_marginal_reproduces_isotropic(self):
         for v in np.linspace(0.0, 1.0, 41):
             strategy = optimal_attack(float(v))
-            assert strategy.marginal_box().allclose(isotropic(float(v)), atol=1e-14)
+            table = sum(w * vertex.box.table for vertex, w in strategy.components)
+            assert np.abs(table - isotropic(float(v)).table).max() <= 1e-14
 
     def test_matches_lp_decomposition(self):
         for v in (0.55, 0.7, 0.92):
             strategy = optimal_attack(v)
             dec = polytope.min_nonlocal_decomposition(isotropic(v))
             for vertex, weight in strategy.components:
-                assert dec.weight_of(vertex) == pytest.approx(weight, abs=1e-8)
+                index = polytope.vertices().index(vertex)
+                assert dec.weights[index] == pytest.approx(weight, abs=1e-8)
 
     def test_components_are_vertices(self):
         for vertex, _ in optimal_attack(0.75).components:
             assert vertex in polytope.vertices()
 
-    def test_eve_marginal_independent_of_settings(self):
+    def test_eve_preparation_independent_of_settings(self):
         strategy = optimal_attack(0.83)
         for vertex, weight in strategy.components:
             for x, y in itertools.product((0, 1), repeat=2):
@@ -80,6 +82,15 @@ class TestOptimalAttack:
     def test_rejects_bad_visibility(self):
         with pytest.raises(DomainError):
             optimal_attack(1.5)
+
+    def test_folds_onto_attack_from_pnl_exactly(self):
+        grid = list(np.linspace(0.5, 1.0, 1001)) + [np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)]
+        for v in map(float, grid):
+            folded, direct = optimal_attack(v), attack_from_pnl(2.0 * v - 1.0)
+            assert folded.p_nl == direct.p_nl and (1.0 + folded.p_nl) / 2.0 == v
+            assert [(u.name, w) for u, w in folded.components] == [
+                (u.name, w) for u, w in direct.components
+            ]
 
 
 class TestSift:
@@ -177,9 +188,7 @@ class TestSingleVertexSift:
     @pytest.mark.parametrize("index", range(24))
     def test_symbols_match_the_params_oracle(self, index, announce):
         vertex = polytope.vertices()[index]
-        strategy = FullAttack(
-            visibility=1.0, p_nl=0.0 if vertex.is_local else 1.0, components=((vertex, 1.0),)
-        )
+        strategy = FullAttack(p_nl=0.0 if vertex.is_local else 1.0, components=((vertex, 1.0),))
         joint = sift_alice_announces(strategy) if announce else sift(strategy)
         expected = single_vertex_oracle(vertex, announce)
         assert set(joint.symbols) == {sym for _, _, sym in expected}
@@ -218,7 +227,7 @@ class TestSiftAliceAnnounces:
             joint = sift_alice_announces(attack_from_pnl(p_nl))
             blank = 0.0
             if EveSymbol(None, None) in joint.symbols:
-                blank = float(joint.eve_marginal()[joint.symbols.index(EveSymbol(None, None))])
+                blank = float(joint.p[:, :, joint.symbols.index(EveSymbol(None, None))].sum())
             assert blank == pytest.approx(p_nl, abs=1e-12)
 
     def test_local_rounds_fully_resolved(self):
@@ -261,22 +270,6 @@ class TestSiftAliceAnnounces:
 
 
 class TestSerialization:
-    def test_joint_csv_columns(self):
-        text = table_joint(0.5).to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "a,b,e_a,e_b,prob"
-        assert len(lines) == 1 + 2 * 2 * 5
-
-    def test_attack_json_keys(self):
-        import json
-
-        payload = json.loads(attack_from_pnl(0.6).to_json())
-        assert payload["p_nl"] == 0.6
-        keys = set(payload["p"])
-        assert "x0y0|NL:000" in keys
-        cells = payload["p"]["x0y0|NL:000"]
-        assert cells == [0.3, 0.0, 0.0, 0.3]
-
     def test_symbol_labels(self):
         assert EveSymbol(None, 0).label() == "(?,0)"
         assert EveSymbol(1, 1).label() == "(1,1)"

@@ -75,7 +75,7 @@ class TestValidate:
         with pytest.raises(DomainError, match="tolerance"):
             validate(isotropic(0.9).flat(), tolerance=tolerance)
 
-    @pytest.mark.parametrize("values", [{"a": 1}, [{"a": 1}] + [0.0625] * 15])
+    @pytest.mark.parametrize("values", [{"a": 1}, [{"a": 1}] + [0.0625] * 15, [10**400] + [0] * 15])
     def test_rejects_non_numeric_entries(self, values):
         with pytest.raises(ValueError, match="box entries must be numbers"):
             validate(values)

@@ -99,8 +99,9 @@ class TestDecompose:
             ("list.json", "[0.25, 0.25]", '"p" key'),
             ("deep.json", "[" * 100_000, "nested too deeply"),
             ("wide.csv", ",".join(boxes.CSV_HEADER) + "\n" + "0" * 200_000 + "\n", "box CSV is unreadable"),
+            ("huge.json", json.dumps({"p": [10**400] + [0] * 15}), "box entries must be numbers"),
         ],
-        ids=["p_dict", "p_object", "no_p", "short_csv_row", "bare_list", "deep_json", "wide_csv_field"],
+        ids=["p_dict", "p_object", "no_p", "short_csv_row", "bare_list", "deep_json", "wide_csv_field", "huge_int"],
     )
     def test_unreadable_box_exits_two(self, capsys, tmp_path, name, text, message):
         bad = tmp_path / name

@@ -294,7 +294,7 @@ class TestLexicographicOracle:
             assert dec.chsh == pytest.approx(chsh_symmetrized(dec.reconstruct()), abs=1e-12)
             assert dec.nonlocal_weight == pytest.approx(max(0.0, dec.chsh - 3.0), abs=1e-15)
             if dec.nonlocal_weight > 0.0:
-                assert dec.weight_of(dec.relabeling) == dec.nonlocal_weight
+                assert dec.weights[vertices().index(dec.relabeling)] == dec.nonlocal_weight
 
     def test_small_signaling_decomposes(self):
         dec = min_nonlocal_decomposition(_shifted_isotropic(1e-11))
