@@ -144,11 +144,7 @@ class Decomposition:
         return boxes._make_box(flat.reshape(2, 2, 2, 2))
 
     def to_json(self) -> str:
-        entries = [
-            {"vertex": v.name, "w": float(w)}
-            for v, w in zip(vertices(), self.weights)
-            if w > REPORT_TOL
-        ]
+        entries = [{"vertex": name, "w": w} for name, w in self.as_dict(REPORT_TOL).items()]
         return json.dumps({"weights": entries, "residual": self.residual})
 
 

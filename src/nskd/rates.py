@@ -83,8 +83,8 @@ def optimize_preprocessing(p_nl: float) -> PreprocessingOptimum:
 
 
 def oneway_threshold() -> float:
-    """Smallest p_nl with a positive one-way rate (no pre-processing)."""
-    return _rate_zero(ck_rate, 0.1, 0.9, 1e-9)
+    """Smallest double p_nl with a positive one-way rate (no pre-processing); ck_rate(0.1) is -0.219."""
+    return _sign_change(ck_rate, 0.1, 0.9)
 
 
 def preprocessing_threshold() -> float:
@@ -435,21 +435,21 @@ def ad_rate(p_nl: float, n: int) -> float:
     return ad_block_ensemble(p_nl, n).rate()
 
 
-def _rate_zero(rate_fn, lo: float = 0.02, hi: float = 0.95, tol: float = 1e-6):
-    """Bisect the sign change of a rate that increases with p_nl.
+def _sign_change(sign_fn, lo: float, hi: float):
+    """Halve [lo, hi] until they are adjacent doubles with sign_fn(lo) <= 0 < sign_fn(hi); return hi.
 
-    Needs rate_fn(lo) <= 0: ck_rate(0.1) is -0.219, and every block rate
-    and noise margin is negative at p_nl <= 1/5 (see ``ad_threshold``).
+    The caller vouches for sign_fn(lo) <= 0, never evaluated.  None when sign_fn(hi) <= 0.
     """
-    if rate_fn(hi) <= 0.0:
+    if sign_fn(hi) <= 0.0:
         return None
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if rate_fn(mid) > 0.0:
+    mid = (lo + hi) / 2.0
+    while lo < mid < hi:
+        if sign_fn(mid) > 0.0:
             hi = mid
         else:
             lo = mid
-    return (lo + hi) / 2.0
+        mid = (lo + hi) / 2.0
+    return hi
 
 
 def _extrapolate_zeros(zeros: list) -> float:
@@ -474,11 +474,14 @@ class AdThreshold:
 
 
 def _block_zeros(n_max: int, block_rate) -> AdThreshold:
-    """Zero crossing in p_nl of block_rate(ensemble) for each n <= n_max, extrapolated."""
+    """Smallest double p_nl with block_rate(ensemble) > 0 for each n <= n_max, extrapolated.
+
+    Every block rate and margin is negative at p_nl <= 1/5 (see ``ad_threshold``).
+    """
     if n_max < 2:
         raise DomainError("n_max must be at least 2")
     zeros = tuple(
-        (n, _rate_zero(lambda p: block_rate(ad_block_ensemble(p, n))))
+        (n, _sign_change(lambda p: block_rate(ad_block_ensemble(p, n)), 0.02, 0.95))
         for n in range(1, n_max + 1)
     )
     return AdThreshold(threshold_estimate=_extrapolate_zeros(zeros), per_n_curve=zeros)
@@ -512,24 +515,27 @@ def ad_threshold(n_max: int) -> AdThreshold:
     return _block_zeros(n_max, AdBlockEnsemble.rate)
 
 
-def _golden_max(fun, lo: float, hi: float):
-    """Golden-section maximization of a unimodal scalar function."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(60):  # the bracket shrinks by invphi^60, about 3e-13
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = (a + b) / 2.0
-    return x, fun(x)
+def _noise_slope(ensemble: AdBlockEnsemble, q: float) -> float:
+    """ln 2 times d rate/dq, for q from the smallest normal double to 1/2.
+
+    With t = 1 - 2q and c = 1 - 2 eps, 1 - h((1 - x)/2) has x-derivative
+    atanh(x) / ln 2, so the slope is
+
+        2 [(1 - blind) atanh(t) - c atanh(ct)]
+          = 2 [atanh(2 eps t / (1 - ct^2)) + 2 eps atanh(ct) - blind atanh(t)],
+
+    whose first form cancels once blind and eps are tiny.  With
+    r = q*eps = q + eps t, each atanh is half the log1p of a ratio of
+    positive terms, t/q, ct/r and eps t / (q (1 - r)), finite for a normal
+    q.  The slope is about -2t noise_margin near q = 1/2, and 0 there.
+    """
+    eps, t = ensemble.bob_error, 1.0 - 2.0 * q
+    r = q + eps * t
+    return (
+        math.log1p(eps * t / (q * (1.0 - r)))
+        + 2.0 * eps * math.log1p((1.0 - 2.0 * eps) * t / r)
+        - ensemble.blind * math.log1p(t / q)
+    )
 
 
 def _best_noise_rate(ensemble: AdBlockEnsemble) -> tuple:
@@ -542,16 +548,22 @@ def _best_noise_rate(ensemble: AdBlockEnsemble) -> tuple:
 
     The numerators fall in k, so the coefficients change sign at most
     once; by Descartes' rule of signs for power series the t-derivative
-    then has at most one zero in (0, 1).  So the rate is unimodal in q,
-    and one golden-section search finds its maximum (q = 0, which the
-    search never evaluates, is compared apart).  The first coefficient
-    is noise_margin / (2 ln 2): a margin of at most 0 makes every
-    coefficient at most 0, so the maximum is rate(1/2) = 0.
+    then has at most one zero in (0, 1), and so has ``_noise_slope``.
+    The first coefficient is noise_margin / (2 ln 2): a margin of at most
+    0 makes every coefficient at most 0, so the maximum is rate(1/2) = 0.
+    Otherwise the slope falls from +inf at q -> 0 (if blind < 1 and
+    eps > 0) to about -2t margin < 0, and q is the double below its sign
+    change: slope(q) >= 0 > slope(next double).  When that change lies
+    below the smallest normal double, as at p_nl = 1, q is 0.
     """
     if ensemble.noise_margin() <= 0.0:
         return 0.5, 0.0
-    best = _golden_max(ensemble.rate, 0.0, 0.5)
-    return max(best, (0.0, ensemble.rate(0.0)), key=lambda qr: qr[1])
+    lo = sys.float_info.min
+    if _noise_slope(ensemble, lo) < 0.0:
+        return 0.0, ensemble.rate(0.0)
+    z = _sign_change(lambda q: -_noise_slope(ensemble, q), lo, math.nextafter(0.5, 0.0))  # slope(1/2) = 0
+    q = 0.5 if z is None else math.nextafter(z, 0.0)
+    return q, ensemble.rate(q)
 
 
 def ad_with_preprocessing(p_nl: float, n_max: int) -> dict:

@@ -30,7 +30,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -254,16 +254,7 @@ class EstimateReport:
     p_nl_hat: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_rounds": self.n_rounds,
-                "chsh_hat": self.chsh_hat,
-                "chsh_stderr": self.chsh_stderr,
-                "qber_hat": self.qber_hat,
-                "qber_stderr": self.qber_stderr,
-                "p_nl_hat": self.p_nl_hat,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 # Inclusion-exclusion, one factor per bit: (rounds, rounds with the bit set)

@@ -355,6 +355,15 @@ class TestAdCommand:
         assert re.match(r"error: block length \d+ at p_nl [0-9.]+ underflows", err)
         assert out == ""
 
+    def test_documented_block_length_limit(self, capsys):
+        # the README's limit: every length up to 511 answers, and 512 underflows just below p_nl = 1/5
+        code, _, _ = run_cli(capsys, "ad", "--n-max", "511")
+        assert code == 0
+        code, out, err = run_cli(capsys, "ad", "--n-max", "512")
+        assert code == 2
+        assert re.match(r"error: block length 512 at p_nl 0\.19[0-9]+ underflows double precision", err)
+        assert out == ""
+
 
 class TestFlagPlacement:
     def test_flags_accepted_after_subcommand(self, capsys):

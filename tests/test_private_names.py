@@ -1,0 +1,50 @@
+"""Every private module-level name of the package is read somewhere in it.
+
+A private name has one leading underscore and is bound at a module's top
+level by ``def``, ``class`` or an assignment.  It counts as read when any
+module of the package loads it by name or as an attribute.  A deletion
+that leaves a helper with no caller behind fails here.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nskd"
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def bound_names(node: ast.stmt) -> list:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def unread_private_names(sources: dict) -> list:
+    """``module.name`` for each private module-level name that no source reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, name) for node in tree.body for name in bound_names(node) if is_private(name)]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_no_unread_private_names():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_the_check_sees_an_unread_helper():
+    sources = {
+        "a": "_TABLE = 1\n_dead: int = 2\ndef _helper():\n    return _TABLE\n__all__ = []\n",
+        "b": "import a\nclass _Unused:\n    pass\na._helper()\n",
+    }
+    assert unread_private_names(sources) == ["a._dead", "b._Unused"]

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 
@@ -589,10 +590,16 @@ class TestNoiseMargin:
     """noise_margin() > 0 exactly when some noise q makes the block rate positive."""
 
     def test_threshold_matches_the_noise_search(self):
+        # the noise search finds no positive rate at the double below each margin zero and
+        # one just above it; within about 1e-11 of a zero the best rate is below the rate
+        # formula's rounding, so the two zero curves are not compared bit for bit
         exact = rates.ad_preprocessing_threshold(30)
-        search = rates._block_zeros(30, lambda e: rates._best_noise_rate(e)[1])
-        assert search.per_n_curve == exact.per_n_curve
-        assert exact.threshold_estimate == 0.19994692792228388
+        for n, z in exact.per_n_curve:
+            below = rates.ad_block_ensemble(math.nextafter(z, 0.0), n)
+            assert rates._best_noise_rate(below) == (0.5, 0.0), n
+            for delta in (1e-10, 1e-6, 1e-3):
+                assert rates._best_noise_rate(rates.ad_block_ensemble(z + delta, n))[1] > 0.0, (n, delta)
+        assert exact.threshold_estimate == 0.19994694747161373
 
     @pytest.mark.parametrize("delta", [1e-9, 1e-7])
     def test_noise_helps_just_above_the_threshold(self, delta):
@@ -607,7 +614,7 @@ class TestNoiseMargin:
         assert (opt.q_opt, opt.rate) == (0.5, 0.0)
 
     def test_rate_is_unimodal_in_noise(self):
-        # so one golden-section search finds the best q: diff(rate) changes sign at most once
+        # so bisecting the sign of the slope finds the best q: diff(rate) changes sign at most once
         qs = np.linspace(0.0, 0.5, 201)
         for p_nl in np.linspace(0.0, 1.0, 21):
             for n in range(1, 31):
@@ -631,6 +638,76 @@ class TestNoiseMargin:
         ens = rates.ad_block_ensemble(p_nl, n)
         q = 0.5 - 1e-4
         assert ens.rate(q) / rates._one_minus_h(q) == pytest.approx(ens.noise_margin(), abs=1e-8)
+
+
+def decimal_zero(fn, lo: str, hi: str) -> decimal.Decimal:
+    """Bisect the sign change of fn on [lo, hi] at 50 significant digits."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        lo, hi = decimal.Decimal(lo), decimal.Decimal(hi)
+        while hi - lo > decimal.Decimal("1e-45"):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if fn(mid) > 0 else (mid, hi)
+        return hi
+
+
+def decimal_ck_rate(p_nl: decimal.Decimal) -> decimal.Decimal:
+    """1 - h(u) - 2u with u = (1 - p_nl)/4, at the context's precision."""
+    u = (1 - p_nl) / 4
+    return 1 + (u * u.ln() + (1 - u) * (1 - u).ln()) / decimal.Decimal(2).ln() - 2 * u
+
+
+class TestExactSearch:
+    """Each zero is the smallest double with a positive sign test, and q_opt sits on the slope's sign change."""
+
+    @pytest.mark.parametrize(
+        "threshold, sign",
+        [
+            (rates.ad_threshold, rates.ad_rate),
+            (rates.ad_preprocessing_threshold, lambda p, n: rates.ad_block_ensemble(p, n).noise_margin()),
+        ],
+        ids=["plain", "preprocessing"],
+    )
+    def test_each_zero_is_the_smallest_positive_double(self, threshold, sign):
+        for n, z in threshold(30).per_n_curve:
+            assert sign(math.nextafter(z, 0.0), n) <= 0.0 < sign(z, n), n
+
+    def test_oneway_zero_is_the_smallest_positive_double(self):
+        z = rates.oneway_threshold()
+        assert rates.ck_rate(math.nextafter(z, 0.0)) <= 0.0 < rates.ck_rate(z)
+
+    def test_two_routes_to_the_oneway_zero_agree(self):
+        # ck_rate is the closed form of the length-1 block rate, so both are zeros of one function
+        assert rates.oneway_threshold() == dict(rates.ad_threshold(2).per_n_curve)[1]
+
+    def test_single_round_preprocessing_zero_is_sqrt5_minus_2(self):
+        assert dict(rates.ad_preprocessing_threshold(2).per_n_curve)[1] == math.sqrt(5.0) - 2.0
+
+    def test_zeros_agree_with_fifty_digits(self):
+        with decimal.localcontext(decimal.Context(prec=50)):
+            sqrt5_minus_2 = decimal.Decimal(5).sqrt() - 2
+        oneway = decimal_zero(decimal_ck_rate, "0.1", "0.9")
+        pre = dict(rates.ad_preprocessing_threshold(2).per_n_curve)[1]
+        assert abs(decimal.Decimal(pre) - sqrt5_minus_2) < decimal.Decimal("2e-16")
+        assert abs(decimal.Decimal(rates.oneway_threshold()) - oneway) < decimal.Decimal("2e-16")
+
+    @pytest.mark.parametrize("n", [1, 5, 30])
+    def test_best_noise_sits_on_the_slope_sign_change(self, n):
+        for p_nl in np.linspace(0.25, 0.95, 21):
+            ens = rates.ad_block_ensemble(float(p_nl), n)
+            q = rates._best_noise_rate(ens)[0]
+            assert 0.0 < q < 0.5, (p_nl, n)
+            assert rates._noise_slope(ens, q) >= 0.0 > rates._noise_slope(ens, math.nextafter(q, 1.0)), (p_nl, n)
+
+    def test_no_noise_is_best_for_the_pr_box(self):
+        assert rates.optimize_preprocessing(1.0).q_opt == 0.0
+
+    def test_best_noise_beats_a_grid(self):
+        qs = np.linspace(0.0, 0.5, 201)
+        for p_nl in np.linspace(0.0, 1.0, 21):
+            for n in range(1, 31):
+                ens = rates.ad_block_ensemble(float(p_nl), n)
+                best_on_grid = max(ens.rate(float(q)) for q in qs)
+                assert rates._best_noise_rate(ens)[1] >= best_on_grid - 1e-15, (p_nl, n)
 
 
 class TestRateReport:
