@@ -153,6 +153,7 @@ def cmd_intrinsic(p_nl: float, config: Config, announce: bool = False) -> int:
                     "upper_bound": bound,
                     "channel": result.channel.tolist(),
                     "start": result.start,
+                    "steps": result.steps,
                 }
             ),
         )

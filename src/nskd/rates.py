@@ -145,10 +145,9 @@ def cmi_given_channel(joint: JointABE, channel: Channel) -> float:
     return conditional_mutual_information(mapped)
 
 
-# Exponentiated-gradient descent on the channel rows: step size, step
-# count, and the weight of the uniform channel mixed into every start (a
-# multiplicative update never moves an entry away from zero).
-EG_STEP = 1.0
+# Exponentiated-gradient descent on the channel rows, of step size 1: the
+# step count, and the weight of the uniform channel mixed into every start
+# (a multiplicative update never moves an entry away from zero).
 EG_STEPS = 1000
 START_MIX = 1e-2
 MAX_OUTPUTS = 5  # the channel maps Eve's symbol to min(MAX_OUTPUTS, |E|) outputs
@@ -171,17 +170,22 @@ _MARGINALS = np.vstack([np.eye(4), np.ones(4), np.repeat(np.eye(2), 2, 1), np.ti
 _LOG_RATIO = _MARGINALS.T * np.repeat([1.0, -1.0], [5, 4])
 
 
-def _cmi_gradient(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _cmi_gradient(
+    q: np.ndarray, w: np.ndarray, lin=None, empty=None, log_ratio=None, grad=None
+) -> np.ndarray:
     """dI(A:B|Ē)/dW[e, z] = sum_ab p(a,b,e) log-ratio(a,b,z), channels side by side in w[e, :].
 
     Logs are of values clamped at 1e-300, and the log-ratio is 0 where m(a,b,z) <= 1e-300, as in
     ``info._cmi_log_ratio``.  Each column's rounding is its own, whatever columns sit beside it.
+    Given C-contiguous work arrays (lin shaped as q @ w, empty and log_ratio as its first 4 rows,
+    empty bool, grad as w), it writes into them and allocates nothing.
     """
-    lin = q @ w
-    empty = lin[:4] <= 1e-300
-    log_ratio = _LOG_RATIO @ np.log2(np.maximum(lin, 1e-300, out=lin), out=lin)
-    log_ratio[empty] = 0.0
-    return q[:4].T @ log_ratio
+    lin = np.dot(q, w, out=lin)
+    empty = np.less_equal(lin[:4], 1e-300, out=empty)
+    np.log2(np.maximum(lin, 1e-300, out=lin), out=lin)
+    log_ratio = np.dot(_LOG_RATIO, lin, out=log_ratio)
+    np.copyto(log_ratio, 0.0, where=empty)
+    return np.dot(q[:4].T, log_ratio, out=grad)
 
 
 def _partitions(k: int, m: int) -> np.ndarray:
@@ -221,13 +225,20 @@ def _starts(p_abe: np.ndarray, restarts: int, seed: int, m: int) -> np.ndarray:
 
 
 def _descend(q: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The channels after EG_STEPS steps from each start[i] mixed with START_MIX of uniform."""
+    """The channels after EG_STEPS steps from each start[i] mixed with START_MIX of uniform.
+
+    Every step runs in work arrays allocated once per descent.
+    """
     w = ((1.0 - START_MIX) * starts + START_MIX / starts.shape[-1]).transpose(1, 2, 0).copy()
-    for _ in range(EG_STEPS):  # w[e, z, start], the z sums and minima run across contiguous rows
-        grad = _cmi_gradient(q, w.reshape(len(w), -1)).reshape(w.shape)
-        grad -= grad.min(axis=1, keepdims=True)
-        w *= np.exp(np.multiply(grad, -EG_STEP, out=grad), out=grad)
-        w /= w.sum(axis=1, keepdims=True)
+    k, m, r = w.shape  # w[e, z, start], the z sums and minima run across contiguous rows
+    lin, log_ratio, grad = np.empty((len(q), m * r)), np.empty((4, m * r)), np.empty((k, m * r))
+    empty, (gmin, total) = np.empty((4, m * r), bool), np.empty((2, k, 1, r))
+    flat, grad3 = w.reshape(k, -1), grad.reshape(w.shape)
+    for _ in range(EG_STEPS):
+        _cmi_gradient(q, flat, lin, empty, log_ratio, grad)
+        np.minimum.reduce(grad3, axis=1, keepdims=True, out=gmin)
+        w *= np.exp(np.subtract(gmin, grad3, out=grad3), out=grad3)  # exp(min_z G - G) <= 1
+        w /= np.add.reduce(w, axis=1, keepdims=True, out=total)
     return w.transpose(2, 0, 1)
 
 
@@ -238,7 +249,7 @@ def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> Intr
     the best partitions of Eve's symbols, then seeded row-Dirichlet
     draws) is mixed with START_MIX of the uniform channel and descends
     by EG_STEPS exponentiated-gradient steps
-    W <- W exp(-EG_STEP (G - min_z G)), rows renormalized, all starts at
+    W <- W exp(min_z G - G), rows renormalized, all starts at
     once in one ``_cmi_gradient`` per step.  The result is the best of the
     unmixed starts and the final channels (the lowest index on a tie), so
     it never exceeds a start's exact value.  A start's descent rounds the

@@ -294,7 +294,7 @@ class TestIntrinsicCommand:
 
     def test_json_payload(self, capsys, tmp_path):
         out_file = tmp_path / "intrinsic.json"
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             capsys,
             "intrinsic",
             "--p-nl",
@@ -308,6 +308,8 @@ class TestIntrinsicCommand:
         assert payload["p_nl"] == 0.5
         assert payload["intrinsic_numeric"] <= payload["upper_bound"] + 1e-9
         assert payload["start"] in (0, 1)
+        assert payload["steps"] in (0, rates.EG_STEPS)
+        assert f"winning start:     {payload['start']} ({payload['steps']} descent steps)" in out
         joint = attack.sift(attack.attack_from_pnl(0.5))
         certified = rates.cmi_given_channel(joint, rates.Channel(np.array(payload["channel"])))
         assert certified == pytest.approx(payload["intrinsic_numeric"], abs=1e-12)
