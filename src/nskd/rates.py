@@ -22,6 +22,7 @@ module covers:
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -423,8 +424,8 @@ def ad_block_ensemble(p_nl: float, n: int) -> AdBlockEnsemble:
     """
     if not 0.0 <= p_nl <= 1.0:
         raise DomainError(f"p_nl {p_nl!r} outside [0, 1]")
-    if n < 1:
-        raise DomainError("block length must be at least 1")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"block length {n!r} must be an integer of at least 1")
     u = (1.0 - p_nl) / 4.0
     s = 1.0 - u
     odds = (u / s) ** n

@@ -13,12 +13,14 @@ uniform draw, read from a table over the top 16 bits of the raw word
 and counted exactly only for the few words whose 16-bit bucket has a
 threshold strictly inside it; the outcomes are one lookup in a packed table over
 (vertex, x, y, coin), stacked from the vertices' ``responses`` arrays
-(``polytope``).  ``run`` keeps the rounds, at 7 bytes per round;
-``estimate`` tallies a log one block at a time, from seven
-``count_nonzero`` calls per block; ``stream_estimate`` tallies the same
-blocks as they are drawn, and can write their records CSV as it goes,
-and keeps none, so its memory does not grow with the number of rounds.
-``nskd simulate`` always streams: 20 million rounds take about 0.51 s
+(``polytope``).  Each block writes its columns in place: ``run`` keeps
+the rounds in one 7n-byte buffer, 7 bytes per round, and each block
+writes its slices of it; ``estimate`` tallies a log one block at a
+time, from seven ``count_nonzero`` calls per block; ``stream_estimate``
+tallies the same blocks as they are drawn into one reused block of
+columns, and can write their records CSV as it goes, and keeps none, so
+its memory does not grow with the number of rounds.
+``nskd simulate`` always streams: 20 million rounds take about 0.54 s
 cold and peak at about 38 MB RSS (2 cores, Python 3.11.7, numpy 2.4.6).
 """
 
@@ -45,10 +47,17 @@ class RoundLog:
 
     x, y, a, b and sifted_a hold bits (int8) and vertex_index indexes
     vertex_names (int16), 7 bytes per round, so million-round runs stay
-    cheap.
+    cheap.  ``run`` returns the six columns as views of one 7n-byte
+    buffer, vertex_index first, so one column kept alone keeps the whole
+    buffer alive.  Columns of different lengths, or a vertex index
+    outside vertex_names, raise DomainError.
     """
 
     def __init__(self, x, y, a, b, vertex_index, sifted_a, vertex_names):
+        if len({len(col) for col in (x, y, a, b, vertex_index, sifted_a)}) != 1:
+            raise DomainError("round log columns must have the same length")
+        if len(vertex_index) and not 0 <= vertex_index.min() <= vertex_index.max() < len(vertex_names):
+            raise DomainError(f"vertex indices must lie in [0, {len(vertex_names)})")
         self.x = x
         self.y = y
         self.a = a
@@ -131,8 +140,13 @@ class _Strategy:
         x, y, _ = np.indices((2, 2, 2), dtype=np.int8)
         self.outcomes = (a | b << 1 | (a ^ (x & y)) << 2).ravel()
 
-    def blocks(self, n: int, seed: int, first_round: int = 0):
+    def blocks(self, n: int, seed: int, first_round: int = 0, out=None):
         """Per block, (x, y, k, a, b, sifted_a) of the rounds [first_round, first_round + n) in it.
+
+        The columns are written in place, into ``out``'s slices when it
+        holds the six columns of all n rounds, and otherwise into one
+        block of columns that every block reuses, so a yielded block is
+        overwritten by the next.
 
         Every block draws x, y, u and the coin for all its BLOCK_ROUNDS
         rounds from its own (seed, block index) sequence, in that order,
@@ -152,17 +166,42 @@ class _Strategy:
         k * 8 is read by ``_vertex_x8``.  Bits are scaled by multiplication:
         numpy's left shift of small integers is about ten times slower.
         """
+        reuse = out is None
+        columns = _columns(BLOCK_ROUNDS) if reuse else out
         lo_block = first_round // BLOCK_ROUNDS
         hi_block = (first_round + n - 1) // BLOCK_ROUNDS
         for block in range(lo_block, hi_block + 1):
             base = block * BLOCK_ROUNDS
             window = slice(max(first_round - base, 0), min(first_round + n - base, BLOCK_ROUNDS))
+            start = 0 if reuse else base + window.start - first_round
+            part = slice(start, start + window.stop - window.start)
+            x, y, k, a, b, sifted = (col[part] for col in columns)
             x_bytes, y_bytes, u_words, coin_bytes = _block_draws(seed, block)
-            x, y, coin = (draws[window] >> 7 for draws in (x_bytes, y_bytes, coin_bytes))
-            k8 = _vertex_x8(self.buckets, self.thresholds, u_words[window])
-            packed = np.take(self.outcomes, k8 + x * 4 + y * 2 + coin)
+            np.right_shift(x_bytes[window], 7, out=x.view(np.uint8))
+            np.right_shift(y_bytes[window], 7, out=y.view(np.uint8))
+            key = _vertex_x8(self.buckets, self.thresholds, u_words[window])
+            np.right_shift(key, 3, out=k)
+            key += x.view(np.uint8) * 4
+            key += y.view(np.uint8) * 2
+            key += coin_bytes[window] >> 7
             del x_bytes, y_bytes, u_words, coin_bytes  # free the words before the next block's
-            yield x.view(np.int8), y.view(np.int8), k8 >> 3, packed & 1, (packed >> 1) & 1, packed >> 2
+            packed = np.take(self.outcomes, key)
+            np.bitwise_and(packed, 1, out=a)
+            np.right_shift(packed, 1, out=b)
+            b &= 1
+            np.right_shift(packed, 2, out=sifted)
+            yield x, y, k, a, b, sifted
+
+
+def _columns(n: int):
+    """(x, y, k, a, b, sifted_a) of n rounds, views of one 7n-byte buffer with k first."""
+    # One buffer: once glibc's malloc has freed a mapped block, it serves blocks
+    # up to that size (at most 32 MiB) from its heap, so the next log this size
+    # reuses pages already touched instead of faulting in fresh ones.
+    buffer = np.empty(7 * n, dtype=np.int8)
+    k = buffer[: 2 * n].view(np.int16)  # first, so aligned for every n
+    x, y, a, b, sifted = buffer[2 * n :].reshape(5, n)
+    return x, y, k, a, b, sifted
 
 
 def _block_draws(seed: int, block: int):
@@ -232,13 +271,10 @@ def run(v: float, n: int, seed: int = 0, first_round: int = 0) -> RoundLog:
     """
     _check_rounds(n, first_round)
     strategy = _Strategy(v)
-    x, y, a, b, sifted = (np.empty(n, dtype=np.int8) for _ in range(5))
-    k = np.empty(n, dtype=np.int16)
-    stop = 0
-    for columns in strategy.blocks(n, seed, first_round):
-        part = slice(stop, stop + len(columns[0]))
-        stop = part.stop
-        x[part], y[part], k[part], a[part], b[part], sifted[part] = columns
+    columns = _columns(n)
+    for _ in strategy.blocks(n, seed, first_round, out=columns):
+        pass  # each block writes its slices of the columns
+    x, y, k, a, b, sifted = columns
     return RoundLog(
         x=x, y=y, a=a, b=b, vertex_index=k, sifted_a=sifted, vertex_names=strategy.names
     )

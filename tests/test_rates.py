@@ -591,6 +591,15 @@ class TestAdvantageDistillation:
         assert combined["best_rate_sign"] == 1
         assert 0.0 < combined["q_used"] < 0.5
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 2.0, np.float64(3.0)])
+    def test_rejects_block_length_that_is_not_a_positive_integer(self, n):
+        # a real n once gave ad_rate(0.5, 2.5) = 0.195, the rate of no block
+        with pytest.raises(DomainError, match="must be an integer of at least 1"):
+            rates.ad_rate(0.5, n)
+
+    def test_accepts_numpy_integer_block_length(self):
+        assert rates.ad_rate(0.5, np.int64(3)) == rates.ad_rate(0.5, 3)
+
     def test_preprocessing_rejects_empty_block_range(self):
         # no block is evaluated for n_max < 1, so there is no rate to report
         for p_nl, n_max in ((0.3, 0), (1.7, 0), (0.3, -1)):

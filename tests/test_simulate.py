@@ -77,6 +77,33 @@ class TestRun:
             simulate.run(0.8, 0)
 
 
+def _root(column):
+    while column.base is not None:
+        column = column.base
+    return column
+
+
+class TestLogBuffer:
+    """run's six columns are consecutive views of one 7n-byte buffer, vertex_index first."""
+
+    @pytest.mark.parametrize("n, first", [(1, 0), (3, 0), (_B + 17, 0), (300, _B - 100)])
+    def test_columns_share_one_buffer(self, n, first):
+        log = simulate.run(0.7, n, seed=2, first_round=first)
+        buffer = _root(log.vertex_index)
+        assert buffer.nbytes == 7 * n
+        assert log.vertex_index.flags.aligned and log.vertex_index.dtype == np.int16
+        start = log.vertex_index.ctypes.data
+        assert start == buffer.ctypes.data
+        for offset, field in zip(range(2 * n, 7 * n, n), ("x", "y", "a", "b", "sifted_a")):
+            column = getattr(log, field)
+            assert _root(column) is buffer
+            assert column.ctypes.data == start + offset and column.nbytes == n
+        # every block landed in its own rounds' slices
+        serial = simulate.run(0.7, first + n, seed=2)
+        for field in FIELDS:
+            assert np.array_equal(getattr(log, field), getattr(serial, field)[first:])
+
+
 def _generator_draws(seed, block):
     """Block (seed, block)'s x, y, u and coin as numpy's Generator draws them."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
@@ -426,6 +453,24 @@ class TestRecordsCsv:
     def test_empty_log_is_the_header(self):
         log = self._log(0)
         assert log.to_csv() == "x,y,a,b,e,sifted_a\r\n" == self._oracle(log)
+
+    def test_rejects_columns_of_different_lengths(self):
+        # estimate failed on them with numpy's broadcast error
+        x, y, a, b, sifted = np.zeros((5, 10), dtype=np.int8)
+        k = np.zeros(10, dtype=np.int16)
+        with pytest.raises(DomainError, match="same length"):
+            simulate.RoundLog(x, y, a, b[:9], k, sifted, self.NAMES)
+        with pytest.raises(DomainError, match="same length"):
+            simulate.RoundLog(x[:0], y, a, b, k, sifted, self.NAMES)
+
+    @pytest.mark.parametrize("index", [-1, len(NAMES), 96])
+    def test_rejects_vertex_index_outside_names(self, index):
+        # to_csv raised IndexError above the names and wrote another vertex's line below 0
+        x, y, a, b, sifted = np.zeros((5, 10), dtype=np.int8)
+        k = np.zeros(10, dtype=np.int16)
+        k[7] = index
+        with pytest.raises(DomainError, match=r"vertex indices must lie in \[0, 9\)"):
+            simulate.RoundLog(x, y, a, b, k, sifted, self.NAMES)
 
     def test_rejects_columns_that_are_not_bits(self):
         log = self._log(10)
