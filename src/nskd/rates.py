@@ -169,24 +169,8 @@ class IntrinsicResult:
 # _LOG_RATIO combines their logs into log2(m(a,b,z) p(z) / (p(a,z) p(b,z))).
 _MARGINALS = np.vstack([np.eye(4), np.ones(4), np.repeat(np.eye(2), 2, 1), np.tile(np.eye(2), 2)])
 _LOG_RATIO = _MARGINALS.T * np.repeat([1.0, -1.0], [5, 4])
-
-
-def _cmi_gradient(
-    q: np.ndarray, w: np.ndarray, lin=None, empty=None, log_ratio=None, grad=None
-) -> np.ndarray:
-    """dI(A:B|Ē)/dW[e, z] = sum_ab p(a,b,e) log-ratio(a,b,z), channels side by side in w[e, :].
-
-    Logs are of values clamped at 1e-300, and the log-ratio is 0 where m(a,b,z) <= 1e-300, as in
-    ``info._cmi_log_ratio``.  Each column's rounding is its own, whatever columns sit beside it.
-    Given C-contiguous work arrays (lin shaped as q @ w, empty and log_ratio as its first 4 rows,
-    empty bool, grad as w), it writes into them and allocates nothing.
-    """
-    lin = np.dot(q, w, out=lin)
-    empty = np.less_equal(lin[:4], 1e-300, out=empty)
-    np.log2(np.maximum(lin, 1e-300, out=lin), out=lin)
-    log_ratio = np.dot(_LOG_RATIO, lin, out=log_ratio)
-    np.copyto(log_ratio, 0.0, where=empty)
-    return np.dot(q[:4].T, log_ratio, out=grad)
+# 0-d operands of the descent: a Python float would be converted on every call
+_TINY, _ZERO = np.array(1e-300), np.array(0.0)
 
 
 def _partitions(k: int, m: int) -> np.ndarray:
@@ -228,18 +212,30 @@ def _starts(p_abe: np.ndarray, restarts: int, seed: int, m: int) -> np.ndarray:
 def _descend(q: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The channels after EG_STEPS steps from each start[i] mixed with START_MIX of uniform.
 
-    Every step runs in work arrays allocated once per descent.
+    A step is W <- W exp(min_z G - G), rows renormalized, with the gradient
+    G[e, z] = dI(A:B|Ē)/dW[e, z] = sum_ab p(a,b,e) log-ratio(a,b,z) of each channel.  Logs are of
+    values clamped at 1e-300, and the log-ratio is 0 where m(a,b,z) <= 1e-300, as in
+    ``info._cmi_log_ratio``.  The channels sit side by side in one matrix, so each column's
+    rounding is its own, whatever columns sit beside it.  Every step runs in work arrays
+    allocated once per descent; positional ``out`` and 0-d constants keep each call's
+    dispatch cost down, since each array holds at most 45 entries per start.
     """
     w = ((1.0 - START_MIX) * starts + START_MIX / starts.shape[-1]).transpose(1, 2, 0).copy()
     k, m, r = w.shape  # w[e, z, start], the z sums and minima run across contiguous rows
     lin, log_ratio, grad = np.empty((len(q), m * r)), np.empty((4, m * r)), np.empty((k, m * r))
     empty, (gmin, total) = np.empty((4, m * r), bool), np.empty((2, k, 1, r))
-    flat, grad3 = w.reshape(k, -1), grad.reshape(w.shape)
+    flat, grad3, lin4, q4t = w.reshape(k, -1), grad.reshape(w.shape), lin[:4], q[:4].T
     for _ in range(EG_STEPS):
-        _cmi_gradient(q, flat, lin, empty, log_ratio, grad)
+        np.dot(q, flat, lin)
+        np.less_equal(lin4, _TINY, empty)
+        np.log2(np.maximum(lin, _TINY, out=lin), lin)
+        np.dot(_LOG_RATIO, lin, log_ratio)
+        np.copyto(log_ratio, _ZERO, where=empty)
+        np.dot(q4t, log_ratio, grad)
         np.minimum.reduce(grad3, axis=1, keepdims=True, out=gmin)
-        w *= np.exp(np.subtract(gmin, grad3, out=grad3), out=grad3)  # exp(min_z G - G) <= 1
-        w /= np.add.reduce(w, axis=1, keepdims=True, out=total)
+        np.exp(np.subtract(gmin, grad3, grad3), grad3)  # exp(min_z G - G) <= 1
+        np.multiply(w, grad3, w)
+        np.divide(w, np.add.reduce(w, axis=1, keepdims=True, out=total), w)
     return w.transpose(2, 0, 1)
 
 
@@ -251,7 +247,7 @@ def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> Intr
     draws) is mixed with START_MIX of the uniform channel and descends
     by EG_STEPS exponentiated-gradient steps
     W <- W exp(min_z G - G), rows renormalized, all starts at
-    once in one ``_cmi_gradient`` per step.  The result is the best of the
+    once in one gradient per step (``_descend``).  The result is the best of the
     unmixed starts and the final channels (the lowest index on a tie), so
     it never exceeds a start's exact value.  A start's descent rounds the
     same alone or in any batch, so the value is nonincreasing in ``restarts``.
@@ -426,20 +422,36 @@ def ad_block_ensemble(p_nl: float, n: int) -> AdBlockEnsemble:
         raise DomainError(f"p_nl {p_nl!r} outside [0, 1]")
     if not isinstance(n, numbers.Integral) or n < 1:
         raise DomainError(f"block length {n!r} must be an integer of at least 1")
+    ensemble, lost = _ensemble(p_nl, n, pow)
+    if lost:
+        raise _underflow(n, p_nl)
+    return ensemble
+
+
+def _ensemble(p_nl, n, power):
+    """The ensemble of ``ad_block_ensemble``, and whether odds and (p_nl/s)^n both underflow.
+
+    One formula for a float p_nl and int n with power = pow, and for arrays of both
+    with ``_libm_power``: the same IEEE operations either way.  (At p_nl = 1,
+    u = 0 and (p_nl/s)^n = 1, so only p_nl < 1 can underflow.)
+    """
     u = (1.0 - p_nl) / 4.0
     s = 1.0 - u
-    odds = (u / s) ** n
-    blank = (p_nl / s) ** n
-    if u > 0.0 and max(odds, blank) < sys.float_info.min:
-        raise DomainError(
-            f"block length {n} at p_nl {p_nl!r} underflows double precision"
-        )
-    return AdBlockEnsemble(
-        n=n,
-        p_accept=s**n * (1.0 + odds),
-        bob_error=odds / (1.0 + odds),
-        blind=(2.0 * odds + blank) / (1.0 + odds),
+    odds, blank = power(u / s, n), power(p_nl / s, n)
+    scale = 1.0 + odds
+    ensemble = AdBlockEnsemble(
+        n=n, p_accept=power(s, n) * scale, bob_error=odds / scale, blind=(2.0 * odds + blank) / scale
     )
+    return ensemble, (odds < sys.float_info.min) & (blank < sys.float_info.min)
+
+
+def _libm_power(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """x ** n element by element through C pow, as float ** int computes it; np.power can differ by an ulp."""
+    return np.array([a**b for a, b in zip(x.tolist(), n.tolist())])
+
+
+def _underflow(n: int, p_nl: float) -> DomainError:
+    return DomainError(f"block length {n} at p_nl {p_nl!r} underflows double precision")
 
 
 def ad_rate(p_nl: float, n: int) -> float:
@@ -462,6 +474,28 @@ def _sign_change(sign_fn, lo: float, hi: float):
             lo = mid
         mid = (lo + hi) / 2.0
     return hi
+
+
+def _sign_changes(sign_fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``_sign_change`` on every bracket [lo[i], hi[i]] at once, in lockstep.
+
+    sign_fn(p, i) gives the signs at p[j] of bracket i[j].  Each bracket is halved
+    at the midpoints its own ``_sign_change`` takes, so each result is the same
+    double; NaN in place of None.  For one bracket the scalar loop is 10 to 20
+    times faster, so scalar callers keep it.
+    """
+    found = np.where(sign_fn(hi, np.arange(len(hi))) > 0.0, hi, np.nan)
+    live, hi = np.arange(len(hi)), found
+    while True:
+        mid = (lo + hi) / 2.0
+        inside = (lo < mid) & (mid < hi)  # False on a NaN bracket
+        if not inside.all():
+            found[live[~inside]] = hi[~inside]
+            live, lo, hi, mid = live[inside], lo[inside], hi[inside], mid[inside]
+            if not len(live):
+                return found
+        up = sign_fn(mid, live) > 0.0
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
 
 
 def _extrapolate_zeros(zeros: list) -> float:
@@ -488,15 +522,34 @@ class AdThreshold:
 def _block_zeros(n_max: int, block_rate) -> AdThreshold:
     """Smallest double p_nl with block_rate(ensemble) > 0 for each n <= n_max, extrapolated.
 
-    Every block rate and margin is negative at p_nl <= 1/5 (see ``ad_threshold``).
+    Every block rate and margin is negative at p_nl <= 1/5 (see ``ad_threshold``).  All n
+    are searched in lockstep on arrays; block_rate takes an ensemble of arrays.  A block
+    that underflows raises DomainError for the smallest such n, at the first p_nl of its
+    search that underflows, as searching each n in turn would.
     """
     if n_max < 2:
         raise DomainError("n_max must be at least 2")
-    zeros = tuple(
-        (n, _sign_change(lambda p: block_rate(ad_block_ensemble(p, n)), 0.02, 0.95))
-        for n in range(1, n_max + 1)
-    )
+    ns, lost = np.arange(1, n_max + 1), {}
+
+    def sign(p, i):
+        ensemble, under = _ensemble(p, ns[i], _libm_power)
+        if under.any():
+            for n, at in zip(ensemble.n[under].tolist(), p[under].tolist()):
+                lost.setdefault(n, at)
+        return block_rate(ensemble)
+
+    found = _sign_changes(sign, np.full(n_max, 0.02), np.full(n_max, 0.95))
+    if lost:
+        raise _underflow(min(lost), lost[min(lost)])
+    zeros = tuple((n, None if math.isnan(z) else z) for n, z in zip(ns.tolist(), found.tolist()))
     return AdThreshold(threshold_estimate=_extrapolate_zeros(zeros), per_n_curve=zeros)
+
+
+def _entropy_deficit(ensemble: AdBlockEnsemble) -> np.ndarray:
+    """rate() = blind - h(eps) of an ensemble of arrays, with the operations of ``binary_entropy``."""
+    eps = ensemble.bob_error
+    h = -eps * np.log2(np.where(eps > 0.0, eps, 1.0)) - (1.0 - eps) * np.log2(1.0 - eps)  # h(0) = 0
+    return ensemble.blind - h
 
 
 AD_LIMIT = 0.2  # exact asymptotic threshold, with or without noise; see ad_threshold
@@ -524,7 +577,7 @@ def ad_threshold(n_max: int) -> AdThreshold:
     The per-n zeros therefore approach 1/5 from above, and the 1/N
     extrapolation only estimates it.
     """
-    return _block_zeros(n_max, AdBlockEnsemble.rate)
+    return _block_zeros(n_max, _entropy_deficit)
 
 
 def _noise_slope(ensemble: AdBlockEnsemble, q: float) -> float:

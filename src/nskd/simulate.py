@@ -50,14 +50,11 @@ class RoundLog:
     cheap.  ``run`` returns the six columns as views of one 7n-byte
     buffer, vertex_index first, so one column kept alone keeps the whole
     buffer alive.  Columns of different lengths, or a vertex index
-    outside vertex_names, raise DomainError.
+    outside vertex_names, raise DomainError, at construction and again
+    in ``to_csv`` and (lengths only) ``estimate``.
     """
 
     def __init__(self, x, y, a, b, vertex_index, sifted_a, vertex_names):
-        if len({len(col) for col in (x, y, a, b, vertex_index, sifted_a)}) != 1:
-            raise DomainError("round log columns must have the same length")
-        if len(vertex_index) and not 0 <= vertex_index.min() <= vertex_index.max() < len(vertex_names):
-            raise DomainError(f"vertex indices must lie in [0, {len(vertex_names)})")
         self.x = x
         self.y = y
         self.a = a
@@ -65,16 +62,29 @@ class RoundLog:
         self.vertex_index = vertex_index
         self.sifted_a = sifted_a
         self.vertex_names = tuple(vertex_names)
+        self._check()
 
     def __len__(self) -> int:
         return len(self.x)
+
+    def _check(self, indices: bool = True) -> None:
+        """Raise DomainError unless the columns as they are now have one length and,
+        with ``indices`` (one pass over the column), every vertex index is a name's."""
+        if len({len(col) for col in (self.x, self.y, self.a, self.b, self.vertex_index, self.sifted_a)}) != 1:
+            raise DomainError("round log columns must have the same length")
+        k, names = self.vertex_index, self.vertex_names
+        if indices and len(k) and not 0 <= k.min() <= k.max() < len(names):
+            raise DomainError(f"vertex indices must lie in [0, {len(names)})")
 
     def to_csv(self) -> str:
         """The rounds as csv.writer writes them, one looked-up line per round.
 
         Lines are looked up one BLOCK_ROUNDS slice at a time, so the
-        lookup keys stay one block long however long the log is.
+        lookup keys stay one block long however long the log is.  The
+        columns are checked as at construction, since they may have been
+        replaced since.
         """
+        self._check()
         lines = _csv_lines(self.vertex_names)
         parts = [_RECORDS_HEADER]
         for start in range(0, len(self), BLOCK_ROUNDS):
@@ -343,11 +353,13 @@ def estimate(log: RoundLog) -> EstimateReport:
 
     The log is tallied one BLOCK_ROUNDS slice at a time, so the count
     arrays stay one block long however long the log is.  The tally is
-    exact only on bits, so other values raise DomainError.
+    exact only on bits, so other values raise DomainError, as do columns
+    of different lengths.
     """
     n = len(log)
     if n == 0:
         raise EmptyInput("no rounds to estimate from")
+    log._check(indices=False)
     tally = np.zeros(9, dtype=np.int64)
     for start in range(0, n, BLOCK_ROUNDS):
         part = slice(start, start + BLOCK_ROUNDS)

@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,9 +232,9 @@ def einsum_gradient(p_abe, w):
 
 
 def fused_gradient(p_abe, w):
-    """rates._cmi_gradient on channels w[i, e, z] laid side by side, returned as [i, e, z]."""
+    """allocating_gradient on channels w[i, e, z] laid side by side, returned as [i, e, z]."""
     q = rates._MARGINALS @ p_abe.reshape(4, -1)
-    side_by_side = rates._cmi_gradient(q, np.concatenate(list(w), axis=1))
+    side_by_side = allocating_gradient(q, np.concatenate(list(w), axis=1))
     return side_by_side.reshape(len(w[0]), len(w), -1).transpose(1, 0, 2)
 
 
@@ -247,6 +248,15 @@ def einsum_descent(p_abe, starts):
     return w
 
 
+def allocating_gradient(q, w):
+    """The gradient in rates._descend of channels w[e, z] side by side, each product a new array."""
+    lin = q @ w
+    empty = lin[:4] <= 1e-300
+    log_ratio = rates._LOG_RATIO @ np.log2(np.maximum(lin, 1e-300))
+    log_ratio[empty] = 0.0
+    return q[:4].T @ log_ratio
+
+
 def allocating_descent(q, starts):
     """The descent with a new array at every step, the bit-for-bit oracle for rates._descend.
 
@@ -255,11 +265,7 @@ def allocating_descent(q, starts):
     """
     w = ((1.0 - rates.START_MIX) * starts + rates.START_MIX / starts.shape[-1]).transpose(1, 2, 0).copy()
     for _ in range(rates.EG_STEPS):
-        lin = q @ w.reshape(len(w), -1)
-        empty = lin[:4] <= 1e-300
-        log_ratio = rates._LOG_RATIO @ np.log2(np.maximum(lin, 1e-300))
-        log_ratio[empty] = 0.0
-        grad = (q[:4].T @ log_ratio).reshape(w.shape)
+        grad = allocating_gradient(q, w.reshape(len(w), -1)).reshape(w.shape)
         grad -= grad.min(axis=1, keepdims=True)
         w *= np.exp(-grad)
         w /= w.sum(axis=1, keepdims=True)
@@ -354,7 +360,7 @@ class TestIntrinsicNumeric:
                 dw[idx] = step
                 numeric[idx] = (info._cmi(p_abe @ (w + dw)) - info._cmi(p_abe @ (w - dw))) / (2 * step)
             q = rates._MARGINALS @ p_abe.reshape(4, -1)
-            assert np.allclose(rates._cmi_gradient(q, w), numeric, rtol=0.0, atol=1e-6)
+            assert np.allclose(allocating_gradient(q, w), numeric, rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize("joint", [table_joint(0.3), _announce(0.3)], ids=["table", "announce"])
     def test_fused_gradient_matches_the_einsum_oracle(self, joint, rng):
@@ -414,6 +420,24 @@ class TestIntrinsicNumeric:
         starts = rates._starts(p_abe, restarts, 0, min(rates.MAX_OUTPUTS, p_abe.shape[2]))
         q = rates._MARGINALS @ p_abe.reshape(4, -1)
         assert np.array_equal(rates._descend(q, starts), allocating_descent(q, starts))
+
+    def test_a_step_allocates_nothing(self, monkeypatch):
+        # the work arrays are allocated once per descent, so 990 more steps hold no more memory
+        # (the broadcasting ufuncs take numpy's iterator workspace, about 3.5 KB, within each call)
+        p_abe = table_joint(0.5).p
+        q = rates._MARGINALS @ p_abe.reshape(4, -1)
+        starts = rates._starts(p_abe, 12, 0, 5)
+        rates._descend(q, starts)  # numpy's first-call caches are filled before tracing
+        peaks = []
+        for steps in (10, 1000):
+            monkeypatch.setattr(rates, "EG_STEPS", steps)
+            tracemalloc.start()
+            try:
+                rates._descend(q, starts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) - min(peaks) <= 1024, peaks
 
     @pytest.mark.parametrize("restarts", [1, 4, 12, 64])
     @pytest.mark.parametrize("joint", [table_joint(0.5), _announce(0.3)], ids=["table", "announce"])
@@ -717,8 +741,27 @@ class TestExactSearch:
         ids=["plain", "preprocessing"],
     )
     def test_each_zero_is_the_smallest_positive_double(self, threshold, sign):
-        for n, z in threshold(30).per_n_curve:
+        for n, z in threshold(511).per_n_curve:
             assert sign(math.nextafter(z, 0.0), n) <= 0.0 < sign(z, n), n
+
+    @pytest.mark.parametrize("n_max", [2, 30, 511])
+    @pytest.mark.parametrize(
+        "threshold, sign",
+        [
+            (rates.ad_threshold, rates.AdBlockEnsemble.rate),
+            (rates.ad_preprocessing_threshold, rates.AdBlockEnsemble.noise_margin),
+        ],
+        ids=["plain", "preprocessing"],
+    )
+    def test_lockstep_search_equals_one_search_per_length(self, threshold, sign, n_max):
+        # the scalar oracle: each n bisected alone by _sign_change on the scalar ensemble
+        zeros = tuple(
+            (n, rates._sign_change(lambda p: sign(rates.ad_block_ensemble(p, n)), 0.02, 0.95))
+            for n in range(1, n_max + 1)
+        )
+        result = threshold(n_max)
+        assert result.per_n_curve == zeros
+        assert result.threshold_estimate == rates._extrapolate_zeros(zeros)
 
     def test_oneway_zero_is_the_smallest_positive_double(self):
         z = rates.oneway_threshold()

@@ -472,6 +472,20 @@ class TestRecordsCsv:
         with pytest.raises(DomainError, match=r"vertex indices must lie in \[0, 9\)"):
             simulate.RoundLog(x, y, a, b, k, sifted, self.NAMES)
 
+    def test_estimate_rejects_a_column_shortened_after_construction(self):
+        # the lengths are checked again: numpy's broadcast error was raised here
+        log = simulate.run(0.8, 100, seed=0)
+        log.b = log.b[:50]
+        with pytest.raises(DomainError, match="same length"):
+            simulate.estimate(log)
+
+    def test_csv_rejects_a_vertex_index_replaced_after_construction(self):
+        # the indices are checked again: IndexError was raised here
+        log = simulate.run(0.8, 100, seed=0)
+        log.vertex_index = log.vertex_index + 100
+        with pytest.raises(DomainError, match=r"vertex indices must lie in \[0, "):
+            log.to_csv()
+
     def test_rejects_columns_that_are_not_bits(self):
         log = self._log(10)
         log.b = log.b.copy()
