@@ -217,25 +217,31 @@ def _descend(q: np.ndarray, starts: np.ndarray) -> np.ndarray:
     values clamped at 1e-300, and the log-ratio is 0 where m(a,b,z) <= 1e-300, as in
     ``info._cmi_log_ratio``.  The channels sit side by side in one matrix, so each column's
     rounding is its own, whatever columns sit beside it.  Every step runs in work arrays
-    allocated once per descent; positional ``out`` and 0-d constants keep each call's
-    dispatch cost down, since each array holds at most 45 entries per start.
+    allocated once per descent.  Each array holds at most 45 entries per start, so a step
+    costs more in call overhead than in arithmetic: the products are bound ``ndarray.dot``
+    methods writing into their ``out`` argument, which skip the Python dispatcher function
+    that ``np.dot`` runs first; every other call is a local name with positional arguments;
+    and the operands are 0-d arrays, since a Python float is converted on every call.
     """
     w = ((1.0 - START_MIX) * starts + START_MIX / starts.shape[-1]).transpose(1, 2, 0).copy()
     k, m, r = w.shape  # w[e, z, start], the z sums and minima run across contiguous rows
     lin, log_ratio, grad = np.empty((len(q), m * r)), np.empty((4, m * r)), np.empty((k, m * r))
     empty, (gmin, total) = np.empty((4, m * r), bool), np.empty((2, k, 1, r))
-    flat, grad3, lin4, q4t = w.reshape(k, -1), grad.reshape(w.shape), lin[:4], q[:4].T
+    flat, grad3, lin4 = w.reshape(k, -1), grad.reshape(w.shape), lin[:4]
+    q_dot, ratio_dot, q4t_dot = q.dot, _LOG_RATIO.dot, q[:4].T.dot
+    less_equal, maximum, log2, putmask, exp = np.less_equal, np.maximum, np.log2, np.putmask, np.exp
+    zmin, zsum, subtract, multiply, divide = np.minimum.reduce, np.add.reduce, np.subtract, np.multiply, np.divide
     for _ in range(EG_STEPS):
-        np.dot(q, flat, lin)
-        np.less_equal(lin4, _TINY, empty)
-        np.log2(np.maximum(lin, _TINY, out=lin), lin)
-        np.dot(_LOG_RATIO, lin, log_ratio)
-        np.copyto(log_ratio, _ZERO, where=empty)
-        np.dot(q4t, log_ratio, grad)
-        np.minimum.reduce(grad3, axis=1, keepdims=True, out=gmin)
-        np.exp(np.subtract(gmin, grad3, grad3), grad3)  # exp(min_z G - G) <= 1
-        np.multiply(w, grad3, w)
-        np.divide(w, np.add.reduce(w, axis=1, keepdims=True, out=total), w)
+        q_dot(flat, lin)
+        less_equal(lin4, _TINY, empty)
+        log2(maximum(lin, _TINY, out=lin), lin)  # a positional out is deprecated for maximum
+        ratio_dot(lin, log_ratio)
+        putmask(log_ratio, empty, _ZERO)
+        q4t_dot(log_ratio, grad)
+        zmin(grad3, 1, None, gmin, True)  # axis, dtype, out, keepdims
+        exp(subtract(gmin, grad3, grad3), grad3)  # exp(min_z G - G) <= 1
+        multiply(w, grad3, w)
+        divide(w, zsum(w, 1, None, total, True), w)
     return w.transpose(2, 0, 1)
 
 
@@ -447,7 +453,7 @@ def _ensemble(p_nl, n, power):
 
 def _libm_power(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     """x ** n element by element through C pow, as float ** int computes it; np.power can differ by an ulp."""
-    return np.array([a**b for a, b in zip(x.tolist(), n.tolist())])
+    return np.fromiter(map(pow, x.tolist(), n.tolist()), float, len(x))
 
 
 def _underflow(n: int, p_nl: float) -> DomainError:
@@ -481,8 +487,9 @@ def _sign_changes(sign_fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
     sign_fn(p, i) gives the signs at p[j] of bracket i[j].  Each bracket is halved
     at the midpoints its own ``_sign_change`` takes, so each result is the same
-    double; NaN in place of None.  For one bracket the scalar loop is 10 to 20
-    times faster, so scalar callers keep it.
+    double; NaN in place of None.  A NaN sign drops its bracket, whose result is then
+    NaN, and sign_fn is not called on it again.  For one bracket the scalar loop is
+    10 to 20 times faster, so scalar callers keep it.
     """
     found = np.where(sign_fn(hi, np.arange(len(hi))) > 0.0, hi, np.nan)
     live, hi = np.arange(len(hi)), found
@@ -494,8 +501,10 @@ def _sign_changes(sign_fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             live, lo, hi, mid = live[inside], lo[inside], hi[inside], mid[inside]
             if not len(live):
                 return found
-        up = sign_fn(mid, live) > 0.0
+        sign = sign_fn(mid, live)
+        up = sign > 0.0
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        hi[np.isnan(sign)] = np.nan
 
 
 def _extrapolate_zeros(zeros: list) -> float:
@@ -525,7 +534,9 @@ def _block_zeros(n_max: int, block_rate) -> AdThreshold:
     Every block rate and margin is negative at p_nl <= 1/5 (see ``ad_threshold``).  All n
     are searched in lockstep on arrays; block_rate takes an ensemble of arrays.  A block
     that underflows raises DomainError for the smallest such n, at the first p_nl of its
-    search that underflows, as searching each n in turn would.
+    search that underflows, as searching each n in turn would.  Once some n has underflowed,
+    the searches of that n and every longer block are dropped: they cannot change which n
+    is reported, and every shorter block keeps its own path.
     """
     if n_max < 2:
         raise DomainError("n_max must be at least 2")
@@ -533,10 +544,12 @@ def _block_zeros(n_max: int, block_rate) -> AdThreshold:
 
     def sign(p, i):
         ensemble, under = _ensemble(p, ns[i], _libm_power)
+        rate = block_rate(ensemble)
         if under.any():
             for n, at in zip(ensemble.n[under].tolist(), p[under].tolist()):
                 lost.setdefault(n, at)
-        return block_rate(ensemble)
+            rate[ensemble.n >= min(lost)] = np.nan
+        return rate
 
     found = _sign_changes(sign, np.full(n_max, 0.02), np.full(n_max, 0.95))
     if lost:

@@ -36,35 +36,87 @@ _HIGHS_OPTS = {
 }
 
 
-def _lp_solve(c, a_eq, b_eq):
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0), method="highs", options=_HIGHS_OPTS)
-    if res.status == 2:
-        raise Infeasible("target is not a convex mixture of no-signaling vertices")
-    assert res.success, res.message
-    return res.x
+class _LinprogModel:
+    """The chain's LPs min c.w s.t. A w = b, 0 <= w <= 1, each solved cold by ``linprog``."""
+
+    def __init__(self, a_eq, b_eq):
+        self.a_eq, self.b_eq = a_eq, b_eq
+
+    def minimize(self, c):
+        res = linprog(c, A_eq=self.a_eq, b_eq=self.b_eq, bounds=(0.0, 1.0), method="highs", options=_HIGHS_OPTS)
+        if res.status == 2:
+            raise Infeasible("target is not a convex mixture of no-signaling vertices")
+        assert res.success, res.message
+        return res.x
+
+    def hold(self, row, value):
+        """Add the equality row.w = value to every later LP."""
+        self.a_eq, self.b_eq = np.vstack([self.a_eq, row]), np.append(self.b_eq, value)
 
 
-def lexicographic_lp(box):
+try:  # scipy's bindings of HiGHS itself, with the same solver as linprog(method="highs")
+    from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
+except ImportError:
+    _Highs = None
+
+
+class _WarmModel:
+    """The same LPs on one HiGHS model: each minimize swaps the cost in and solves from the last basis."""
+
+    def __init__(self, a_eq, b_eq):
+        n_row, self.n_col = a_eq.shape
+        lp = HighsLp()
+        lp.num_col_, lp.num_row_ = self.n_col, n_row
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.zeros(self.n_col), np.zeros(self.n_col), np.ones(self.n_col)
+        lp.row_lower_ = lp.row_upper_ = b_eq
+        matrix = lp.a_matrix_
+        matrix.format_, matrix.num_col_, matrix.num_row_ = MatrixFormat.kRowwise, self.n_col, n_row
+        matrix.start_ = np.arange(0, a_eq.size + 1, self.n_col)
+        matrix.index_ = np.tile(np.arange(self.n_col), n_row)
+        matrix.value_ = a_eq.ravel()
+        self.highs = _Highs()
+        self.highs.setOptionValue("output_flag", False)
+        for key, value in _HIGHS_OPTS.items():
+            self.highs.setOptionValue(key, value)
+        self.highs.passModel(lp)
+
+    def minimize(self, c):
+        self.highs.changeColsCost(self.n_col, np.arange(self.n_col), c)
+        self.highs.run()
+        status = self.highs.getModelStatus()
+        if status == HighsModelStatus.kInfeasible:
+            raise Infeasible("target is not a convex mixture of no-signaling vertices")
+        assert status == HighsModelStatus.kOptimal, self.highs.modelStatusToString(status)
+        return np.array(self.highs.getSolution().col_value)
+
+    def hold(self, row, value):
+        """Add the equality row.w = value to every later LP."""
+        nonzero = np.flatnonzero(row)
+        self.highs.addRow(value, value, len(nonzero), nonzero, row[nonzero])
+
+
+def lexicographic_lp(box, model=_LinprogModel if _Highs is None else _WarmModel):
     """Oracle: the chain of linear programs the decomposition was first computed with.
 
     One LP minimizes the nonlocal weight; then, in canonical vertex
     order, each coordinate that is not already at zero is minimized with
-    every earlier coordinate and the optimum held fixed.
+    every earlier coordinate and the optimum held fixed.  ``model`` solves
+    the chain: one warm HiGHS model where scipy's bindings import, else
+    one ``linprog`` call per LP.
     """
     target = box.table.ravel()
-    base_a = np.vstack([polytope._vertex_matrix(), np.ones((1, 24))])
-    base_b = np.concatenate([target, [1.0]])
+    lps = model(np.vstack([polytope._vertex_matrix(), np.ones((1, 24))]), np.concatenate([target, [1.0]]))
     cost = polytope._nonlocal_cost()
-    w = _lp_solve(cost, base_a, base_b)
-    rows, vals = [cost], [float(cost @ w)]
+    w = lps.minimize(cost)
+    lps.hold(cost, float(cost @ w))
     for i in range(24):
         unit = np.eye(24)[i]
         if w[i] <= 1e-10:
-            vals.append(0.0)  # the current candidate attains zero
+            value = 0.0  # the current candidate attains zero
         else:
-            w = _lp_solve(unit, np.vstack([base_a, rows]), np.concatenate([base_b, vals]))
-            vals.append(float(w[i]))
-        rows.append(unit)
+            w = lps.minimize(unit)
+            value = float(w[i])
+        lps.hold(unit, value)
     return np.clip(w, 0.0, None)
 
 
@@ -278,6 +330,13 @@ class TestLexicographicOracle:
             expected = lexicographic_lp(box)
             dec = min_nonlocal_decomposition(box)
             assert np.abs(dec.weights - expected).max() <= 1e-12
+
+    @pytest.mark.skipif(_Highs is None, reason="scipy without its HiGHS bindings has one chain only")
+    def test_warm_model_solves_the_chain_as_linprog_does(self):
+        for family in _oracle_boxes().values():
+            for box in family[:3]:
+                warm, cold = lexicographic_lp(box, _WarmModel), lexicographic_lp(box, _LinprogModel)
+                assert np.abs(warm - cold).max() <= 1e-15
 
     def test_families_cover_both_sides(self):
         families = _oracle_boxes()

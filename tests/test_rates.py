@@ -412,9 +412,12 @@ class TestIntrinsicNumeric:
         "p_abe",
         [f(p_nl).p for f in (table_joint, _announce) for p_nl in (0.05, 0.25, 0.5, 0.75, 0.95)]
         + [np.array([0.3, 0.1, 0.05, 0.15, 0.1, 0.05, 0.05, 0.2]).reshape(2, 2, 2)]
-        + [_without_01_row(table_joint(0.5).p)],
+        + [_without_01_row(table_joint(0.5).p)]
+        # fewer Eve symbols than MAX_OUTPUTS outputs, and more
+        + [np.random.default_rng(k).dirichlet(np.ones(4 * k)).reshape(2, 2, k) for k in (1, 3, 4, 6, 7)],
         ids=[f"{v}-{p_nl}" for v in ("table", "announce") for p_nl in (0.05, 0.25, 0.5, 0.75, 0.95)]
-        + ["two-eve-symbols", "no-01-row"],
+        + ["two-eve-symbols", "no-01-row"]
+        + [f"dirichlet-{k}-eve-symbols" for k in (1, 3, 4, 6, 7)],
     )
     def test_descent_equals_the_allocating_loop_bit_for_bit(self, p_abe, restarts):
         starts = rates._starts(p_abe, restarts, 0, min(rates.MAX_OUTPUTS, p_abe.shape[2]))
@@ -573,6 +576,24 @@ class TestAdvantageDistillation:
         for n in (630, 2700):
             with pytest.raises(DomainError, match=f"block length {n} at p_nl 0.02"):
                 rates.ad_block_ensemble(0.02, n)
+
+    @pytest.mark.parametrize(
+        "threshold, n_max, length",
+        [
+            (rates.ad_threshold, 700, 514),
+            (rates.ad_threshold, 3000, 514),
+            (rates.ad_preprocessing_threshold, 512, 512),
+            (rates.ad_preprocessing_threshold, 700, 512),
+            (rates.ad_preprocessing_threshold, 3000, 512),
+        ],
+    )
+    def test_underflow_names_the_same_block_whatever_n_max(self, threshold, n_max, length):
+        # the smallest underflowing n at the first p_nl of its own search; the searches of
+        # longer blocks, dropped once one has underflowed, cannot change either
+        at = {514: "0.20164062500000002", 512: "0.19982421875"}[length]
+        with pytest.raises(DomainError) as raised:
+            threshold(n_max)
+        assert str(raised.value) == f"block length {length} at p_nl {at} underflows double precision"
 
     def test_noise_rate_is_continuous_at_tiny_q(self):
         # eps ~ 2e-7 >> q: a Taylor series in eps around q fails here (it gave 31.6 bits at q = 1e-15)
