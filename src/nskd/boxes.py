@@ -133,7 +133,7 @@ def validate(values, tolerance: float = PROB_TOL) -> Box:
     if np.any(np.abs(totals - 1.0) > tolerance):
         bad = np.unravel_index(np.argmax(np.abs(totals - 1.0)), totals.shape)
         raise NotNormalized(
-            f"P(.,.|x={bad[0]},y={bad[1]}) sums to {totals[bad]!r}"
+            f"P(.,.|x={bad[0]},y={bad[1]}) sums to {float(totals[bad])!r}"
         )
 
     # Alice's marginal P(a|x, y) must not depend on y, and symmetrically.

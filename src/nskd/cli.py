@@ -25,7 +25,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import attack, boxes, polytope, rates, simulate
+# each command imports the modules it runs, so a start loads only those
+from . import boxes
 from .exceptions import BoxError, DomainError, EmptyInput, Infeasible
 
 
@@ -46,6 +47,8 @@ def _write_out(path: str, text: str) -> None:
 
 
 def cmd_vertices(config: Config) -> int:
+    from . import polytope
+
     rows = []
     for vertex in polytope.vertices():
         value = boxes.chsh(vertex.box)
@@ -80,6 +83,8 @@ def _load_box(path: str, tolerance: float) -> boxes.Box:
 
 
 def cmd_decompose(path: str, config: Config) -> int:
+    from . import polytope
+
     box = _load_box(path, config.tolerance)
     dec = polytope.min_nonlocal_decomposition(box)
     print(f"nonlocal weight: {dec.nonlocal_weight:.17g}")
@@ -94,6 +99,8 @@ def cmd_decompose(path: str, config: Config) -> int:
 
 
 def cmd_rates(config: Config) -> int:
+    from . import rates
+
     if not 0.0 < config.grid < math.inf:
         raise DomainError(f"grid step {config.grid!r} must be positive and finite")
     d_values = np.arange(0.0, rates.MAX_DISTURBANCE + config.grid / 2, config.grid)
@@ -115,6 +122,8 @@ def cmd_rates(config: Config) -> int:
 
 
 def cmd_simulate(v: float, n: int, config: Config, records_path: str = "") -> int:
+    from . import simulate
+
     report = simulate.stream_estimate(v, n, seed=config.seed, records=records_path)
     print(f"rounds:   {report.n_rounds}")
     print(f"chsh_hat: {report.chsh_hat:.17g} +- {report.chsh_stderr:.3g}")
@@ -126,6 +135,8 @@ def cmd_simulate(v: float, n: int, config: Config, records_path: str = "") -> in
 
 
 def cmd_intrinsic(p_nl: float, config: Config, announce: bool = False) -> int:
+    from . import attack, rates
+
     strategy = attack.attack_from_pnl(p_nl)
     joint = attack.sift_alice_announces(strategy) if announce else attack.sift(strategy)
     result = rates.intrinsic_search(joint, restarts=config.restarts, seed=config.seed)
@@ -161,6 +172,8 @@ def cmd_intrinsic(p_nl: float, config: Config, announce: bool = False) -> int:
 
 
 def cmd_ad(n_max: int, config: Config) -> int:
+    from . import rates
+
     plain = rates.ad_threshold(n_max)
     combined = rates.ad_preprocessing_threshold(n_max)
     print(f"plain threshold estimate:    {plain.threshold_estimate:.17g}")

@@ -263,6 +263,8 @@ def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> Intr
     """
     if restarts < 1:
         raise DomainError("restarts must be at least 1")
+    if seed < 0:
+        raise DomainError(f"seed {seed} must be a nonnegative integer")
     p_abe = np.asarray(joint.p, dtype=float)
     m = min(MAX_OUTPUTS, p_abe.shape[2])
     starts = _starts(p_abe, restarts, seed, m)

@@ -50,9 +50,10 @@ class TestValidate:
 
     def test_rejects_unnormalized(self):
         values = np.full(16, 0.25)
-        values[0] = 0.3
-        with pytest.raises(NotNormalized):
+        values[0] = 0.45  # the x=0, y=0 block sums to 1.2
+        with pytest.raises(NotNormalized) as err:
             validate(values)
+        assert str(err.value) == "P(.,.|x=0,y=0) sums to 1.2"
 
     def test_rejects_negative(self):
         values = np.full(16, 0.25)

@@ -85,6 +85,16 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", str(bad))
         assert code == 2
 
+    def test_unnormalized_box_prints_a_float(self, capsys, tmp_path):
+        table = np.full(16, 0.25)
+        table[0] = 0.45  # the x=0, y=0 block sums to 1.2
+        bad = tmp_path / "unnormalized.json"
+        bad.write_text(json.dumps({"p": table.tolist()}))
+        code, out, err = run_cli(capsys, "decompose", str(bad))
+        assert code == 2
+        assert err == "error: P(.,.|x=0,y=0) sums to 1.2\n"
+        assert out == ""
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "decompose", "/nonexistent/box.json")
         assert code == 2
@@ -377,22 +387,72 @@ class TestFlagPlacement:
         assert code == 0
 
 
-def test_cold_start_loads_no_scipy():
-    # the library and every command run on numpy alone; scipy costs most of a cold start
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "-1"],
+        ["intrinsic", "--p-nl", "0.5", "--seed", "-1"],
+        ["rates", "--grid", "0.2", "--seed", "-1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_names_the_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == "error: seed -1 must be a nonnegative integer\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["vertices"], ["ad", "--n-max", "5"]], ids=lambda argv: argv[0])
+def test_commands_without_randomness_ignore_the_seed(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 0
+    assert err == ""
+
+
+# nskd.* modules each start holds after it ran; each command imports what it runs
+_CLI = {"nskd.boxes", "nskd.cli", "nskd.exceptions"}
+_ATTACK = _CLI | {"nskd.attack", "nskd.info", "nskd.polytope"}
+COLD_STARTS = {
+    "import": (None, set()),
+    "vertices": (["vertices"], _CLI | {"nskd.polytope"}),
+    "decompose": (["decompose", "{box}"], _CLI | {"nskd.polytope"}),
+    "rates": (["rates", "--grid", "0.2", "--restarts", "1"], _ATTACK | {"nskd.rates"}),
+    "simulate": (["simulate", "--rounds", "1000"], _ATTACK | {"nskd.simulate"}),
+    "intrinsic": (["intrinsic", "--p-nl", "0.5", "--restarts", "2"], _ATTACK | {"nskd.rates"}),
+    "ad": (["ad", "--n-max", "5"], _ATTACK | {"nskd.rates"}),
+}
+
+
+@pytest.mark.parametrize("start", list(COLD_STARTS))
+def test_cold_start_loads_only_what_it_runs(start, tmp_path):
+    # scipy costs most of a cold start, and every command runs on numpy alone
+    argv, expected = COLD_STARTS[start]
+    box_file = tmp_path / "box.json"
+    box_file.write_text(boxes.isotropic(0.8).to_json())
     script = (
-        "import sys\n"
-        "import nskd, nskd.cli\n"
-        "assert nskd.cli.main(['vertices']) == 0\n"
-        "nskd.min_nonlocal_decomposition(nskd.isotropic(0.8))\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "import json, sys\n"
+        "import nskd\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv is not None:\n"
+        "    from nskd import cli\n"
+        "    assert cli.main(argv) == 0\n"
+        "print(json.dumps({\n"
+        "    'nskd': sorted(m for m in sys.modules if m.startswith('nskd.')),\n"
+        "    'scipy': sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')),\n"
+        "}))\n"
     )
+    if argv is not None:
+        argv = [arg.format(box=box_file) for arg in argv]
     src = str(Path(nskd.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, json.dumps(argv)],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["scipy"] == []
+    assert set(loaded["nskd"]) == expected

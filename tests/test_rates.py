@@ -321,6 +321,11 @@ class TestIntrinsicNumeric:
         v12 = rates.intrinsic_numeric(joint, restarts=12, seed=3)
         assert v12 <= v4 + 1e-12
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError) as err:
+            rates.intrinsic_search(table_joint(0.5), restarts=2, seed=-3)
+        assert str(err.value) == "seed -3 must be a nonnegative integer"
+
     def test_channel_validation(self):
         with pytest.raises(ValueError):
             rates.Channel(np.array([[0.5, 0.4], [0.5, 0.5]]))

@@ -76,6 +76,12 @@ class TestRun:
         with pytest.raises(DomainError):
             simulate.run(0.8, 0)
 
+    @pytest.mark.parametrize("call", [simulate.run, simulate.stream_estimate])
+    def test_rejects_negative_seed(self, call):
+        with pytest.raises(DomainError) as err:
+            call(0.8, 1000, seed=-1)
+        assert str(err.value) == "seed -1 must be a nonnegative integer"
+
 
 def _root(column):
     while column.base is not None:
