@@ -26,7 +26,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import info, polytope
-from .boxes import PROB_TOL
 from .exceptions import DomainError
 
 
@@ -115,18 +114,12 @@ class JointABE:
 
     p: np.ndarray  # shape (2, 2, n_symbols); a read-only copy of the input
     symbols: tuple  # EveSymbol entries matching the last axis
-    p_nl: float
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
         if p.shape != (2, 2, len(self.symbols)):
             raise ValueError(f"joint table has shape {p.shape}, not (2, 2, {len(self.symbols)})")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("joint entries must be finite")
-        if np.any(p < -PROB_TOL):
-            raise ValueError("joint entries must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > PROB_TOL:
-            raise ValueError("joint distribution must be normalized")
+        info._check_normalized(p)
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
@@ -186,7 +179,7 @@ def _sift(attack: FullAttack, announce: bool) -> JointABE:
         for cell in _cells(vertex, announce):
             contribs.setdefault(cell, []).append(w * 0.125)
     p, symbols = _accumulate(contribs)
-    return JointABE(p=p, symbols=symbols, p_nl=attack.p_nl)
+    return JointABE(p=p, symbols=symbols)
 
 
 def sift(attack: FullAttack) -> JointABE:

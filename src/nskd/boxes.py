@@ -59,14 +59,14 @@ class Box:
         return json.dumps({"p": [float(v) for v in self.table.ravel()]})
 
     @staticmethod
-    def from_json(text: str, tolerance: float = PROB_TOL) -> "Box":
+    def from_json(text: str) -> "Box":
         try:
             data = json.loads(text)
         except RecursionError as exc:
             raise ValueError("box JSON is nested too deeply") from exc
         if not isinstance(data, dict) or "p" not in data:
             raise ValueError('box JSON needs a "p" key holding the 16 probabilities')
-        return validate(data["p"], tolerance=tolerance)
+        return validate(data["p"])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -76,7 +76,7 @@ class Box:
         return buf.getvalue()
 
     @staticmethod
-    def from_csv(text: str, tolerance: float = PROB_TOL) -> "Box":
+    def from_csv(text: str) -> "Box":
         try:
             rows = list(csv.reader(io.StringIO(text)))
         except csv.Error as exc:
@@ -91,7 +91,7 @@ class Box:
             raise ValueError(f"box CSV missing column {exc}") from exc
         except IndexError as exc:
             raise ValueError("box CSV data row is shorter than its header") from exc
-        return validate(values, tolerance=tolerance)
+        return validate(values)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Box(chsh={chsh(self):.6f})"
@@ -104,17 +104,14 @@ def _make_box(table: np.ndarray) -> Box:
     return Box(table=table)
 
 
-def validate(values, tolerance: float = PROB_TOL) -> Box:
+def validate(values) -> Box:
     """Check 16 raw numbers and return them as a Box.
 
     Raises NegativeProbability, NotNormalized or Signaling when the input
-    violates the corresponding constraint beyond ``tolerance``, ValueError
-    when the input is not 16 finite numbers, and DomainError when the
-    tolerance itself is not finite and nonnegative.
+    violates the corresponding constraint beyond ``PROB_TOL``, and ValueError
+    when the input is not 16 finite numbers.
     Entries are clamped to [0, 1] on success.
     """
-    if not 0.0 <= tolerance < math.inf:
-        raise DomainError(f"tolerance {tolerance!r} must be finite and nonnegative")
     try:
         arr = np.asarray(values, dtype=float).ravel()
     except (TypeError, ValueError, OverflowError) as exc:
@@ -125,12 +122,12 @@ def validate(values, tolerance: float = PROB_TOL) -> Box:
         raise ValueError("box entries must be finite")
     table = arr.reshape(2, 2, 2, 2)
 
-    if np.any(table < -tolerance):
+    if np.any(table < -PROB_TOL):
         worst = float(table.min())
         raise NegativeProbability(f"entry {worst!r} below zero")
 
     totals = table.sum(axis=(2, 3))
-    if np.any(np.abs(totals - 1.0) > tolerance):
+    if np.any(np.abs(totals - 1.0) > PROB_TOL):
         bad = np.unravel_index(np.argmax(np.abs(totals - 1.0)), totals.shape)
         raise NotNormalized(
             f"P(.,.|x={bad[0]},y={bad[1]}) sums to {float(totals[bad])!r}"
@@ -139,12 +136,12 @@ def validate(values, tolerance: float = PROB_TOL) -> Box:
     # Alice's marginal P(a|x, y) must not depend on y, and symmetrically.
     alice = table.sum(axis=3)  # (x, y, a)
     dev_a = np.abs(alice[:, 0, :] - alice[:, 1, :]).max(axis=1)  # per x
-    if np.any(dev_a > tolerance):
+    if np.any(dev_a > PROB_TOL):
         x = int(np.argmax(dev_a))
         raise Signaling("alice", x, float(dev_a[x]))
     bob = table.sum(axis=2)  # (x, y, b)
     dev_b = np.abs(bob[0, :, :] - bob[1, :, :]).max(axis=1)  # per y
-    if np.any(dev_b > tolerance):
+    if np.any(dev_b > PROB_TOL):
         y = int(np.argmax(dev_b))
         raise Signaling("bob", y, float(dev_b[y]))
 

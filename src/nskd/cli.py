@@ -21,32 +21,18 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 # each command imports the modules it runs, so a start loads only those
 from . import boxes
-from .exceptions import BoxError, DomainError, EmptyInput, Infeasible
+from .exceptions import DomainError
+
+# the shared flags' values when absent; each command returns its --out text
+_SHARED_DEFAULTS = dict(grid=0.005, restarts=8, seed=0, format="csv", out="")
 
 
-@dataclass
-class Config:
-    grid: float = 0.005
-    restarts: int = 8
-    seed: int = 0
-    format: str = "csv"
-    out: str = ""
-    tolerance: float = boxes.PROB_TOL
-
-
-def _write_out(path: str, text: str) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def cmd_vertices(config: Config) -> int:
+def cmd_vertices(args) -> str:
     from . import polytope
 
     rows = []
@@ -61,51 +47,44 @@ def cmd_vertices(config: Config) -> int:
     print(f"{'vertex':<10}{'kind':<10}{'chsh':<22}flag")
     for row in rows:
         print(f"{row['vertex']:<10}{row['kind']:<10}{row['chsh']:<22.17g}{row['flag']}")
-    if config.out:
-        if config.format == "json":
-            _write_out(config.out, json.dumps(rows))
-        else:
-            buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=["vertex", "kind", "chsh", "flag"])
-            writer.writeheader()
-            writer.writerows(rows)
-            _write_out(config.out, buf.getvalue())
-    return 0
+    if args.format == "json":
+        return json.dumps(rows)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=["vertex", "kind", "chsh", "flag"])
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def _load_box(path: str, tolerance: float) -> boxes.Box:
+def _load_box(path: str) -> boxes.Box:
     with open(path) as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith(("{", "[")):
-        return boxes.Box.from_json(text, tolerance=tolerance)
-    return boxes.Box.from_csv(text, tolerance=tolerance)
+    if text.lstrip().startswith(("{", "[")):
+        return boxes.Box.from_json(text)
+    return boxes.Box.from_csv(text)
 
 
-def cmd_decompose(path: str, config: Config) -> int:
+def cmd_decompose(args) -> str:
     from . import polytope
 
-    box = _load_box(path, config.tolerance)
-    dec = polytope.min_nonlocal_decomposition(box)
+    dec = polytope.min_nonlocal_decomposition(_load_box(args.box_file))
     print(f"nonlocal weight: {dec.nonlocal_weight:.17g}")
     print(f"residual:        {dec.residual:.3e}")
     print(f"relabeling:      {dec.relabeling.name} (CHSH {dec.chsh:.17g})")
     print(f"{'vertex':<10}weight")
     for name, w in dec.as_dict(polytope.REPORT_TOL).items():
         print(f"{name:<10}{w:.17g}")
-    if config.out:
-        _write_out(config.out, dec.to_json())
-    return 0
+    return dec.to_json()
 
 
-def cmd_rates(config: Config) -> int:
+def cmd_rates(args) -> str:
     from . import rates
 
-    if not 0.0 < config.grid < math.inf:
-        raise DomainError(f"grid step {config.grid!r} must be positive and finite")
-    d_values = np.arange(0.0, rates.MAX_DISTURBANCE + config.grid / 2, config.grid)
+    if not 0.0 < args.grid < math.inf:
+        raise DomainError(f"grid step {args.grid!r} must be positive and finite")
+    d_values = np.arange(0.0, rates.MAX_DISTURBANCE + args.grid / 2, args.grid)
     d_values = np.clip(d_values, 0.0, rates.MAX_DISTURBANCE)
-    rows = rates.curve_rows(d_values, restarts=config.restarts, seed=config.seed)
+    rows = rates.curve_rows(d_values, restarts=args.restarts, seed=args.seed)
     header = ",".join(rates.CURVE_COLUMNS)
     print(header)
     lines = [header]
@@ -113,33 +92,29 @@ def cmd_rates(config: Config) -> int:
         line = ",".join(repr(float(row[c])) for c in rates.CURVE_COLUMNS)
         print(line)
         lines.append(line)
-    if config.out:
-        if config.format == "json":
-            _write_out(config.out, json.dumps(rows))
-        else:
-            _write_out(config.out, "\n".join(lines) + "\n")
-    return 0
+    if args.format == "json":
+        return json.dumps(rows)
+    return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(v: float, n: int, config: Config, records_path: str = "") -> int:
+def cmd_simulate(args) -> str:
     from . import simulate
 
-    report = simulate.stream_estimate(v, n, seed=config.seed, records=records_path)
+    report = simulate.stream_estimate(args.visibility, args.rounds, seed=args.seed, records=args.records)
     print(f"rounds:   {report.n_rounds}")
     print(f"chsh_hat: {report.chsh_hat:.17g} +- {report.chsh_stderr:.3g}")
     print(f"qber_hat: {report.qber_hat:.17g} +- {report.qber_stderr:.3g}")
     print(f"p_nl_hat: {report.p_nl_hat:.17g}")
-    if config.out:
-        _write_out(config.out, report.to_json())
-    return 0
+    return report.to_json()
 
 
-def cmd_intrinsic(p_nl: float, config: Config, announce: bool = False) -> int:
+def cmd_intrinsic(args) -> str:
     from . import attack, rates
 
+    p_nl, announce = args.p_nl, args.announce
     strategy = attack.attack_from_pnl(p_nl)
     joint = attack.sift_alice_announces(strategy) if announce else attack.sift(strategy)
-    result = rates.intrinsic_search(joint, restarts=config.restarts, seed=config.seed)
+    result = rates.intrinsic_search(joint, restarts=args.restarts, seed=args.seed)
     # intrinsic_closed is the sifted table's reference curve; it is no value of the announce variant
     reference = {} if announce else {"intrinsic_closed": rates.intrinsic_closed(p_nl)}
     bound = rates.intrinsic_upper_bound(joint)
@@ -152,30 +127,25 @@ def cmd_intrinsic(p_nl: float, config: Config, announce: bool = False) -> int:
     print("argmin channel (rows: Eve's symbol, columns: output):")
     for symbol, row in zip(joint.symbols, result.channel):
         print(f"  {symbol.label():<8}" + " ".join(f"{w:.6f}" for w in row))
-    if config.out:
-        _write_out(
-            config.out,
-            json.dumps(
-                {
-                    "p_nl": p_nl,
-                    "announce": announce,
-                    **reference,
-                    "intrinsic_numeric": result.value,
-                    "upper_bound": bound,
-                    "channel": result.channel.tolist(),
-                    "start": result.start,
-                    "steps": result.steps,
-                }
-            ),
-        )
-    return 0
+    return json.dumps(
+        {
+            "p_nl": p_nl,
+            "announce": announce,
+            **reference,
+            "intrinsic_numeric": result.value,
+            "upper_bound": bound,
+            "channel": result.channel.tolist(),
+            "start": result.start,
+            "steps": result.steps,
+        }
+    )
 
 
-def cmd_ad(n_max: int, config: Config) -> int:
+def cmd_ad(args) -> str:
     from . import rates
 
-    plain = rates.ad_threshold(n_max)
-    combined = rates.ad_preprocessing_threshold(n_max)
+    plain = rates.ad_threshold(args.n_max)
+    combined = rates.ad_preprocessing_threshold(args.n_max)
     print(f"plain threshold estimate:    {plain.threshold_estimate:.17g}")
     print(f"combined threshold estimate: {combined.threshold_estimate:.17g}")
     print(f"{'n':<6}{'zero_plain':<24}zero_with_preprocessing")
@@ -183,38 +153,24 @@ def cmd_ad(n_max: int, config: Config) -> int:
         s1 = "none" if z1 is None else f"{z1:.12g}"
         s2 = "none" if z2 is None else f"{z2:.12g}"
         print(f"{n:<6}{s1:<24}{s2}")
-    if config.out:
-        payload = {
+    return json.dumps(
+        {
             "threshold_estimate": plain.threshold_estimate,
             "per_n_curve": plain.per_n_curve,
             "preprocessing_threshold_estimate": combined.threshold_estimate,
             "preprocessing_per_n_curve": combined.per_n_curve,
         }
-        _write_out(config.out, json.dumps(payload))
-    return 0
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
     # shared flags work both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--grid", type=float, default=argparse.SUPPRESS, help="sweep resolution"
-    )
-    common.add_argument(
-        "--restarts", type=int, default=argparse.SUPPRESS, help="optimizer restarts"
-    )
-    common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="random seed"
-    )
-    common.add_argument(
-        "--format", choices=("csv", "json"), default=argparse.SUPPRESS
-    )
-    common.add_argument(
-        "--out", default=argparse.SUPPRESS, help="write machine output here"
-    )
-    common.add_argument(
-        "--tolerance", type=float, default=argparse.SUPPRESS, help="validation tolerance"
-    )
+    common.add_argument("--grid", type=float, default=argparse.SUPPRESS, help="sweep resolution")
+    common.add_argument("--restarts", type=int, default=argparse.SUPPRESS, help="optimizer restarts")
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="random seed")
+    common.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
+    common.add_argument("--out", default=argparse.SUPPRESS, help="write machine output here")
 
     parser = argparse.ArgumentParser(
         prog="nskd",
@@ -223,57 +179,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("vertices", help="list the 24 extreme points", parents=[common])
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(run=run)
+        return p
 
-    p_dec = sub.add_parser(
-        "decompose", help="minimal nonlocal-weight mixture", parents=[common]
-    )
+    command("vertices", cmd_vertices, "list the 24 extreme points")
+    p_dec = command("decompose", cmd_decompose, "minimal nonlocal-weight mixture")
     p_dec.add_argument("box_file", help="box as JSON or CSV")
-
-    sub.add_parser("rates", help="disturbance sweep of key rates", parents=[common])
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo protocol run", parents=[common])
+    command("rates", cmd_rates, "disturbance sweep of key rates")
+    p_sim = command("simulate", cmd_simulate, "Monte Carlo protocol run")
     p_sim.add_argument("--visibility", type=float, default=0.8)
     p_sim.add_argument("--rounds", type=int, default=1_000_000)
     p_sim.add_argument("--records", default="", help="write per-round CSV here")
-
-    p_int = sub.add_parser(
-        "intrinsic", help="intrinsic information at one point", parents=[common]
-    )
+    p_int = command("intrinsic", cmd_intrinsic, "intrinsic information at one point")
     p_int.add_argument("--p-nl", type=float, required=True)
-    p_int.add_argument(
-        "--announce", action="store_true", help="Alice announces her setting too"
-    )
-
-    p_ad = sub.add_parser(
-        "ad", help="advantage-distillation thresholds", parents=[common]
-    )
+    p_int.add_argument("--announce", action="store_true", help="Alice announces her setting too")
+    p_ad = command("ad", cmd_ad, "advantage-distillation thresholds")
     p_ad.add_argument("--n-max", type=int, default=30)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    # shared flags default to SUPPRESS, so an absent one takes the Config default
-    given = {f.name: getattr(args, f.name) for f in fields(Config) if hasattr(args, f.name)}
-    config = Config(**given)
+    # shared flags default to SUPPRESS in every parser, so one given before the
+    # subcommand survives it and an absent one keeps its value from here
+    args = _build_parser().parse_args(argv, argparse.Namespace(**_SHARED_DEFAULTS))
     try:
-        if args.command == "vertices":
-            return cmd_vertices(config)
-        if args.command == "decompose":
-            return cmd_decompose(args.box_file, config)
-        if args.command == "rates":
-            return cmd_rates(config)
-        if args.command == "simulate":
-            return cmd_simulate(args.visibility, args.rounds, config, args.records)
-        if args.command == "intrinsic":
-            return cmd_intrinsic(args.p_nl, config, announce=args.announce)
-        if args.command == "ad":
-            return cmd_ad(args.n_max, config)
-        parser.error(f"unknown command {args.command}")
-    except (BoxError, DomainError, EmptyInput, Infeasible, OSError, ValueError, KeyError) as exc:
+        text = args.run(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+    except (OSError, ValueError, KeyError, MemoryError) as exc:  # every nskd error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -63,11 +63,13 @@ def _cmi_log_ratio(p: np.ndarray) -> np.ndarray:
         return np.where(p > 1e-300, np.log2(p * pz / (pxz * pyz)), 0.0)
 
 
-def _check_normalized(p: np.ndarray) -> None:
+def _check_normalized(p: np.ndarray, axis=None) -> None:
+    """Raise NotNormalized unless p is finite, nonnegative and sums to one (each slice along axis)."""
     if not np.all(np.isfinite(p)):
-        raise NotNormalized("non-finite weight in distribution")
+        raise NotNormalized("weights must be finite")
     if np.any(p < -PROB_TOL):
-        raise NotNormalized("negative weight in distribution")
-    total = float(p.sum())
-    if abs(total - 1.0) > PROB_TOL:
-        raise NotNormalized(f"distribution sums to {total!r}, expected 1")
+        raise NotNormalized("weights must be nonnegative")
+    totals = np.ravel(p.sum(axis=axis))
+    worst = float(totals[np.argmax(np.abs(totals - 1.0))])
+    if abs(worst - 1.0) > PROB_TOL:
+        raise NotNormalized(f"weights sum to {worst!r}, not normalized to 1")

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import info
 from .attack import JointABE, alice_bob_stats, table_joint
-from .boxes import PROB_TOL
 from .exceptions import DomainError
 from .info import (  # noqa: F401  perfbench/tracing.py patches mutual_information here
     binary_entropy,
@@ -129,13 +128,7 @@ class Channel:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError("channel matrix must be 2-d")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("channel entries must be finite")
-        if np.any(m < -PROB_TOL):
-            raise ValueError("channel rows must be nonnegative")
-        rows = m.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > PROB_TOL):
-            raise ValueError("channel rows must sum to one")
+        info._check_normalized(m, axis=1)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -530,19 +523,23 @@ class AdThreshold:
     per_n_curve: tuple  # ((n, zero_crossing or None), ...)
 
 
+_AD_CHUNK = 512  # block lengths searched in lockstep at once
+
+
 def _block_zeros(n_max: int, block_rate) -> AdThreshold:
     """Smallest double p_nl with block_rate(ensemble) > 0 for each n <= n_max, extrapolated.
 
-    Every block rate and margin is negative at p_nl <= 1/5 (see ``ad_threshold``).  All n
-    are searched in lockstep on arrays; block_rate takes an ensemble of arrays.  A block
-    that underflows raises DomainError for the smallest such n, at the first p_nl of its
-    search that underflows, as searching each n in turn would.  Once some n has underflowed,
-    the searches of that n and every longer block are dropped: they cannot change which n
-    is reported, and every shorter block keeps its own path.
+    Every block rate and margin is negative at p_nl <= 1/5 (see ``ad_threshold``).  The n
+    are searched in lockstep on arrays, ``_AD_CHUNK`` lengths at a time; block_rate takes an
+    ensemble of arrays.  A block that underflows raises DomainError for the smallest such n,
+    at the first p_nl of its search that underflows, as searching each n in turn would.
+    Once some n has underflowed, the searches of that n and every longer block are dropped,
+    later chunks too: they cannot change which n is reported, and every shorter block keeps
+    its own path.  So the work and memory stay bounded however large n_max is.
     """
     if n_max < 2:
         raise DomainError("n_max must be at least 2")
-    ns, lost = np.arange(1, n_max + 1), {}
+    zeros, lost = [], {}
 
     def sign(p, i):
         ensemble, under = _ensemble(p, ns[i], _libm_power)
@@ -553,10 +550,13 @@ def _block_zeros(n_max: int, block_rate) -> AdThreshold:
             rate[ensemble.n >= min(lost)] = np.nan
         return rate
 
-    found = _sign_changes(sign, np.full(n_max, 0.02), np.full(n_max, 0.95))
-    if lost:
-        raise _underflow(min(lost), lost[min(lost)])
-    zeros = tuple((n, None if math.isnan(z) else z) for n, z in zip(ns.tolist(), found.tolist()))
+    for first in range(1, n_max + 1, _AD_CHUNK):
+        ns = np.arange(first, min(first + _AD_CHUNK, n_max + 1))
+        found = _sign_changes(sign, np.full(len(ns), 0.02), np.full(len(ns), 0.95))
+        if lost:
+            raise _underflow(min(lost), lost[min(lost)])
+        zeros += [(n, None if math.isnan(z) else z) for n, z in zip(ns.tolist(), found.tolist())]
+    zeros = tuple(zeros)
     return AdThreshold(threshold_estimate=_extrapolate_zeros(zeros), per_n_curve=zeros)
 
 

@@ -172,11 +172,11 @@ class TestJointValidation:
     )
     def test_rejects_malformed_tables(self, table, match):
         with pytest.raises(ValueError, match=match):
-            JointABE(p=table, symbols=TABLE_SYMBOLS, p_nl=0.5)
+            JointABE(p=table, symbols=TABLE_SYMBOLS)
 
     def test_stores_a_read_only_copy(self):
         table = table_joint(0.3).p.copy()
-        joint = JointABE(p=table, symbols=TABLE_SYMBOLS, p_nl=0.3)
+        joint = JointABE(p=table, symbols=TABLE_SYMBOLS)
         assert table.flags.writeable
         assert not joint.p.flags.writeable
         table[0, 0, 0] = 0.5

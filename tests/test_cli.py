@@ -120,14 +120,6 @@ class TestDecompose:
         assert code == 2
         assert err.startswith("error:") and message in err
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
-    def test_bad_tolerance_exits_two(self, capsys, tmp_path, tolerance):
-        box_file = tmp_path / "box.json"
-        box_file.write_text(boxes.isotropic(0.8).to_json())
-        code, _, err = run_cli(capsys, "decompose", str(box_file), "--tolerance", tolerance)
-        assert code == 2
-        assert err.startswith("error:") and "tolerance" in err
-
 
 class TestRates:
     def test_curve_zero_crossings(self, capsys, tmp_path):
@@ -170,7 +162,8 @@ class TestRates:
             ds = [float(r["d"]) for r in csv.DictReader(fh)]
         assert ds == sorted(ds)
 
-    @pytest.mark.parametrize("grid", ["0", "-0.1", "nan", "inf"])
+    # 1e-15 asks numpy for a 1 PiB grid, and that allocation fails at once
+    @pytest.mark.parametrize("grid", ["0", "-0.1", "nan", "inf", "1e-15"])
     def test_bad_grid_exits_two(self, capsys, grid):
         code, out, err = run_cli(capsys, "rates", "--grid", grid, "--restarts", "1")
         assert code == 2
@@ -385,6 +378,22 @@ class TestFlagPlacement:
     def test_flags_accepted_before_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "--seed", "1", "simulate", "--rounds", "1000")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            (["--format", "json", "vertices"], ["vertices", "--format", "json"]),
+            (["--seed", "4", "simulate", "--rounds", "20000"], ["simulate", "--rounds", "20000", "--seed", "4"]),
+        ],
+        ids=["vertices", "simulate"],
+    )
+    def test_flag_before_subcommand_takes_effect(self, capsys, tmp_path, before, after):
+        outputs = []
+        for i, argv in enumerate((before, after, after[:-2])):
+            out_file = tmp_path / f"{i}.out"
+            assert run_cli(capsys, *argv, "--out", str(out_file))[0] == 0
+            outputs.append(out_file.read_bytes())
+        assert outputs[0] == outputs[1] != outputs[2]  # the last run leaves the flag out
 
 
 @pytest.mark.parametrize(

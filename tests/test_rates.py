@@ -107,7 +107,7 @@ class TestOneWayRate:
 def preprocess_joint(joint: JointABE, q: float) -> JointABE:
     """Oracle: Alice flips her bit with probability q before reconciliation."""
     p = (1.0 - q) * joint.p + q * joint.p[::-1, :, :]
-    return JointABE(p=p, symbols=joint.symbols, p_nl=joint.p_nl)
+    return JointABE(p=p, symbols=joint.symbols)
 
 
 def single_round_rate(p_nl: float, q: float) -> float:
@@ -327,10 +327,16 @@ class TestIntrinsicNumeric:
         assert str(err.value) == "seed -3 must be a nonnegative integer"
 
     def test_channel_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotNormalized, match="sum to 0.9"):
             rates.Channel(np.array([[0.5, 0.4], [0.5, 0.5]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(NotNormalized, match="sum to 1.1"):  # each row, not only the total
+            rates.Channel(np.array([[0.6, 0.5], [0.5, 0.4]]))
+        with pytest.raises(NotNormalized, match="nonnegative"):
+            rates.Channel(np.array([[1.5, -0.5], [0.5, 0.5]]))
+        with pytest.raises(NotNormalized, match="finite"):
             rates.Channel(np.full((5, 5), np.nan))
+        with pytest.raises(ValueError, match="2-d"):
+            rates.Channel(np.full(4, 0.25))
         good = rates.Channel(np.array([[0.5, 0.5], [0.0, 1.0]]))
         joint = table_joint(0.3)
         # mapping through a valid channel never goes below the found min
@@ -587,18 +593,28 @@ class TestAdvantageDistillation:
         [
             (rates.ad_threshold, 700, 514),
             (rates.ad_threshold, 3000, 514),
+            (rates.ad_threshold, 10**6, 514),
             (rates.ad_preprocessing_threshold, 512, 512),
             (rates.ad_preprocessing_threshold, 700, 512),
             (rates.ad_preprocessing_threshold, 3000, 512),
+            (rates.ad_preprocessing_threshold, 10**6, 512),
         ],
     )
     def test_underflow_names_the_same_block_whatever_n_max(self, threshold, n_max, length):
         # the smallest underflowing n at the first p_nl of its own search; the searches of
-        # longer blocks, dropped once one has underflowed, cannot change either
+        # longer blocks, dropped once one has underflowed, cannot change either.  The lengths
+        # are searched a chunk at a time, so memory stays bounded: one search over all 10**6
+        # lengths at once peaked at about 200 MB
         at = {514: "0.20164062500000002", 512: "0.19982421875"}[length]
-        with pytest.raises(DomainError) as raised:
-            threshold(n_max)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError) as raised:
+                threshold(n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert str(raised.value) == f"block length {length} at p_nl {at} underflows double precision"
+        assert peak < 2**20
 
     def test_noise_rate_is_continuous_at_tiny_q(self):
         # eps ~ 2e-7 >> q: a Taylor series in eps around q fails here (it gave 31.6 bits at q = 1e-15)
