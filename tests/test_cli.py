@@ -120,6 +120,17 @@ class TestDecompose:
         assert code == 2
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exits_two(self, capsys, tmp_path, tolerance):
+        # every check reads PROB_TOL; the flag is refused, never read
+        box_file = tmp_path / "box.json"
+        box_file.write_text(boxes.isotropic(0.8).to_json())
+        with pytest.raises(SystemExit) as exit_info:
+            main(["decompose", str(box_file), "--tolerance", tolerance])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: --tolerance {tolerance}" in err
+
 
 class TestRates:
     def test_curve_zero_crossings(self, capsys, tmp_path):
