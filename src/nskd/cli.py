@@ -84,13 +84,15 @@ def cmd_rates(args) -> str:
         raise DomainError(f"grid step {args.grid!r} must be positive and finite")
     d_values = np.arange(0.0, rates.MAX_DISTURBANCE + args.grid / 2, args.grid)
     d_values = np.clip(d_values, 0.0, rates.MAX_DISTURBANCE)
-    rows = rates.curve_rows(d_values, restarts=args.restarts, seed=args.seed)
     header = ",".join(rates.CURVE_COLUMNS)
-    print(header)
-    lines = [header]
-    for row in rows:
+    rows, lines = [], [header]
+    for d in d_values:
+        [row] = rates.curve_rows([d], restarts=args.restarts, seed=args.seed)
         line = ",".join(repr(float(row[c])) for c in rates.CURVE_COLUMNS)
-        print(line)
+        # rows are independent, so each is printed once computed; the header waits for the
+        # first row, so a bad --seed or --restarts prints nothing
+        print(line if rows else f"{header}\n{line}", flush=True)
+        rows.append(row)
         lines.append(line)
     if args.format == "json":
         return json.dumps(rows)
@@ -196,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--p-nl", type=float, required=True)
     p_int.add_argument("--announce", action="store_true", help="Alice announces her setting too")
     p_ad = command("ad", cmd_ad, "advantage-distillation thresholds")
-    p_ad.add_argument("--n-max", type=int, default=30)
+    p_ad.add_argument("--n-max", type=int, default=30, help="longest block length, 2 to 511")
     return parser
 
 

@@ -15,7 +15,8 @@ module covers:
   random mask bit), in closed form: accepted blocks fall into two
   classes, Eve knowing the mask bit or blind to it; the rate is negative
   for every block length exactly when p_nl <= 1/5, and a block whose
-  rate terms all underflow double precision raises DomainError,
+  rate terms all underflow double precision raises DomainError (none of
+  length at most AD_MAX_N = 511 does, and thresholds stop there),
 * the map between channel disturbance and the nonlocal weight.
 """
 
@@ -425,7 +426,7 @@ def ad_block_ensemble(p_nl: float, n: int) -> AdBlockEnsemble:
         raise DomainError(f"block length {n!r} must be an integer of at least 1")
     ensemble, lost = _ensemble(p_nl, n, pow)
     if lost:
-        raise _underflow(n, p_nl)
+        raise DomainError(f"block length {n} at p_nl {p_nl!r} underflows double precision")
     return ensemble
 
 
@@ -449,10 +450,6 @@ def _ensemble(p_nl, n, power):
 def _libm_power(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     """x ** n element by element through C pow, as float ** int computes it; np.power can differ by an ulp."""
     return np.fromiter(map(pow, x.tolist(), n.tolist()), float, len(x))
-
-
-def _underflow(n: int, p_nl: float) -> DomainError:
-    return DomainError(f"block length {n} at p_nl {p_nl!r} underflows double precision")
 
 
 def ad_rate(p_nl: float, n: int) -> float:
@@ -482,9 +479,8 @@ def _sign_changes(sign_fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
     sign_fn(p, i) gives the signs at p[j] of bracket i[j].  Each bracket is halved
     at the midpoints its own ``_sign_change`` takes, so each result is the same
-    double; NaN in place of None.  A NaN sign drops its bracket, whose result is then
-    NaN, and sign_fn is not called on it again.  For one bracket the scalar loop is
-    10 to 20 times faster, so scalar callers keep it.
+    double; NaN in place of None.  For one bracket the scalar loop is 10 to 20 times
+    faster, so scalar callers keep it.
     """
     found = np.where(sign_fn(hi, np.arange(len(hi))) > 0.0, hi, np.nan)
     live, hi = np.arange(len(hi)), found
@@ -496,10 +492,8 @@ def _sign_changes(sign_fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             live, lo, hi, mid = live[inside], lo[inside], hi[inside], mid[inside]
             if not len(live):
                 return found
-        sign = sign_fn(mid, live)
-        up = sign > 0.0
+        up = sign_fn(mid, live) > 0.0
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-        hi[np.isnan(sign)] = np.nan
 
 
 def _extrapolate_zeros(zeros: list) -> float:
@@ -523,40 +517,30 @@ class AdThreshold:
     per_n_curve: tuple  # ((n, zero_crossing or None), ...)
 
 
-_AD_CHUNK = 512  # block lengths searched in lockstep at once
+# With u = (1 - p_nl)/4 and s = 1 - u, u/s >= 1/4 exactly when p_nl <= 1/5, and p_nl/s >= 1/4
+# exactly when p_nl >= 1/5.  So at every p_nl one of odds = (u/s)^n and (p_nl/s)^n is at least
+# 4^-n = 2^-2n, a normal double exactly when 2n <= 1 - min_exp, and no block of length at most
+# AD_MAX_N = 511 underflows.  At p_nl = 1/5 both equal 4^-n, and they underflow from n = 512.
+AD_MAX_N = (1 - sys.float_info.min_exp) // 2
 
 
 def _block_zeros(n_max: int, block_rate) -> AdThreshold:
     """Smallest double p_nl with block_rate(ensemble) > 0 for each n <= n_max, extrapolated.
 
-    Every block rate and margin is negative at p_nl <= 1/5 (see ``ad_threshold``).  The n
-    are searched in lockstep on arrays, ``_AD_CHUNK`` lengths at a time; block_rate takes an
-    ensemble of arrays.  A block that underflows raises DomainError for the smallest such n,
-    at the first p_nl of its search that underflows, as searching each n in turn would.
-    Once some n has underflowed, the searches of that n and every longer block are dropped,
-    later chunks too: they cannot change which n is reported, and every shorter block keeps
-    its own path.  So the work and memory stay bounded however large n_max is.
+    Every block rate and margin is negative at p_nl <= 1/5 (see ``ad_threshold``).  All n
+    are searched in one lockstep ``_sign_changes``; block_rate takes an ensemble of arrays.
+    An n_max above AD_MAX_N raises DomainError before any search, so no block underflows.
     """
+    if not isinstance(n_max, numbers.Integral):
+        raise DomainError(f"n_max {n_max!r} must be an integer")
     if n_max < 2:
         raise DomainError("n_max must be at least 2")
-    zeros, lost = [], {}
-
-    def sign(p, i):
-        ensemble, under = _ensemble(p, ns[i], _libm_power)
-        rate = block_rate(ensemble)
-        if under.any():
-            for n, at in zip(ensemble.n[under].tolist(), p[under].tolist()):
-                lost.setdefault(n, at)
-            rate[ensemble.n >= min(lost)] = np.nan
-        return rate
-
-    for first in range(1, n_max + 1, _AD_CHUNK):
-        ns = np.arange(first, min(first + _AD_CHUNK, n_max + 1))
-        found = _sign_changes(sign, np.full(len(ns), 0.02), np.full(len(ns), 0.95))
-        if lost:
-            raise _underflow(min(lost), lost[min(lost)])
-        zeros += [(n, None if math.isnan(z) else z) for n, z in zip(ns.tolist(), found.tolist())]
-    zeros = tuple(zeros)
+    if n_max > AD_MAX_N:
+        raise DomainError(f"n_max {n_max} is above {AD_MAX_N}: a longer block underflows at p_nl = 1/5")
+    ns = np.arange(1, n_max + 1)
+    bracket = np.full(n_max, 0.02), np.full(n_max, 0.95)
+    found = _sign_changes(lambda p, i: block_rate(_ensemble(p, ns[i], _libm_power)[0]), *bracket)
+    zeros = tuple((n, None if math.isnan(z) else z) for n, z in zip(ns.tolist(), found.tolist()))
     return AdThreshold(threshold_estimate=_extrapolate_zeros(zeros), per_n_curve=zeros)
 
 
@@ -654,6 +638,8 @@ def ad_with_preprocessing(p_nl: float, n_max: int) -> dict:
     which penalizes the eavesdropper's mostly-certain posterior more
     than Bob's estimate.
     """
+    if not isinstance(n_max, numbers.Integral):
+        raise DomainError(f"n_max {n_max!r} must be an integer")
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     best = {"best_rate": -math.inf, "best_rate_sign": -1, "q_used": 0.0, "n_used": 1}

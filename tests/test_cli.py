@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -172,6 +171,30 @@ class TestRates:
         with open(out_file) as fh:
             ds = [float(r["d"]) for r in csv.DictReader(fh)]
         assert ds == sorted(ds)
+
+    def test_each_row_is_printed_before_the_next_is_computed(self, capsys, monkeypatch):
+        seen = []  # stdout printed before each call of curve_rows
+
+        def one_row_at_a_time(d_values, restarts, seed):
+            seen.append(capsys.readouterr().out)
+            return compute(d_values, restarts, seed)
+
+        compute = rates.curve_rows
+        monkeypatch.setattr(rates, "curve_rows", one_row_at_a_time)
+        code = main(["rates", "--grid", "0.05", "--restarts", "1"])
+        seen.append(capsys.readouterr().out)
+        assert code == 0
+        # nothing before the first row, then the header with the first row, then one row per call
+        assert [part.count("\n") for part in seen] == [0, 2, 1, 1, 1]
+        assert "".join(seen).splitlines()[0] == ",".join(rates.CURVE_COLUMNS)
+
+    def test_rows_equal_one_sweep_over_the_grid(self, capsys, tmp_path):
+        out_file = tmp_path / "curve.json"
+        argv = ["rates", "--grid", "0.03", "--restarts", "1", "--format", "json", "--out", str(out_file)]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        d_values = np.clip(np.arange(0.0, rates.MAX_DISTURBANCE + 0.015, 0.03), 0.0, rates.MAX_DISTURBANCE)
+        assert json.loads(out_file.read_text()) == rates.curve_rows(d_values, restarts=1)
 
     # 1e-15 asks numpy for a 1 PiB grid, and that allocation fails at once
     @pytest.mark.parametrize("grid", ["0", "-0.1", "nan", "inf", "1e-15"])
@@ -365,19 +388,19 @@ class TestAdCommand:
         )
 
     def test_underflowing_block_length_exits_two(self, capsys):
-        # past n ~ 510 every term of the block rate underflows near p_nl = 1/5
+        # from n = 512 every term of the block rate underflows at p_nl = 1/5
         code, out, err = run_cli(capsys, "ad", "--n-max", "3000")
         assert code == 2
-        assert re.match(r"error: block length \d+ at p_nl [0-9.]+ underflows", err)
+        assert err == "error: n_max 3000 is above 511: a longer block underflows at p_nl = 1/5\n"
         assert out == ""
 
     def test_documented_block_length_limit(self, capsys):
-        # the README's limit: every length up to 511 answers, and 512 underflows just below p_nl = 1/5
+        # the README's limit, rates.AD_MAX_N: every length up to 511 answers, and 512 is refused
         code, _, _ = run_cli(capsys, "ad", "--n-max", "511")
         assert code == 0
         code, out, err = run_cli(capsys, "ad", "--n-max", "512")
         assert code == 2
-        assert err == "error: block length 512 at p_nl 0.19982421875 underflows double precision\n"
+        assert err == "error: n_max 512 is above 511: a longer block underflows at p_nl = 1/5\n"
         assert out == ""
 
 

@@ -115,3 +115,20 @@ def test_namespace_is_the_eager_one():
     assert report["wrong_lookup"] == []
     assert report["wrong_star"] == []
     assert report["unknown"] == "module 'nskd' has no attribute 'no_such_name'"
+
+
+def test_readme_library_example_runs():
+    # the README's example calls the public API, so an API change that breaks it fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(nskd.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", example],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 3  # the example's three prints

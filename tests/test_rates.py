@@ -588,24 +588,27 @@ class TestAdvantageDistillation:
             with pytest.raises(DomainError, match=f"block length {n} at p_nl 0.02"):
                 rates.ad_block_ensemble(0.02, n)
 
+    def test_no_block_up_to_ad_max_n_underflows(self):
+        # one of (u/s)^n and (p_nl/s)^n is at least 4^-n at every p_nl, and both are 4^-n at 1/5
+        assert rates.AD_MAX_N == 511
+        near_fifth = [0.2]
+        for direction in (0.0, 1.0):
+            p = 0.2
+            for _ in range(1000):
+                p = math.nextafter(p, direction)
+                near_fifth.append(p)
+        for p_nl in (np.linspace(0.0, 1.0, 100_001), np.array(near_fifth)):
+            _, under = rates._ensemble(p_nl, np.full(len(p_nl), rates.AD_MAX_N), rates._libm_power)
+            assert not under.any()
+        with pytest.raises(DomainError, match=f"block length {rates.AD_MAX_N + 1} at p_nl 0.2 underflows"):
+            rates.ad_block_ensemble(0.2, rates.AD_MAX_N + 1)
+
+    @pytest.mark.parametrize("n_max", [512, 513, 700, 3000, 10**6])
     @pytest.mark.parametrize(
-        "threshold, n_max, length",
-        [
-            (rates.ad_threshold, 700, 514),
-            (rates.ad_threshold, 3000, 514),
-            (rates.ad_threshold, 10**6, 514),
-            (rates.ad_preprocessing_threshold, 512, 512),
-            (rates.ad_preprocessing_threshold, 700, 512),
-            (rates.ad_preprocessing_threshold, 3000, 512),
-            (rates.ad_preprocessing_threshold, 10**6, 512),
-        ],
+        "threshold", [rates.ad_threshold, rates.ad_preprocessing_threshold], ids=["plain", "preprocessing"]
     )
-    def test_underflow_names_the_same_block_whatever_n_max(self, threshold, n_max, length):
-        # the smallest underflowing n at the first p_nl of its own search; the searches of
-        # longer blocks, dropped once one has underflowed, cannot change either.  The lengths
-        # are searched a chunk at a time, so memory stays bounded: one search over all 10**6
-        # lengths at once peaked at about 200 MB
-        at = {514: "0.20164062500000002", 512: "0.19982421875"}[length]
+    def test_thresholds_refuse_n_max_above_the_bound(self, threshold, n_max):
+        # refused before any search, so neither time nor memory grows with n_max
         tracemalloc.start()
         try:
             with pytest.raises(DomainError) as raised:
@@ -613,8 +616,26 @@ class TestAdvantageDistillation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert str(raised.value) == f"block length {length} at p_nl {at} underflows double precision"
+        assert str(raised.value) == f"n_max {n_max} is above 511: a longer block underflows at p_nl = 1/5"
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: rates.ad_threshold(30.0),
+            lambda: rates.ad_preprocessing_threshold(np.float64(3.7)),
+            lambda: rates.ad_with_preprocessing(0.5, 2.5),
+        ],
+        ids=["plain", "preprocessing", "with_preprocessing"],
+    )
+    def test_rejects_n_max_that_is_not_an_integer(self, call):
+        # range() once raised a bare TypeError here
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+
+    def test_accepts_numpy_integer_n_max(self):
+        assert rates.ad_threshold(np.int64(30)) == rates.ad_threshold(30)
+        assert rates.ad_with_preprocessing(0.5, np.int32(3)) == rates.ad_with_preprocessing(0.5, 3)
 
     def test_noise_rate_is_continuous_at_tiny_q(self):
         # eps ~ 2e-7 >> q: a Taylor series in eps around q fails here (it gave 31.6 bits at q = 1e-15)
@@ -804,6 +825,29 @@ class TestExactSearch:
         result = threshold(n_max)
         assert result.per_n_curve == zeros
         assert result.threshold_estimate == rates._extrapolate_zeros(zeros)
+
+    def test_lockstep_bisection_equals_one_bisection_per_bracket(self):
+        # monotone increasing sign functions, two with no sign change in their bracket
+        brackets = [
+            (lambda p: p - 0.3, 0.0, 1.0),
+            (lambda p: p**3 - 0.125, 0.1, 0.9),
+            (lambda p: math.log(p) + 1.0, 0.01, 2.0),
+            (lambda p: p - 0.7, 0.0, 0.5),  # sign_fn(hi) < 0
+            (lambda p: p - 0.25, 1e-300, 0.25),  # sign_fn(hi) == 0
+            (lambda p: math.tanh(p - 1e-9), -1.0, 1e-3),
+        ]
+        fns = [fn for fn, _, _ in brackets]
+
+        def sign_fn(p, i):
+            return np.array([fns[k](x) for x, k in zip(p.tolist(), i.tolist())])
+
+        lo = np.array([b[1] for b in brackets])
+        hi = np.array([b[2] for b in brackets])
+        found = rates._sign_changes(sign_fn, lo, hi)
+        for (fn, a, b), z in zip(brackets, found.tolist()):
+            alone = rates._sign_change(fn, a, b)
+            assert math.isnan(z) if alone is None else z == alone, (a, b, z, alone)
+        assert np.isnan(found).sum() == 2
 
     def test_oneway_zero_is_the_smallest_positive_double(self):
         z = rates.oneway_threshold()
