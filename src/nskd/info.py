@@ -19,7 +19,20 @@ def binary_entropy(p: float) -> float:
         raise DomainError(f"binary_entropy argument {p!r} outside [0, 1]")
     if p == 0.0 or p == 1.0:
         return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+    return float(_entropy(p))
+
+
+_LN2 = np.log(2.0)
+
+
+def _entropy(p):
+    """h(p) = -(p ln p + (1 - p) log1p(-p)) / ln 2 of a float or an array in [0, 1), h(0) = 0; unchecked.
+
+    The second term goes through log1p(-p): 1 - p rounds away the bits of p below
+    2^-53, so log2(1 - p) would be 0 for p < 1.1e-16 and h would lose its p / ln 2
+    part, as large as a block rate blind - h(p) of that order.
+    """
+    return -(p * np.log(np.where(p > 0.0, p, 1.0)) + (1.0 - p) * np.log1p(-p)) / _LN2
 
 
 def mutual_information(joint) -> float:
@@ -55,12 +68,15 @@ def _cmi_log_ratio(p: np.ndarray) -> np.ndarray:
 
     I(X:Y|Z) is the p-weighted sum of this array; it is also the gradient
     of I(X:Y|Z) in p, since the +1 terms of the four entropies cancel.
+    The ratio is taken as (p(x,y,z)/p(x,z)) (p(z)/p(y,z)): where p(x,y,z) > 1e-300 each
+    factor lies in [1e-300, 1e300], while the products p(x,y,z) p(z) and p(x,z) p(y,z)
+    of cells near 1e-200 underflow to 0/0.
     """
     pz = p.sum(axis=(-3, -2))[..., None, None, :]
     pxz = p.sum(axis=-2)[..., :, None, :]
     pyz = p.sum(axis=-3)[..., None, :, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(p > 1e-300, np.log2(p * pz / (pxz * pyz)), 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # only where p <= 1e-300
+        return np.where(p > 1e-300, np.log2(p / pxz * (pz / pyz)), 0.0)
 
 
 def _check_normalized(p: np.ndarray, axis=None) -> None:

@@ -140,10 +140,11 @@ def cmi_given_channel(joint: JointABE, channel: Channel) -> float:
     return conditional_mutual_information(mapped)
 
 
-# Exponentiated-gradient descent on the channel rows, of step size 1: the
-# step count, and the weight of the uniform channel mixed into every start
-# (a multiplicative update never moves an entry away from zero).
-EG_STEPS = 1000
+# Exponentiated-gradient descent on the channel rows: the step count, the step size, and the
+# weight of the uniform channel mixed into every start (a multiplicative update never moves
+# an entry away from zero).  The step is a power of two, so scaling the gradient by it is exact.
+EG_STEPS = 400
+EG_STEP = 4.0
 START_MIX = 1e-2
 MAX_OUTPUTS = 5  # the channel maps Eve's symbol to min(MAX_OUTPUTS, |E|) outputs
 
@@ -204,10 +205,14 @@ def _starts(p_abe: np.ndarray, restarts: int, seed: int, m: int) -> np.ndarray:
 
 
 def _descend(q: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The channels after EG_STEPS steps from each start[i] mixed with START_MIX of uniform.
+    """The channels after EG_STEPS steps of size EG_STEP from each start[i] mixed with START_MIX of uniform.
 
-    A step is W <- W exp(min_z G - G), rows renormalized, with the gradient
-    G[e, z] = dI(A:B|Ē)/dW[e, z] = sum_ab p(a,b,e) log-ratio(a,b,z) of each channel.  Logs are of
+    The descent runs on V = ln W, taken once from the mixed starts.  A step is
+    V <- V - EG_STEP G, then V <- V - max_z V, then W = exp(V) with rows renormalized, with the
+    gradient G[e, z] = dI(A:B|Ē)/dW[e, z] = sum_ab p(a,b,e) log-ratio(a,b,z) of each channel:
+    the update W <- W exp(-EG_STEP G) of exponentiated gradient.  After the shift each row's
+    largest entry is exp(0) = 1, so no row sums to 0 however long the step.  The step is folded
+    into the last product's matrix, EG_STEP Q[:4]^T, exact for a power of two.  Logs are of
     values clamped at 1e-300, and the log-ratio is 0 where m(a,b,z) <= 1e-300, as in
     ``info._cmi_log_ratio``.  The channels sit side by side in one matrix, so each column's
     rounding is its own, whatever columns sit beside it.  Every step runs in work arrays
@@ -218,23 +223,24 @@ def _descend(q: np.ndarray, starts: np.ndarray) -> np.ndarray:
     and the operands are 0-d arrays, since a Python float is converted on every call.
     """
     w = ((1.0 - START_MIX) * starts + START_MIX / starts.shape[-1]).transpose(1, 2, 0).copy()
-    k, m, r = w.shape  # w[e, z, start], the z sums and minima run across contiguous rows
+    k, m, r = w.shape  # w[e, z, start], the z sums and maxima run across contiguous rows
+    v = np.log(w)
     lin, log_ratio, grad = np.empty((len(q), m * r)), np.empty((4, m * r)), np.empty((k, m * r))
-    empty, (gmin, total) = np.empty((4, m * r), bool), np.empty((2, k, 1, r))
+    empty, (vmax, total) = np.empty((4, m * r), bool), np.empty((2, k, 1, r))
     flat, grad3, lin4 = w.reshape(k, -1), grad.reshape(w.shape), lin[:4]
-    q_dot, ratio_dot, q4t_dot = q.dot, _LOG_RATIO.dot, q[:4].T.dot
+    q_dot, ratio_dot, step_dot = q.dot, _LOG_RATIO.dot, (EG_STEP * q[:4]).T.dot
     less_equal, maximum, log2, putmask, exp = np.less_equal, np.maximum, np.log2, np.putmask, np.exp
-    zmin, zsum, subtract, multiply, divide = np.minimum.reduce, np.add.reduce, np.subtract, np.multiply, np.divide
+    zmax, zsum, subtract, divide = np.maximum.reduce, np.add.reduce, np.subtract, np.divide
     for _ in range(EG_STEPS):
         q_dot(flat, lin)
         less_equal(lin4, _TINY, empty)
         log2(maximum(lin, _TINY, out=lin), lin)  # a positional out is deprecated for maximum
         ratio_dot(lin, log_ratio)
         putmask(log_ratio, empty, _ZERO)
-        q4t_dot(log_ratio, grad)
-        zmin(grad3, 1, None, gmin, True)  # axis, dtype, out, keepdims
-        exp(subtract(gmin, grad3, grad3), grad3)  # exp(min_z G - G) <= 1
-        multiply(w, grad3, w)
+        step_dot(log_ratio, grad)
+        subtract(v, grad3, v)
+        zmax(v, 1, None, vmax, True)  # axis, dtype, out, keepdims
+        exp(subtract(v, vmax, v), w)  # exp(V - max_z V) <= 1
         divide(w, zsum(w, 1, None, total, True), w)
     return w.transpose(2, 0, 1)
 
@@ -245,8 +251,8 @@ def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> Intr
     Every start (identity, constant, uniform, the deterministic maps of
     the best partitions of Eve's symbols, then seeded row-Dirichlet
     draws) is mixed with START_MIX of the uniform channel and descends
-    by EG_STEPS exponentiated-gradient steps
-    W <- W exp(min_z G - G), rows renormalized, all starts at
+    by EG_STEPS exponentiated-gradient steps of size EG_STEP,
+    W <- W exp(-EG_STEP G), rows renormalized, taken in log space, all starts at
     once in one gradient per step (``_descend``).  The result is the best of the
     unmixed starts and the final channels (the lowest index on a tie), so
     it never exceeds a start's exact value.  A start's descent rounds the
@@ -398,9 +404,11 @@ class AdBlockEnsemble:
         one-way step, the same Bernoulli pre-processing as in the
         single-round analysis but acting on the block-level secret:
         [1 - h(q*eps)] - (1 - blind)[1 - h(q)].  The two 1-bit constants
-        cancel exactly, and the remaining tiny quantities are evaluated
-        through cancellation-free helpers so the sign survives for long
-        blocks.
+        cancel exactly.  For q > 0 the tiny remaining quantities go through
+        cancellation-free helpers; at q = 0 the rate is blind - h(eps), with
+        the h of ``binary_entropy``, whose log1p(-eps) keeps the eps / ln 2
+        term that log2(1 - eps) rounds to 0 once eps < 1.1e-16.  Either way
+        the sign survives for long blocks.
         """
         return _capacity_drop(self.bob_error, q) + self.blind * _one_minus_h(q)
 
@@ -545,10 +553,8 @@ def _block_zeros(n_max: int, block_rate) -> AdThreshold:
 
 
 def _entropy_deficit(ensemble: AdBlockEnsemble) -> np.ndarray:
-    """rate() = blind - h(eps) of an ensemble of arrays, with the operations of ``binary_entropy``."""
-    eps = ensemble.bob_error
-    h = -eps * np.log2(np.where(eps > 0.0, eps, 1.0)) - (1.0 - eps) * np.log2(1.0 - eps)  # h(0) = 0
-    return ensemble.blind - h
+    """rate() = blind - h(eps) of an ensemble of arrays, with the h of ``binary_entropy``."""
+    return ensemble.blind - info._entropy(ensemble.bob_error)
 
 
 AD_LIMIT = 0.2  # exact asymptotic threshold, with or without noise; see ad_threshold
