@@ -66,6 +66,7 @@ _EXPORTS = {
         "ck_rate",
         "disturbance_to_pnl",
         "intrinsic_closed",
+        "intrinsic_exact",
         "intrinsic_numeric",
         "intrinsic_search",
         "oneway_rate",

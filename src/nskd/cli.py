@@ -169,8 +169,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # shared flags work both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--grid", type=float, default=argparse.SUPPRESS, help="sweep resolution")
-    common.add_argument("--restarts", type=int, default=argparse.SUPPRESS, help="optimizer restarts")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="random seed")
+    common.add_argument(
+        "--restarts", type=int, default=argparse.SUPPRESS, help="intrinsic search starts; rates only checks it"
+    )
+    common.add_argument(
+        "--seed", type=int, default=argparse.SUPPRESS, help="simulate and intrinsic seed; rates only checks it"
+    )
     common.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS, help="write machine output here")
 

@@ -9,8 +9,11 @@ module covers:
   distillation block, its rate unimodal in the noise; every threshold
   with noise is the exact sign test ``AdBlockEnsemble.noise_margin()``,
   not a noise search (for one round it is sqrt(5) - 2),
-* intrinsic information, both the closed-form reference curve and an
-  honest numerical minimization over Eve's processing channels,
+* intrinsic information: the closed-form reference curve, the exact
+  I(A:B down E) of both sifted joints (``intrinsic_exact``: the merge
+  channel that attains it and a tangent dual that bounds it below, the
+  sweep's intrinsic column), and an honest numerical minimization over
+  Eve's processing channels,
 * the two-way advantage-distillation protocol (repetition blocks with a
   random mask bit), in closed form: accepted blocks fall into two
   classes, Eve knowing the mask bit or blind to it; the rate is negative
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import info
-from .attack import JointABE, alice_bob_stats, table_joint
+from .attack import JointABE, alice_bob_stats, attack_from_pnl, sift_alice_announces, table_joint
 from .exceptions import DomainError
 from .info import (  # noqa: F401  perfbench/tracing.py patches mutual_information here
     binary_entropy,
@@ -255,28 +258,36 @@ def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> Intr
     W <- W exp(-EG_STEP G), rows renormalized, taken in log space, all starts at
     once in one gradient per step (``_descend``).  The result is the best of the
     unmixed starts and the final channels (the lowest index on a tie), so
-    it never exceeds a start's exact value.  A start's descent rounds the
-    same alone or in any batch, so the value is nonincreasing in ``restarts``.
+    it never exceeds a start's exact value; at restarts = 1 the unmixed
+    constant channel is scored as well, undescended, so the value never
+    exceeds I(A:B).  A start's descent rounds the same alone or in any
+    batch, so the value is nonincreasing in ``restarts``.
 
     A local method cannot certify the global minimum; the returned
     channel certifies that the minimum is at most ``value``.
     """
-    if restarts < 1:
-        raise DomainError("restarts must be at least 1")
-    if seed < 0:
-        raise DomainError(f"seed {seed} must be a nonnegative integer")
+    _check_search(restarts, seed)
     p_abe = np.asarray(joint.p, dtype=float)
     m = min(MAX_OUTPUTS, p_abe.shape[2])
-    starts = _starts(p_abe, restarts, seed, m)
-    candidates = np.concatenate([starts, _descend(_MARGINALS @ p_abe.reshape(4, -1), starts)])
+    # at one restart the constant channel, start 1, is scored too: its value I(A:B) bounds I down E
+    scored = _starts(p_abe, max(restarts, 2), seed, m)
+    candidates = np.concatenate([scored, _descend(_MARGINALS @ p_abe.reshape(4, -1), scored[:restarts])])
     best = int(np.argmin(info._cmi(p_abe @ candidates[:, None])))
     certificate = Channel(candidates[best])
     return IntrinsicResult(
         value=cmi_given_channel(joint, certificate),
         channel=certificate.matrix,
-        start=best % restarts,
-        steps=EG_STEPS if best >= restarts else 0,
+        start=best % len(scored),
+        steps=EG_STEPS if best >= len(scored) else 0,
     )
+
+
+def _check_search(restarts: int, seed: int) -> None:
+    """Raise DomainError unless restarts >= 1 and seed >= 0."""
+    if restarts < 1:
+        raise DomainError("restarts must be at least 1")
+    if seed < 0:
+        raise DomainError(f"seed {seed} must be a nonnegative integer")
 
 
 def intrinsic_numeric(joint: JointABE, restarts: int = 64, seed: int = 0) -> float:
@@ -288,6 +299,72 @@ def intrinsic_upper_bound(joint: JointABE) -> float:
     """min(I(A:B), I(A:B|E)); any channel value must stay below this."""
     stats = alice_bob_stats(joint)
     return min(stats.i_ab, conditional_mutual_information(joint.p))
+
+
+@dataclass(frozen=True)
+class IntrinsicCertificate:
+    """I(A:B down E) of a sifted joint, bracketed: lower <= I(A:B down E) <= value."""
+
+    value: float  # cmi_given_channel(joint, Channel(channel)), attained by the channel
+    lower: float  # dual . p_E, a lower bound wherever the dual is feasible
+    channel: np.ndarray  # shape (n_symbols, 3): outputs (0,0), (1,1) and the merged symbol
+    dual: np.ndarray  # one coefficient per Eve symbol
+
+
+def intrinsic_exact(p_nl: float, announce: bool = False) -> IntrinsicCertificate:
+    """I(A:B down E) of ``table_joint(p_nl)``, or of its announce variant, with its certificate.
+
+    The channel keeps (0,0) and (1,1) and merges every other symbol.  In
+    the merged output Bob's bit differs from Alice's with probability eps,
+    eps = (1-p)/(2(1+p)) for the table and (1-p)/(1+3p) once Alice also
+    announces her setting, so I(A:B down E) <= W (1 - h(eps)), W the merged
+    weight.  In the announce variant below p = 1/5 the channel also sends a
+    fraction lambda = (1-5p)/(3(1-p)) of (0,0) and of (1,1) to the merged
+    output, which leaves A and B independent there: I(A:B down E) = 0.
+    ``value`` is ``cmi_given_channel`` on that channel.
+
+    I(A:B down E) is the lower convex envelope, at p_E, of g(pi) = I(A:B)
+    under sum_e pi_e p(a,b|e) over the simplex of Eve's symbols (Christandl,
+    Renner & Wolf, ISIT 2003), so every c with c . pi <= g(pi) on the
+    simplex gives I(A:B down E) >= c . p_E.  With f(t) = 1 - h(t), the
+    dual is 0 on the kept symbols and, on a merged symbol whose own error
+    rate is t_e, the tangent to f at eps taken at t_e:
+    c_e = f(eps) + f'(eps) (t_e - eps), f'(eps) = log2(eps/(1-eps)).  In
+    symbol order that is (0, 0, c2 + f'/2, c2 + f'/2, c2) for the table and
+    (0, c2 + f', c2 + f', 0, c2) for the announce variant, c2 = f(eps) - eps f'.
+    The merged errors average to eps, so ``lower`` = c . p_E = W f(eps), the
+    value, up to rounding.  Below p = 1/5 in the announce variant the dual
+    is 0.  At p_nl = 1 Eve has the single symbol (?,?), eps = 0 and f' is
+    -inf, so the dual is (value,) and ``lower`` is the value.
+
+    Feasibility, c . pi <= g(pi) on the simplex, is checked on its
+    vertices, its edges and Dirichlet samples (tests/test_intrinsic_exact.py),
+    not proved.
+    """
+    joint = sift_alice_announces(attack_from_pnl(p_nl)) if announce else table_joint(p_nl)
+    if announce:
+        eps = (1.0 - p_nl) / (1.0 + 3.0 * p_nl)
+        fraction = (1.0 - 5.0 * p_nl) / (3.0 * (1.0 - p_nl)) if p_nl < 0.2 else 0.0
+    else:
+        eps, fraction = (1.0 - p_nl) / (2.0 * (1.0 + p_nl)), 0.0
+    channel = np.zeros((len(joint.symbols), 3))
+    kept = np.array([s.e_a is not None and s.e_a == s.e_b for s in joint.symbols])
+    for row, symbol, keep in zip(channel, joint.symbols, kept):
+        if keep:
+            row[symbol.e_a], row[2] = 1.0 - fraction, fraction
+        else:
+            row[2] = 1.0
+    value = cmi_given_channel(joint, Channel(channel))
+    p_e = joint.p.sum(axis=(0, 1))
+    if eps == 0.0:
+        dual = np.array([value])
+    elif fraction > 0.0:
+        dual = np.zeros(len(p_e))
+    else:
+        slope = (math.log(eps) - math.log1p(-eps)) * LOG2E
+        errors = (joint.p[0, 1] + joint.p[1, 0]) / p_e  # t_e, exactly 0, 1/2 or 1 here
+        dual = np.where(kept, 0.0, 1.0 - info._entropy(eps) + slope * (errors - eps))
+    return IntrinsicCertificate(value=value, lower=float(dual @ p_e), channel=channel, dual=dual)
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +757,17 @@ CURVE_COLUMNS = (
 
 
 def curve_rows(d_values, restarts: int = 16, seed: int = 0):
-    """Disturbance sweep used by the command-line rates report."""
+    """Disturbance sweep used by the command-line rates report.
+
+    ``intrinsic_numeric`` is ``intrinsic_exact(p_nl).value``, I(A:B down E)
+    attained by the merge channel, so no row runs the search; ``restarts``
+    and ``seed`` are only checked, as ``intrinsic_search`` checks them.
+    """
+    _check_search(restarts, seed)
     rows = []
     for d in d_values:
         p_nl = disturbance_to_pnl(float(d))
         opt = optimize_preprocessing(p_nl)
-        joint = table_joint(p_nl)
         rows.append(
             {
                 "d": float(d),
@@ -694,9 +776,7 @@ def curve_rows(d_values, restarts: int = 16, seed: int = 0):
                 "rate_opt": opt.rate,
                 "q_opt": opt.q_opt,
                 "intrinsic_closed": intrinsic_closed(p_nl),
-                "intrinsic_numeric": intrinsic_numeric(
-                    joint, restarts=restarts, seed=seed
-                ),
+                "intrinsic_numeric": intrinsic_exact(p_nl).value,
             }
         )
     return rows

@@ -196,6 +196,41 @@ class TestRates:
         d_values = np.clip(np.arange(0.0, rates.MAX_DISTURBANCE + 0.015, 0.03), 0.0, rates.MAX_DISTURBANCE)
         assert json.loads(out_file.read_text()) == rates.curve_rows(d_values, restarts=1)
 
+    def test_restarts_and_seed_do_not_change_the_sweep(self, capsys, tmp_path):
+        outputs = []
+        for i, flags in enumerate((["--restarts", "1"], ["--restarts", "8", "--seed", "5"])):
+            out_file = tmp_path / f"{i}.csv"
+            code, out, _ = run_cli(capsys, "rates", "--grid", "0.03", *flags, "--out", str(out_file))
+            assert code == 0
+            outputs.append((out, out_file.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_default_sweep_runs_no_descent(self, capsys, tmp_path, monkeypatch):
+        # the intrinsic column is the merge channel's exact value, equal to the search's to rounding
+        def no_descent(*args):
+            raise AssertionError("rates._descend called")
+
+        out_file = tmp_path / "curve.csv"
+        with monkeypatch.context() as patch:
+            patch.setattr(rates, "_descend", no_descent)
+            code, _, _ = run_cli(capsys, "rates", "--out", str(out_file))
+        assert code == 0
+        rows = list(csv.reader(out_file.read_text().splitlines()))
+        assert rows[0] == list(rates.CURVE_COLUMNS) and len(rows) == 31
+        for line in rows[1:]:
+            row = dict(zip(rates.CURVE_COLUMNS, line))
+            p_nl = float(row["p_nl"])
+            found = rates.intrinsic_search(attack.table_joint(p_nl), restarts=12, seed=0).value
+            assert abs(float(row["intrinsic_numeric"]) - found) <= 1e-15, p_nl
+            opt = rates.optimize_preprocessing(p_nl)
+            assert row["p_nl"] == repr(rates.disturbance_to_pnl(float(row["d"])))
+            assert [row["rate_q0"], row["rate_opt"], row["q_opt"], row["intrinsic_closed"]] == [
+                repr(rates.ck_rate(p_nl)),
+                repr(opt.rate),
+                repr(opt.q_opt),
+                repr(rates.intrinsic_closed(p_nl)),
+            ]
+
     # 1e-15 asks numpy for a 1 PiB grid, and that allocation fails at once
     @pytest.mark.parametrize("grid", ["0", "-0.1", "nan", "inf", "1e-15"])
     def test_bad_grid_exits_two(self, capsys, grid):

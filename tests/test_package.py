@@ -56,6 +56,7 @@ EXPORTS = {
         "ck_rate",
         "disturbance_to_pnl",
         "intrinsic_closed",
+        "intrinsic_exact",
         "intrinsic_numeric",
         "intrinsic_search",
         "oneway_rate",
@@ -109,7 +110,7 @@ def test_namespace_is_the_eager_one():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["names"] == 53 + 7 + 1
+    assert report["names"] == 54 + 7 + 1
     assert report["version"] == "0.1.0"
     assert report["not_listed"] == []
     assert report["wrong_lookup"] == []

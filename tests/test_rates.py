@@ -312,6 +312,12 @@ def sparse_joints(draw):
     return JointABE(p=(cells / cells.sum()).reshape(2, 2, k), symbols=tuple(range(k)))
 
 
+# A sparse joint drawn by sparse_joints, to the digits recorded when restarts 1 returned
+# 0.001635 on it against I(A:B) = 0.001467; the joint written here gave 0.001646 against 0.001478.
+_TWO_SYMBOL_CELLS = np.array([[[1.1e-5, 0.93], [0.044, 0.0]], [[1.8e-5, 0.0229], [0.00167, 0.00133]]])
+TWO_SYMBOL_JOINT = JointABE(p=_TWO_SYMBOL_CELLS / _TWO_SYMBOL_CELLS.sum(), symbols=(0, 1))
+
+
 def _without_01_row(p_abe):
     """p(a, b, e) with its (a, b) = (0, 1) row zeroed and the rest renormalized."""
     p_abe = p_abe.copy()
@@ -496,13 +502,14 @@ class TestIntrinsicNumeric:
     @pytest.mark.parametrize("step", [rates.EG_STEP, 8.0], ids=["eg-step", "step-8"])
     @given(joint=st.one_of(sparse_joints(), st.floats(min_value=0.05, max_value=0.95).map(_announce)))
     @example(joint=_announce(0.55))
+    @example(joint=TWO_SYMBOL_JOINT)
     @settings(max_examples=20, derandomize=True, deadline=None)
     def test_search_is_finite_and_bounded(self, step, joint):
         # the max-shift keeps a largest entry of 1 in every row, so even step 8 stays finite;
         # the multiplicative update W exp(-8 G) underflowed whole rows to 0/0 on the announce
-        # variant at p_nl 0.49 to 0.58.  One start is the identity alone, whose descent may
-        # stop above I(A:B); from two starts on, the constant channel, of value I(A:B), is a
-        # candidate.
+        # variant at p_nl 0.49 to 0.58.  The constant channel, of value I(A:B), is scored at
+        # every restart count: one start is the identity alone, whose descent stopped above
+        # I(A:B) on TWO_SYMBOL_JOINT.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rates, "EG_STEP", step)
             for restarts in (1, 12):
@@ -512,7 +519,7 @@ class TestIntrinsicNumeric:
                 m = min(rates.MAX_OUTPUTS, joint.p.shape[2])
                 for start in rates._starts(joint.p, restarts, 0, m):
                     assert 0.0 <= result.value <= rates.cmi_given_channel(joint, rates.Channel(start))
-            assert result.value <= rates.intrinsic_upper_bound(joint) + 1e-12
+                assert result.value <= rates.intrinsic_upper_bound(joint) + 1e-12
 
     @pytest.mark.parametrize("announce", [False, True], ids=["table", "announce"])
     def test_search_reaches_the_exact_minimum_of_both_sifted_joints(self, announce):
@@ -1015,6 +1022,19 @@ class TestRateReport:
         assert row["intrinsic_numeric"] <= row["intrinsic_closed"] + OPT_TOL
         assert 0.0 <= row["q_opt"] <= 0.5
         assert row["p_nl"] == pytest.approx(0.35, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "restarts, seed, message",
+        [(0, 0, "restarts must be at least 1"), (1, -1, "seed -1 must be a nonnegative integer")],
+    )
+    def test_curve_rows_checks_restarts_and_seed_before_any_row(self, restarts, seed, message):
+        def grid():
+            raise AssertionError("a row was computed")
+            yield 0.0
+
+        with pytest.raises(DomainError) as err:
+            rates.curve_rows(grid(), restarts=restarts, seed=seed)
+        assert str(err.value) == message
 
     def test_curve_rows_columns(self):
         rows = rates.curve_rows([0.0, 0.05], restarts=2, seed=0)
