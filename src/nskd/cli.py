@@ -152,9 +152,7 @@ def cmd_ad(args) -> str:
     print(f"combined threshold estimate: {combined.threshold_estimate:.17g}")
     print(f"{'n':<6}{'zero_plain':<24}zero_with_preprocessing")
     for (n, z1), (_, z2) in zip(plain.per_n_curve, combined.per_n_curve):
-        s1 = "none" if z1 is None else f"{z1:.12g}"
-        s2 = "none" if z2 is None else f"{z2:.12g}"
-        print(f"{n:<6}{s1:<24}{s2}")
+        print(f"{n:<6}{z1:<24.12g}{z2:.12g}")
     return json.dumps(
         {
             "threshold_estimate": plain.threshold_estimate,

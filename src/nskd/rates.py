@@ -283,10 +283,12 @@ def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> Intr
 
 
 def _check_search(restarts: int, seed: int) -> None:
-    """Raise DomainError unless restarts >= 1 and seed >= 0."""
+    """Raise DomainError unless restarts >= 1 and seed >= 0 are integers."""
+    if not isinstance(restarts, numbers.Integral):
+        raise DomainError(f"restarts {restarts!r} must be an integer")
     if restarts < 1:
         raise DomainError("restarts must be at least 1")
-    if seed < 0:
+    if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed {seed} must be a nonnegative integer")
 
 
@@ -562,44 +564,34 @@ def _sign_change(sign_fn, lo: float, hi: float):
 def _sign_changes(sign_fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``_sign_change`` on every bracket [lo[i], hi[i]] at once, in lockstep.
 
-    sign_fn(p, i) gives the signs at p[j] of bracket i[j].  Each bracket is halved
-    at the midpoints its own ``_sign_change`` takes, so each result is the same
-    double; NaN in place of None.  For one bracket the scalar loop is 10 to 20 times
-    faster, so scalar callers keep it.
+    sign_fn(p) signs the midpoints p, one per bracket.  The caller vouches for sign_fn(lo) <= 0
+    < sign_fn(hi) (``_block_zeros`` proves it), so no end is evaluated.  Each bracket meets the
+    midpoints its own ``_sign_change`` takes, so each result is the same double; one whose ends
+    are adjacent doubles keeps them, as its midpoint rounds to an end of known sign.  For one
+    bracket the scalar loop is 10 to 20 times faster, so scalar callers keep it.
     """
-    found = np.where(sign_fn(hi, np.arange(len(hi))) > 0.0, hi, np.nan)
-    live, hi = np.arange(len(hi)), found
     while True:
         mid = (lo + hi) / 2.0
-        inside = (lo < mid) & (mid < hi)  # False on a NaN bracket
-        if not inside.all():
-            found[live[~inside]] = hi[~inside]
-            live, lo, hi, mid = live[inside], lo[inside], hi[inside], mid[inside]
-            if not len(live):
-                return found
-        up = sign_fn(mid, live) > 0.0
+        if not ((lo < mid) & (mid < hi)).any():
+            return hi
+        up = sign_fn(mid) > 0.0
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
 
 
 def _extrapolate_zeros(zeros: list) -> float:
     """Least-squares intercept of z_N against 1/N, upper half of the Ns."""
-    usable = [(n, z) for n, z in zeros if z is not None]
-    if not usable:
-        raise ValueError("no positive-rate block length found")
-    n_max = max(n for n, _ in usable)
-    tail = [(n, z) for n, z in usable if n >= max(3, n_max // 2)]
+    n_max = max(n for n, _ in zeros)
+    tail = [(n, z) for n, z in zeros if n >= max(3, n_max // 2)]
     if len(tail) < 2:
-        return min(z for _, z in usable)
-    xs = np.array([1.0 / n for n, _ in tail])
-    ys = np.array([z for _, z in tail])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return float(intercept)
+        return min(z for _, z in zeros)
+    xs, ys = np.array([(1.0 / n, z) for n, z in tail]).T
+    return float(np.polyfit(xs, ys, 1)[1])  # the intercept
 
 
 @dataclass(frozen=True)
 class AdThreshold:
     threshold_estimate: float
-    per_n_curve: tuple  # ((n, zero_crossing or None), ...)
+    per_n_curve: tuple  # ((n, zero_crossing), ...)
 
 
 # With u = (1 - p_nl)/4 and s = 1 - u, u/s >= 1/4 exactly when p_nl <= 1/5, and p_nl/s >= 1/4
@@ -612,9 +604,13 @@ AD_MAX_N = (1 - sys.float_info.min_exp) // 2
 def _block_zeros(n_max: int, block_rate) -> AdThreshold:
     """Smallest double p_nl with block_rate(ensemble) > 0 for each n <= n_max, extrapolated.
 
-    Every block rate and margin is negative at p_nl <= 1/5 (see ``ad_threshold``).  All n
-    are searched in one lockstep ``_sign_changes``; block_rate takes an ensemble of arrays.
-    An n_max above AD_MAX_N raises DomainError before any search, so no block underflows.
+    Each n changes sign in [0.02, 0.95]: the rate and the noise margin are <= 0 at p_nl <= 1/5
+    (see ``ad_threshold``) and > 0 at 0.95.  There u = 1/80, s = 79/80, odds = (u/s)^n and
+    blank = (p_nl/s)^n = 76^n odds, so margin >= blind - 4 eps = (blank - 2 odds)/(1 + odds) > 0;
+    and by h(x) <= 2 sqrt(x(1 - x)), rate(0) >= blank/(1 + odds) - 2 sqrt(odds) > 0, since
+    blank/sqrt(odds) = (p_nl/sqrt(us))^n >= 8.55 > 2(1 + odds).  So one lockstep
+    ``_sign_changes`` searches all n; block_rate takes an ensemble of arrays.  An n_max above
+    AD_MAX_N raises DomainError before any search, so no block underflows.
     """
     if not isinstance(n_max, numbers.Integral):
         raise DomainError(f"n_max {n_max!r} must be an integer")
@@ -622,10 +618,10 @@ def _block_zeros(n_max: int, block_rate) -> AdThreshold:
         raise DomainError("n_max must be at least 2")
     if n_max > AD_MAX_N:
         raise DomainError(f"n_max {n_max} is above {AD_MAX_N}: a longer block underflows at p_nl = 1/5")
-    ns = np.arange(1, n_max + 1)
+    ns = np.arange(1, int(n_max) + 1)
     bracket = np.full(n_max, 0.02), np.full(n_max, 0.95)
-    found = _sign_changes(lambda p, i: block_rate(_ensemble(p, ns[i], _libm_power)[0]), *bracket)
-    zeros = tuple((n, None if math.isnan(z) else z) for n, z in zip(ns.tolist(), found.tolist()))
+    found = _sign_changes(lambda p: block_rate(_ensemble(p, ns, _libm_power)[0]), *bracket)
+    zeros = tuple(zip(ns.tolist(), found.tolist()))
     return AdThreshold(threshold_estimate=_extrapolate_zeros(zeros), per_n_curve=zeros)
 
 
@@ -726,7 +722,7 @@ def ad_with_preprocessing(p_nl: float, n_max: int) -> dict:
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     best = {"best_rate": -math.inf, "best_rate_sign": -1, "q_used": 0.0, "n_used": 1}
-    for n in range(1, n_max + 1):
+    for n in range(1, int(n_max) + 1):  # a few-bit numpy integer would wrap
         ensemble = ad_block_ensemble(p_nl, n)
         q, rate = _best_noise_rate(ensemble)
         if rate > best["best_rate"]:

@@ -32,6 +32,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -264,13 +265,17 @@ def _vertex_x8(buckets, thresholds, u_words) -> np.ndarray:
     return k8
 
 
-def _check_rounds(n: int, seed: int, first_round: int = 0) -> None:
+def _check_rounds(n: int, seed: int, first_round: int = 0) -> tuple:
+    for name, value in (("rounds", n), ("first_round", first_round)):
+        if not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} {value!r} must be an integer")
     if n < 1:
         raise DomainError("need at least one round")
-    if seed < 0:
+    if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed {seed} must be a nonnegative integer")
     if first_round < 0:
         raise DomainError("first_round must be nonnegative")
+    return int(n), int(seed), int(first_round)  # numpy integers of few bits overflow in block arithmetic
 
 
 def run(v: float, n: int, seed: int = 0, first_round: int = 0) -> RoundLog:
@@ -281,7 +286,7 @@ def run(v: float, n: int, seed: int = 0, first_round: int = 0) -> RoundLog:
     whether produced serially or by parallel shards; merging shards is
     plain concatenation.
     """
-    _check_rounds(n, seed, first_round)
+    n, seed, first_round = _check_rounds(n, seed, first_round)
     strategy = _Strategy(v)
     columns = _columns(n)
     for _ in strategy.blocks(n, seed, first_round, out=columns):
@@ -378,7 +383,7 @@ def stream_estimate(v: float, n: int, seed: int = 0, records=None) -> EstimateRe
     written one block at a time as the blocks are drawn.  Memory stays at
     a few blocks whatever n is.
     """
-    _check_rounds(n, seed)
+    n, seed, _ = _check_rounds(n, seed)
     strategy = _Strategy(v)
     tally = np.zeros(9, dtype=np.int64)
     with open(records, "w") if records else contextlib.nullcontext() as out:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -421,6 +422,31 @@ class TestAdCommand:
         assert (
             payload["preprocessing_threshold_estimate"] < payload["threshold_estimate"]
         )
+
+    @pytest.mark.parametrize(
+        "argv, stdout_sha, out_sha",
+        [
+            (
+                [],
+                "ddbcf6213ec079622ccf2885cccfaf29b86e0a2a896be888ca28027f820b18b2",
+                "8cce1cfac1e8812513f0de82a9e83df9d9323426981d0dfce4c51e103d97231b",
+            ),
+            (
+                ["--n-max", "511"],
+                "7179183e0622aba9a47531a615843ab577db9d0642606aac7be5ee94f6f4c175",
+                "3daf3d3dc001a1e1178bd594061e7468353de5064ef65ad9ed37dfc1c43acac2",
+            ),
+        ],
+        ids=["n_max-30", "n_max-511"],
+    )
+    def test_output_is_pinned(self, capsys, tmp_path, argv, stdout_sha, out_sha):
+        # SHA-256 of stdout and of --out: a per-n zero that moves by one double fails here, and
+        # a deliberate move re-pins both hashes
+        out_file = tmp_path / "ad.json"
+        code, out, _ = run_cli(capsys, "ad", *argv, "--out", str(out_file))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == out_sha
 
     def test_underflowing_block_length_exits_two(self, capsys):
         # from n = 512 every term of the block rate underflows at p_nl = 1/5

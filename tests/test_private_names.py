@@ -3,7 +3,8 @@
 A private name has one leading underscore and is bound at a module's top
 level by ``def``, ``class`` or an assignment.  It counts as read when any
 module of the package loads it by name or as an attribute.  A deletion
-that leaves a helper with no caller behind fails here.
+that leaves a helper with no caller behind fails here.  Likewise every
+name a module-level import binds is read in its own module.
 """
 
 import ast
@@ -48,3 +49,35 @@ def test_the_check_sees_an_unread_helper():
         "b": "import a\nclass _Unused:\n    pass\na._helper()\n",
     }
     assert unread_private_names(sources) == ["a._dead", "b._Unused"]
+
+
+# names imported only to be looked up from outside: rates re-exports info.mutual_information
+# for perfbench/tracing.py to patch, until in-package tracing replaces that (ROADMAP item 3)
+IMPORTED_FOR_EXPORT = {"rates.mutual_information"}
+
+
+def unused_imports(sources: dict) -> list:
+    """``module.name`` for each name bound by a module-level import that its module never reads."""
+    unused = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [f"{module}.{name}" for name in bound if name not in read]
+    return sorted(unused)
+
+
+def test_no_unused_module_imports():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name in unused_imports(sources) if name not in IMPORTED_FOR_EXPORT] == []
+
+
+def test_the_check_sees_an_unused_import():
+    sources = {
+        "a": "from __future__ import annotations\nimport os.path\nimport sys as system\nfrom x import y, z\n"
+        "def f():\n    import json\n    return os.sep, y\n",
+        "b": "import numpy as np\nnp.zeros(1)\n",
+    }
+    assert unused_imports(sources) == ["a.system", "a.z"]

@@ -82,6 +82,30 @@ class TestRun:
             call(0.8, 1000, seed=-1)
         assert str(err.value) == "seed -1 must be a nonnegative integer"
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: simulate.run(0.8, 1000.0), "rounds 1000.0 must be an integer"),
+            (lambda: simulate.run(0.8, 1000, seed=1.5), "seed 1.5 must be a nonnegative integer"),
+            (lambda: simulate.run(0.8, 1000, first_round=2.5), "first_round 2.5 must be an integer"),
+            (lambda: simulate.stream_estimate(0.8, 1e3), "rounds 1000.0 must be an integer"),
+            (lambda: simulate.stream_estimate(0.8, 1000, seed=2.0), "seed 2.0 must be a nonnegative integer"),
+        ],
+        ids=["run-rounds", "run-seed", "run-first-round", "stream-rounds", "stream-seed"],
+    )
+    def test_rejects_non_integer_arguments(self, call, message):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind", [np.int8, np.int16, np.int64, np.uint32])
+    def test_accepts_numpy_integers(self, kind):
+        # a few-bit numpy integer would overflow in the block arithmetic, so the checks hand back ints
+        log = simulate.run(0.8, kind(100), seed=kind(3), first_round=kind(2))
+        alone = simulate.run(0.8, 100, seed=3, first_round=2)
+        assert all(np.array_equal(getattr(log, c), getattr(alone, c)) for c in ("x", "y", "a", "b", "sifted_a"))
+        assert simulate.stream_estimate(0.8, kind(100), seed=kind(3)) == simulate.stream_estimate(0.8, 100, seed=3)
+
 
 def _root(column):
     while column.base is not None:
