@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import info, polytope
-from .exceptions import DomainError
+from .exceptions import _as_fraction
 
 
 class EveSymbol(NamedTuple):
@@ -77,8 +77,7 @@ def attack_from_pnl(p_nl: float) -> FullAttack:
     v >= 1/2, where that subtraction is exact (Sterbenz); calling this
     directly keeps the caller's p_nl without a trip through v.
     """
-    if not 0.0 <= p_nl <= 1.0:
-        raise DomainError(f"p_nl {p_nl!r} outside [0, 1]")
+    p_nl = _as_fraction("p_nl", p_nl)
     facet_w = (1.0 - p_nl) / 8.0
     components = [(vertex, facet_w) for vertex in polytope.facet_vertices() if facet_w > 0.0]
     if p_nl > 0.0:
@@ -95,8 +94,7 @@ def optimal_attack(v: float) -> FullAttack:
     the local vertices then carry weights (1 + 2v)/16 on the facet and
     (1 - 2v)/16 off it, which reproduces the box exactly.
     """
-    if not 0.0 <= v <= 1.0:
-        raise DomainError(f"visibility {v!r} outside [0, 1]")
+    v = _as_fraction("visibility", v)
     if v >= 0.5:
         return attack_from_pnl(2.0 * v - 1.0)
     on, off = (1.0 + 2.0 * v) / 16.0, (1.0 - 2.0 * v) / 16.0

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, NegativeProbability, NotNormalized, Signaling
+from .exceptions import NegativeProbability, NotNormalized, Signaling, _as_fraction
 
 PROB_TOL = 1e-9  # tolerance of every sign, normalization and no-signaling check
 
@@ -181,8 +181,7 @@ def isotropic(v: float) -> Box:
     At v=1 this is the PR box; at v=0 the uniform table; the local
     boundary sits at v = 1/2 and the quantum boundary at v = 1/sqrt(2).
     """
-    if not 0.0 <= v <= 1.0:
-        raise DomainError(f"visibility {v!r} outside [0, 1]")
+    v = _as_fraction("visibility", v)
     return _make_box(v * 0.5 * _WIN[:, 0] + (1.0 - v) * 0.25)
 
 
@@ -215,9 +214,7 @@ def werner_box(w: float) -> Box:
     maximal-violation settings yields the isotropic box of visibility
     w/sqrt(2).  The Born-rule cross-check lives in the test suite.
     """
-    if not 0.0 <= w <= 1.0:
-        raise DomainError(f"Werner weight {w!r} outside [0, 1]")
-    return isotropic(w / math.sqrt(2.0))
+    return isotropic(_as_fraction("Werner weight", w) / math.sqrt(2.0))
 
 
 def bb84_box() -> Box:

@@ -166,12 +166,14 @@ def cmd_ad(args) -> str:
 def _build_parser() -> argparse.ArgumentParser:
     # shared flags work both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", type=float, default=argparse.SUPPRESS, help="sweep resolution")
+    common.add_argument("--grid", type=float, default=argparse.SUPPRESS, help="sweep resolution, positive")
     common.add_argument(
-        "--restarts", type=int, default=argparse.SUPPRESS, help="intrinsic search starts; rates only checks it"
+        "--restarts", type=int, default=argparse.SUPPRESS,
+        help="intrinsic search starts, integer >= 1; rates only checks it",
     )
     common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="simulate and intrinsic seed; rates only checks it"
+        "--seed", type=int, default=argparse.SUPPRESS,
+        help="simulate and intrinsic seed, integer >= 0; rates only checks it",
     )
     common.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS, help="write machine output here")
@@ -193,11 +195,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("box_file", help="box as JSON or CSV")
     command("rates", cmd_rates, "disturbance sweep of key rates")
     p_sim = command("simulate", cmd_simulate, "Monte Carlo protocol run")
-    p_sim.add_argument("--visibility", type=float, default=0.8)
-    p_sim.add_argument("--rounds", type=int, default=1_000_000)
+    p_sim.add_argument("--visibility", type=float, default=0.8, help="isotropic visibility, 0 to 1")
+    p_sim.add_argument("--rounds", type=int, default=1_000_000, help="integer >= 1")
     p_sim.add_argument("--records", default="", help="write per-round CSV here")
     p_int = command("intrinsic", cmd_intrinsic, "intrinsic information at one point")
-    p_int.add_argument("--p-nl", type=float, required=True)
+    p_int.add_argument("--p-nl", type=float, required=True, help="nonlocal weight, 0 to 1")
     p_int.add_argument("--announce", action="store_true", help="Alice announces her setting too")
     p_ad = command("ad", cmd_ad, "advantage-distillation thresholds")
     p_ad.add_argument("--n-max", type=int, default=30, help="longest block length, 2 to 511")

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its argument contract.
+
+``_as_count`` and ``_as_fraction`` check each count and probability that a
+public function takes and return it as a Python int or float.
+"""
+
+import numbers
 
 
 class BoxError(ValueError):
@@ -44,3 +50,19 @@ class DomainError(ValueError):
 
 class EmptyInput(ValueError):
     """An estimator received no data."""
+
+
+def _as_count(name: str, value, least: int) -> int:
+    """int(value) for an integer (numpy's too, not a bool) of at least ``least``; else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} {value!r} must be an integer")
+    if value < least:
+        raise DomainError(f"{name} {value!r} must be at least {least}")
+    return int(value)
+
+
+def _as_fraction(name: str, value, hi: float = 1.0) -> float:
+    """float(value) for a real number (numpy's too, not a bool) in [0, hi]; else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= hi:
+        raise DomainError(f"{name} {value!r} outside [0, {hi:g}]")
+    return float(value)

@@ -10,13 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .boxes import PROB_TOL
-from .exceptions import DomainError, NotNormalized
+from .exceptions import NotNormalized, _as_fraction
 
 
 def binary_entropy(p: float) -> float:
     """Entropy of a Bernoulli(p) bit, with h(0) = h(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"binary_entropy argument {p!r} outside [0, 1]")
+    p = _as_fraction("binary_entropy argument", p)
     if p == 0.0 or p == 1.0:
         return 0.0
     return float(_entropy(p))

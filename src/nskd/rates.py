@@ -26,7 +26,6 @@ module covers:
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import info
 from .attack import JointABE, alice_bob_stats, attack_from_pnl, sift_alice_announces, table_joint
-from .exceptions import DomainError
+from .exceptions import DomainError, _as_count, _as_fraction
 from .info import (  # noqa: F401  perfbench/tracing.py patches mutual_information here
     binary_entropy,
     conditional_mutual_information,
@@ -56,9 +55,7 @@ def ck_rate(p_nl: float) -> float:
     individual attack; the generic route via the joint distribution is
     ``oneway_rate(table_joint(p_nl))``.
     """
-    if not 0.0 <= p_nl <= 1.0:
-        raise DomainError(f"p_nl {p_nl!r} outside [0, 1]")
-    p_l = 1.0 - p_nl
+    p_l = 1.0 - _as_fraction("p_nl", p_nl)
     return 1.0 - binary_entropy(p_l / 4.0) - p_l / 2.0
 
 
@@ -113,8 +110,7 @@ def preprocessing_threshold() -> float:
 
 def intrinsic_closed(p_nl: float) -> float:
     """Reference curve h(1 - p/2) - ((1+p)/4) h((1-p)/(1+p))."""
-    if not 0.0 <= p_nl <= 1.0:
-        raise DomainError(f"p_nl {p_nl!r} outside [0, 1]")
+    p_nl = _as_fraction("p_nl", p_nl)
     first = binary_entropy(1.0 - p_nl / 2.0)
     if p_nl == 1.0:
         return first
@@ -266,7 +262,7 @@ def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> Intr
     A local method cannot certify the global minimum; the returned
     channel certifies that the minimum is at most ``value``.
     """
-    _check_search(restarts, seed)
+    restarts, seed = _as_count("restarts", restarts, 1), _as_count("seed", seed, 0)
     p_abe = np.asarray(joint.p, dtype=float)
     m = min(MAX_OUTPUTS, p_abe.shape[2])
     # at one restart the constant channel, start 1, is scored too: its value I(A:B) bounds I down E
@@ -280,16 +276,6 @@ def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> Intr
         start=best % len(scored),
         steps=EG_STEPS if best >= len(scored) else 0,
     )
-
-
-def _check_search(restarts: int, seed: int) -> None:
-    """Raise DomainError unless restarts >= 1 and seed >= 0 are integers."""
-    if not isinstance(restarts, numbers.Integral):
-        raise DomainError(f"restarts {restarts!r} must be an integer")
-    if restarts < 1:
-        raise DomainError("restarts must be at least 1")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DomainError(f"seed {seed} must be a nonnegative integer")
 
 
 def intrinsic_numeric(joint: JointABE, restarts: int = 64, seed: int = 0) -> float:
@@ -343,6 +329,7 @@ def intrinsic_exact(p_nl: float, announce: bool = False) -> IntrinsicCertificate
     vertices, its edges and Dirichlet samples (tests/test_intrinsic_exact.py),
     not proved.
     """
+    p_nl = _as_fraction("p_nl", p_nl)
     joint = sift_alice_announces(attack_from_pnl(p_nl)) if announce else table_joint(p_nl)
     if announce:
         eps = (1.0 - p_nl) / (1.0 + 3.0 * p_nl)
@@ -379,18 +366,13 @@ MAX_DISTURBANCE = 0.5 * (1.0 - 1.0 / SQRT2)  # where p_nl hits zero
 
 def disturbance_to_pnl(d: float) -> float:
     """Nonlocal weight produced through a channel with disturbance d."""
-    if not 0.0 <= d <= 0.5:
-        raise DomainError(f"disturbance {d!r} outside [0, 1/2]")
+    d = _as_fraction("disturbance", d, 0.5)
     return min(1.0, max(0.0, SQRT2 * (1.0 - 2.0 * d) - 1.0))
 
 
 def pnl_to_disturbance(p_nl: float) -> float:
     """Inverse of disturbance_to_pnl on the quantum-reachable range."""
-    if not 0.0 <= p_nl <= MAX_QUANTUM_PNL:
-        raise DomainError(
-            f"p_nl {p_nl!r} outside [0, sqrt(2)-1]; not channel-reachable"
-        )
-    return 0.5 * (1.0 - (1.0 + p_nl) / SQRT2)
+    return 0.5 * (1.0 - (1.0 + _as_fraction("p_nl", p_nl, MAX_QUANTUM_PNL)) / SQRT2)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +489,7 @@ def ad_block_ensemble(p_nl: float, n: int) -> AdBlockEnsemble:
     When both odds and (p_nl/s)^n underflow, every term of the rate is
     lost and its sign is meaningless, so that raises DomainError.
     """
-    if not 0.0 <= p_nl <= 1.0:
-        raise DomainError(f"p_nl {p_nl!r} outside [0, 1]")
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"block length {n!r} must be an integer of at least 1")
+    p_nl, n = _as_fraction("p_nl", p_nl), _as_count("block length", n, 1)
     ensemble, lost = _ensemble(p_nl, n, pow)
     if lost:
         raise DomainError(f"block length {n} at p_nl {p_nl!r} underflows double precision")
@@ -612,13 +591,10 @@ def _block_zeros(n_max: int, block_rate) -> AdThreshold:
     ``_sign_changes`` searches all n; block_rate takes an ensemble of arrays.  An n_max above
     AD_MAX_N raises DomainError before any search, so no block underflows.
     """
-    if not isinstance(n_max, numbers.Integral):
-        raise DomainError(f"n_max {n_max!r} must be an integer")
-    if n_max < 2:
-        raise DomainError("n_max must be at least 2")
+    n_max = _as_count("n_max", n_max, 2)
     if n_max > AD_MAX_N:
         raise DomainError(f"n_max {n_max} is above {AD_MAX_N}: a longer block underflows at p_nl = 1/5")
-    ns = np.arange(1, int(n_max) + 1)
+    ns = np.arange(1, n_max + 1)
     bracket = np.full(n_max, 0.02), np.full(n_max, 0.95)
     found = _sign_changes(lambda p: block_rate(_ensemble(p, ns, _libm_power)[0]), *bracket)
     zeros = tuple(zip(ns.tolist(), found.tolist()))
@@ -717,12 +693,9 @@ def ad_with_preprocessing(p_nl: float, n_max: int) -> dict:
     which penalizes the eavesdropper's mostly-certain posterior more
     than Bob's estimate.
     """
-    if not isinstance(n_max, numbers.Integral):
-        raise DomainError(f"n_max {n_max!r} must be an integer")
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
+    n_max = _as_count("n_max", n_max, 1)
     best = {"best_rate": -math.inf, "best_rate_sign": -1, "q_used": 0.0, "n_used": 1}
-    for n in range(1, int(n_max) + 1):  # a few-bit numpy integer would wrap
+    for n in range(1, n_max + 1):
         ensemble = ad_block_ensemble(p_nl, n)
         q, rate = _best_noise_rate(ensemble)
         if rate > best["best_rate"]:
@@ -759,7 +732,8 @@ def curve_rows(d_values, restarts: int = 16, seed: int = 0):
     attained by the merge channel, so no row runs the search; ``restarts``
     and ``seed`` are only checked, as ``intrinsic_search`` checks them.
     """
-    _check_search(restarts, seed)
+    _as_count("restarts", restarts, 1)
+    _as_count("seed", seed, 0)
     rows = []
     for d in d_values:
         p_nl = disturbance_to_pnl(float(d))

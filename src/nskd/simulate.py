@@ -32,13 +32,12 @@ import io
 import itertools
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import attack as attack_mod
-from .exceptions import DomainError, EmptyInput
+from .exceptions import DomainError, EmptyInput, _as_count
 
 BLOCK_ROUNDS = 1 << 16
 
@@ -265,19 +264,6 @@ def _vertex_x8(buckets, thresholds, u_words) -> np.ndarray:
     return k8
 
 
-def _check_rounds(n: int, seed: int, first_round: int = 0) -> tuple:
-    for name, value in (("rounds", n), ("first_round", first_round)):
-        if not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name} {value!r} must be an integer")
-    if n < 1:
-        raise DomainError("need at least one round")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DomainError(f"seed {seed} must be a nonnegative integer")
-    if first_round < 0:
-        raise DomainError("first_round must be nonnegative")
-    return int(n), int(seed), int(first_round)  # numpy integers of few bits overflow in block arithmetic
-
-
 def run(v: float, n: int, seed: int = 0, first_round: int = 0) -> RoundLog:
     """Simulate rounds [first_round, first_round + n) of a seeded stream.
 
@@ -286,7 +272,9 @@ def run(v: float, n: int, seed: int = 0, first_round: int = 0) -> RoundLog:
     whether produced serially or by parallel shards; merging shards is
     plain concatenation.
     """
-    n, seed, first_round = _check_rounds(n, seed, first_round)
+    # as Python ints: numpy integers of few bits overflow in block arithmetic
+    n, seed = _as_count("rounds", n, 1), _as_count("seed", seed, 0)
+    first_round = _as_count("first_round", first_round, 0)
     strategy = _Strategy(v)
     columns = _columns(n)
     for _ in strategy.blocks(n, seed, first_round, out=columns):
@@ -383,7 +371,7 @@ def stream_estimate(v: float, n: int, seed: int = 0, records=None) -> EstimateRe
     written one block at a time as the blocks are drawn.  Memory stays at
     a few blocks whatever n is.
     """
-    n, seed, _ = _check_rounds(n, seed)
+    n, seed = _as_count("rounds", n, 1), _as_count("seed", seed, 0)  # Python ints, as in run
     strategy = _Strategy(v)
     tally = np.zeros(9, dtype=np.int64)
     with open(records, "w") if records else contextlib.nullcontext() as out:

@@ -309,7 +309,7 @@ class TestSimulateCommand:
     def test_zero_rounds_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--rounds", "0")
         assert code == 2
-        assert err == "error: need at least one round\n"
+        assert err == "error: rounds 0 must be at least 1\n"
         assert out == ""
 
     @staticmethod
@@ -503,7 +503,7 @@ class TestFlagPlacement:
 def test_negative_seed_names_the_flag(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert err == "error: seed -1 must be a nonnegative integer\n"
+    assert err == "error: seed -1 must be at least 0\n"
     assert out == ""
 
 

@@ -4,7 +4,8 @@ A private name has one leading underscore and is bound at a module's top
 level by ``def``, ``class`` or an assignment.  It counts as read when any
 module of the package loads it by name or as an attribute.  A deletion
 that leaves a helper with no caller behind fails here.  Likewise every
-name a module-level import binds is read in its own module.
+name a module-level import binds is read in its own module, and only
+``exceptions``, home of the argument contract, imports ``numbers``.
 """
 
 import ast
@@ -81,3 +82,29 @@ def test_the_check_sees_an_unused_import():
         "b": "import numpy as np\nnp.zeros(1)\n",
     }
     assert unused_imports(sources) == ["a.system", "a.z"]
+
+
+def modules_importing(sources: dict, package: str) -> list:
+    """The modules that import ``package`` or a submodule of it, at any depth of their code."""
+    def imports(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == package for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == package
+
+    return sorted(module for module, source in sources.items() if any(map(imports, ast.walk(ast.parse(source)))))
+
+
+def test_only_exceptions_imports_numbers():
+    # a count or probability is checked by exceptions._as_count or _as_fraction, never by hand
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert modules_importing(sources, "numbers") == ["exceptions"]
+
+
+def test_the_check_sees_a_numbers_import():
+    sources = {
+        "a": "import numbers\n",
+        "b": "def f(n):\n    from numbers import Integral\n    return isinstance(n, Integral)\n",
+        "c": "import os, numbers.abc as x\n",
+        "d": "import numbersx\nfrom .numbers import y\nfrom . import numbers\n",
+    }
+    assert modules_importing(sources, "numbers") == ["a", "b", "c"]

@@ -80,16 +80,16 @@ class TestRun:
     def test_rejects_negative_seed(self, call):
         with pytest.raises(DomainError) as err:
             call(0.8, 1000, seed=-1)
-        assert str(err.value) == "seed -1 must be a nonnegative integer"
+        assert str(err.value) == "seed -1 must be at least 0"
 
     @pytest.mark.parametrize(
         "call, message",
         [
             (lambda: simulate.run(0.8, 1000.0), "rounds 1000.0 must be an integer"),
-            (lambda: simulate.run(0.8, 1000, seed=1.5), "seed 1.5 must be a nonnegative integer"),
+            (lambda: simulate.run(0.8, 1000, seed=1.5), "seed 1.5 must be an integer"),
             (lambda: simulate.run(0.8, 1000, first_round=2.5), "first_round 2.5 must be an integer"),
             (lambda: simulate.stream_estimate(0.8, 1e3), "rounds 1000.0 must be an integer"),
-            (lambda: simulate.stream_estimate(0.8, 1000, seed=2.0), "seed 2.0 must be a nonnegative integer"),
+            (lambda: simulate.stream_estimate(0.8, 1000, seed=2.0), "seed 2.0 must be an integer"),
         ],
         ids=["run-rounds", "run-seed", "run-first-round", "stream-rounds", "stream-seed"],
     )
