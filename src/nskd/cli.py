@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -113,8 +114,8 @@ def cmd_simulate(args) -> str:
 def cmd_intrinsic(args) -> str:
     from . import attack, rates
 
-    p_nl, announce = args.p_nl, args.announce
-    strategy = attack.attack_from_pnl(p_nl)
+    strategy = attack.attack_from_pnl(args.p_nl)
+    p_nl, announce = strategy.p_nl, args.announce  # the checked p_nl: -0 reads 0
     joint = attack.sift_alice_announces(strategy) if announce else attack.sift(strategy)
     result = rates.intrinsic_search(joint, restarts=args.restarts, seed=args.seed)
     # intrinsic_closed is the sifted table's reference curve; it is no value of the announce variant
@@ -146,8 +147,7 @@ def cmd_intrinsic(args) -> str:
 def cmd_ad(args) -> str:
     from . import rates
 
-    plain = rates.ad_threshold(args.n_max)
-    combined = rates.ad_preprocessing_threshold(args.n_max)
+    plain, combined = rates.ad_thresholds(args.n_max)
     print(f"plain threshold estimate:    {plain.threshold_estimate:.17g}")
     print(f"combined threshold estimate: {combined.threshold_estimate:.17g}")
     print(f"{'n':<6}{'zero_plain':<24}zero_with_preprocessing")
@@ -163,6 +163,7 @@ def cmd_ad(args) -> str:
     )
 
 
+@functools.cache  # parse_args keeps no state in the parsers, so one tree serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     # shared flags work both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)

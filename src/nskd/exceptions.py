@@ -62,7 +62,7 @@ def _as_count(name: str, value, least: int) -> int:
 
 
 def _as_fraction(name: str, value, hi: float = 1.0) -> float:
-    """float(value) for a real number (numpy's too, not a bool) in [0, hi]; else DomainError."""
+    """float(value) for a real number (numpy's too, not a bool) in [0, hi], -0 as +0; else DomainError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= hi:
         raise DomainError(f"{name} {value!r} outside [0, {hi:g}]")
-    return float(value)
+    return float(value) + 0.0  # -0.0 + 0.0 is +0.0

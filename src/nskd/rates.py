@@ -580,25 +580,35 @@ class AdThreshold:
 AD_MAX_N = (1 - sys.float_info.min_exp) // 2
 
 
-def _block_zeros(n_max: int, block_rate) -> AdThreshold:
-    """Smallest double p_nl with block_rate(ensemble) > 0 for each n <= n_max, extrapolated.
+def _block_zeros(n_max: int, *block_rates) -> tuple:
+    """Per block rate, the smallest double p_nl with block_rate(ensemble) > 0 for each n <= n_max.
 
-    Each n changes sign in [0.02, 0.95]: the rate and the noise margin are <= 0 at p_nl <= 1/5
-    (see ``ad_threshold``) and > 0 at 0.95.  There u = 1/80, s = 79/80, odds = (u/s)^n and
-    blank = (p_nl/s)^n = 76^n odds, so margin >= blind - 4 eps = (blank - 2 odds)/(1 + odds) > 0;
-    and by h(x) <= 2 sqrt(x(1 - x)), rate(0) >= blank/(1 + odds) - 2 sqrt(odds) > 0, since
-    blank/sqrt(odds) = (p_nl/sqrt(us))^n >= 8.55 > 2(1 + odds).  So one lockstep
-    ``_sign_changes`` searches all n; block_rate takes an ensemble of arrays.  An n_max above
-    AD_MAX_N raises DomainError before any search, so no block underflows.
+    Returns one ``AdThreshold`` per block rate, its zeros extrapolated.  Each n changes sign in
+    [0.02, 0.95]: the rate and the noise margin are <= 0 at p_nl <= 1/5 (see ``ad_threshold``) and
+    > 0 at 0.95.  There u = 1/80, s = 79/80, odds = (u/s)^n and blank = (p_nl/s)^n = 76^n odds, so
+    margin >= blind - 4 eps = (blank - 2 odds)/(1 + odds) > 0; and by h(x) <= 2 sqrt(x(1 - x)),
+    rate(0) >= blank/(1 + odds) - 2 sqrt(odds) > 0, since blank/sqrt(odds) = (p_nl/sqrt(us))^n >=
+    8.55 > 2(1 + odds).  So one lockstep ``_sign_changes`` searches every n of every block rate: its
+    brackets are the lengths 1..n_max once per rate, each iteration builds one ensemble of arrays
+    at all midpoints and signs each bracket by its own rate.  Every operation is elementwise, so
+    a bracket's midpoints and signs, hence its zero, are the same doubles as in a search of that
+    rate alone.  An n_max above AD_MAX_N raises DomainError before any search, so no block underflows.
     """
     n_max = _as_count("n_max", n_max, 2)
     if n_max > AD_MAX_N:
         raise DomainError(f"n_max {n_max} is above {AD_MAX_N}: a longer block underflows at p_nl = 1/5")
     ns = np.arange(1, n_max + 1)
-    bracket = np.full(n_max, 0.02), np.full(n_max, 0.95)
-    found = _sign_changes(lambda p: block_rate(_ensemble(p, ns, _libm_power)[0]), *bracket)
-    zeros = tuple(zip(ns.tolist(), found.tolist()))
-    return AdThreshold(threshold_estimate=_extrapolate_zeros(zeros), per_n_curve=zeros)
+    lengths = np.tile(ns, len(block_rates))
+    parts = [slice(k * n_max, (k + 1) * n_max) for k in range(len(block_rates))]  # each rate's brackets
+
+    def sign_fn(p):
+        ensemble = _ensemble(p, lengths, _libm_power)[0]
+        return np.concatenate([block_rate(ensemble)[part] for block_rate, part in zip(block_rates, parts)])
+
+    bracket = np.full(len(lengths), 0.02), np.full(len(lengths), 0.95)
+    found = _sign_changes(sign_fn, *bracket).reshape(-1, n_max)
+    curves = [tuple(zip(ns.tolist(), row)) for row in found.tolist()]
+    return tuple(AdThreshold(threshold_estimate=_extrapolate_zeros(z), per_n_curve=z) for z in curves)
 
 
 def _entropy_deficit(ensemble: AdBlockEnsemble) -> np.ndarray:
@@ -631,7 +641,7 @@ def ad_threshold(n_max: int) -> AdThreshold:
     The per-n zeros therefore approach 1/5 from above, and the 1/N
     extrapolation only estimates it.
     """
-    return _block_zeros(n_max, _entropy_deficit)
+    return _block_zeros(n_max, _entropy_deficit)[0]
 
 
 def _noise_slope(ensemble: AdBlockEnsemble, q: float) -> float:
@@ -706,7 +716,17 @@ def ad_with_preprocessing(p_nl: float, n_max: int) -> dict:
 
 def ad_preprocessing_threshold(n_max: int) -> AdThreshold:
     """Positivity threshold of distillation with pre-processing: the zeros of ``noise_margin``."""
-    return _block_zeros(n_max, AdBlockEnsemble.noise_margin)
+    return _block_zeros(n_max, AdBlockEnsemble.noise_margin)[0]
+
+
+def ad_thresholds(n_max: int) -> tuple:
+    """(``ad_threshold(n_max)``, ``ad_preprocessing_threshold(n_max)``) from one lockstep search.
+
+    ``_block_zeros`` bisects the plain rate's and the noise margin's zeros together, 2 n_max
+    brackets at once, so each iteration pays numpy's per-call cost once for both.  Each zero is
+    the same double as in its own search, since every step is elementwise.
+    """
+    return _block_zeros(n_max, _entropy_deficit, AdBlockEnsemble.noise_margin)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nskd
-from nskd import attack, boxes, rates, simulate
+from nskd import attack, boxes, cli, rates, simulate
 from nskd.cli import main
 
 
@@ -436,8 +436,13 @@ class TestAdCommand:
                 "7179183e0622aba9a47531a615843ab577db9d0642606aac7be5ee94f6f4c175",
                 "3daf3d3dc001a1e1178bd594061e7468353de5064ef65ad9ed37dfc1c43acac2",
             ),
+            (
+                ["--n-max", "2"],
+                "1f6dbcce45dbe6f1ad6c25f1ebe7ba2cdd09c01b6ee75c351e7391624e0d433d",
+                "3b10b8409c2840a4904dce9d270caff67324a8fb98c5fe5d6d629e826e23ed0c",
+            ),
         ],
-        ids=["n_max-30", "n_max-511"],
+        ids=["n_max-30", "n_max-511", "n_max-2"],
     )
     def test_output_is_pinned(self, capsys, tmp_path, argv, stdout_sha, out_sha):
         # SHA-256 of stdout and of --out: a per-n zero that moves by one double fails here, and
@@ -447,6 +452,19 @@ class TestAdCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == out_sha
+
+    def test_one_lockstep_search_serves_both_thresholds(self, capsys, monkeypatch):
+        # the plain and the pre-processing zeros are bisected together: 2 x 30 brackets, one search
+        searches = []
+        search = rates._sign_changes
+
+        def counted(sign_fn, lo, hi):
+            searches.append(len(lo))
+            return search(sign_fn, lo, hi)
+
+        monkeypatch.setattr(rates, "_sign_changes", counted)
+        assert run_cli(capsys, "ad", "--n-max", "30")[0] == 0
+        assert searches == [60]
 
     def test_underflowing_block_length_exits_two(self, capsys):
         # from n = 512 every term of the block rate underflows at p_nl = 1/5
@@ -489,6 +507,17 @@ class TestFlagPlacement:
             assert run_cli(capsys, *argv, "--out", str(out_file))[0] == 0
             outputs.append(out_file.read_bytes())
         assert outputs[0] == outputs[1] != outputs[2]  # the last run leaves the flag out
+
+    def test_calls_share_no_flag_state(self, capsys, tmp_path):
+        # main builds its parser once per process, and each call still starts from the defaults
+        json_file, csv_file = tmp_path / "v.json", tmp_path / "v.csv"
+        assert run_cli(capsys, "--format", "json", "vertices", "--out", str(json_file))[0] == 0
+        assert run_cli(capsys, "vertices", "--out", str(csv_file))[0] == 0
+        assert run_cli(capsys, "vertices", "--format", "json")[0] == 0  # no --out: nothing written
+        assert len(json.loads(json_file.read_text())) == 24
+        assert csv_file.read_text().startswith("vertex,kind,chsh,flag\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.csv", "v.json"]
+        assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ refused.  The last one fuzzes ``nskd`` over every subcommand and flag.
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from nskd import attack, boxes, cli, rates, simulate
 from nskd.attack import table_joint
-from nskd.exceptions import DomainError
+from nskd.exceptions import DomainError, _as_fraction
 from nskd.info import binary_entropy
 
 
@@ -124,6 +125,23 @@ def test_bool_is_refused(call, message):
     with pytest.raises(DomainError) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("zero", [-0.0, np.float64(-0.0), 0.0])
+def test_signed_zero_is_returned_as_plus_zero(zero):
+    assert math.copysign(1.0, _as_fraction("x", zero)) == 1.0
+
+
+def test_negative_zero_p_nl_reads_zero(tmp_path, capsys):
+    # the CLI echoes the checked p_nl, so -0 prints and writes exactly what 0 does
+    outputs = []
+    for i, value in enumerate(["-0", "0"]):
+        out_file = tmp_path / f"{i}.json"
+        assert cli.main(["intrinsic", "--p-nl", value, "--restarts", "1", "--out", str(out_file)]) == 0
+        outputs.append((capsys.readouterr().out, out_file.read_text()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].splitlines()[0] == "p_nl:              0"
+    assert outputs[0][1].startswith('{"p_nl": 0.0,')
 
 
 # Flag values that every flag must refuse or survive.  Values that scale the work

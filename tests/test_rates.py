@@ -973,6 +973,11 @@ class TestExactSearch:
         assert result.per_n_curve == zeros
         assert result.threshold_estimate == rates._extrapolate_zeros(zeros)
 
+    @pytest.mark.parametrize("n_max", [2, 30, 511])
+    def test_joint_search_equals_the_two_searches(self, n_max):
+        joint = rates.ad_thresholds(n_max)
+        assert joint == (rates.ad_threshold(n_max), rates.ad_preprocessing_threshold(n_max))
+
     def test_lockstep_bisection_equals_one_bisection_per_bracket(self):
         # monotone increasing sign functions, each <= 0 at lo and > 0 at hi, closing at different steps
         brackets = [
