@@ -97,13 +97,9 @@ def optimal_attack(v: float) -> FullAttack:
     v = _as_fraction("visibility", v)
     if v >= 0.5:
         return attack_from_pnl(2.0 * v - 1.0)
-    on, off = (1.0 + 2.0 * v) / 16.0, (1.0 - 2.0 * v) / 16.0
-    components = []
-    for vertex in polytope.vertices()[:16]:  # the local vertices
-        w = on if vertex.on_chsh_facet else off
-        if w > 0.0:
-            components.append((vertex, w))
-    return FullAttack(p_nl=0.0, components=tuple(components))
+    on, off = (1.0 + 2.0 * v) / 16.0, (1.0 - 2.0 * v) / 16.0  # both positive for v < 1/2
+    components = tuple((vertex, on if vertex.on_chsh_facet else off) for vertex in polytope.vertices()[:16])
+    return FullAttack(p_nl=0.0, components=components)
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,10 @@ def cmd_ad(args) -> str:
 def _build_parser() -> argparse.ArgumentParser:
     # shared flags work both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", type=float, default=argparse.SUPPRESS, help="sweep resolution, positive")
+    common.add_argument(
+        "--grid", type=float, default=argparse.SUPPRESS,
+        help="sweep resolution, positive; only rates reads it",
+    )
     common.add_argument(
         "--restarts", type=int, default=argparse.SUPPRESS,
         help="intrinsic search starts, integer >= 1; rates only checks it",
@@ -176,7 +179,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=argparse.SUPPRESS,
         help="simulate and intrinsic seed, integer >= 0; rates only checks it",
     )
-    common.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
+    common.add_argument(
+        "--format", choices=("csv", "json"), default=argparse.SUPPRESS,
+        help="format of --out; only vertices and rates read it, the others always write JSON",
+    )
     common.add_argument("--out", default=argparse.SUPPRESS, help="write machine output here")
 
     parser = argparse.ArgumentParser(

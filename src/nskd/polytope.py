@@ -231,8 +231,8 @@ def is_local(box: Box) -> bool:
     That weight is the one ``min_nonlocal_decomposition`` puts on NL:g,
     read from the scores alone, without building the local rest.
     """
-    weight = np.clip(boxes._chsh_scores(box).max() - 3.0, 0.0, 1.0)
-    return float(weight) <= REPORT_TOL
+    # no max(0, .): a score below 3 passes the test as its weight 0 would
+    return float(boxes._chsh_scores(box).max() - 3.0) <= REPORT_TOL
 
 
 def __getattr__(name):

@@ -17,9 +17,9 @@ module covers:
 * the two-way advantage-distillation protocol (repetition blocks with a
   random mask bit), in closed form: accepted blocks fall into two
   classes, Eve knowing the mask bit or blind to it; the rate is negative
-  for every block length exactly when p_nl <= 1/5, and a block whose
-  rate terms all underflow double precision raises DomainError (none of
-  length at most AD_MAX_N = 511 does, and thresholds stop there),
+  for every block length exactly when p_nl <= 1/5; every entry takes
+  block lengths up to AD_MAX_N = 511, the longest whose rate terms
+  cannot all underflow double precision, and noise q in [0, 1/2],
 * the map between channel disturbance and the nonlocal weight.
 """
 
@@ -112,9 +112,7 @@ def intrinsic_closed(p_nl: float) -> float:
     """Reference curve h(1 - p/2) - ((1+p)/4) h((1-p)/(1+p))."""
     p_nl = _as_fraction("p_nl", p_nl)
     first = binary_entropy(1.0 - p_nl / 2.0)
-    if p_nl == 1.0:
-        return first
-    inner = binary_entropy((1.0 - p_nl) / (1.0 + p_nl))
+    inner = binary_entropy((1.0 - p_nl) / (1.0 + p_nl))  # h(0) = 0.0 at p_nl = 1, so first - 0.0
     return first - (1.0 + p_nl) / 4.0 * inner
 
 
@@ -367,7 +365,7 @@ MAX_DISTURBANCE = 0.5 * (1.0 - 1.0 / SQRT2)  # where p_nl hits zero
 def disturbance_to_pnl(d: float) -> float:
     """Nonlocal weight produced through a channel with disturbance d."""
     d = _as_fraction("disturbance", d, 0.5)
-    return min(1.0, max(0.0, SQRT2 * (1.0 - 2.0 * d) - 1.0))
+    return max(0.0, SQRT2 * (1.0 - 2.0 * d) - 1.0)  # at most sqrt(2) - 1, at d = 0
 
 
 def pnl_to_disturbance(p_nl: float) -> float:
@@ -384,13 +382,13 @@ LOG2E = 1.0 / math.log(2.0)
 
 
 def _one_minus_h(s: float) -> float:
-    """1 - h(s), with absolute error about 1e-16 |1 - 2s| near s = 1/2.
+    """1 - h(s) for s in [0, 1/2], with absolute error about 1e-16 |1 - 2s| near s = 1/2.
 
     Uses 1 - h(s) = s log2(2s) + (1-s) log2(2(1-s)); 2s is exact, and
     the second factor is log1p(1 - 2s)/ln 2, whose argument is exact for
     s in [1/4, 3/4], so neither logarithm is rounded near s = 1/2.
     """
-    if s <= 0.0 or s >= 1.0:
+    if s <= 0.0:
         return 1.0
     t1 = s * math.log(2.0 * s)
     t2 = (1.0 - s) * math.log1p(1.0 - 2.0 * s)
@@ -459,7 +457,7 @@ class AdBlockEnsemble:
         return self.blind - 4.0 * self.bob_error * (1.0 - self.bob_error)
 
     def rate(self, q: float = 0.0) -> float:
-        """Key-rate sign quantity for the block, with optional noise q.
+        """Key-rate sign quantity for the block, with optional noise q in [0, 1/2].
 
         The noise is applied to the distilled bit before the final
         one-way step, the same Bernoulli pre-processing as in the
@@ -469,13 +467,30 @@ class AdBlockEnsemble:
         cancellation-free helpers; at q = 0 the rate is blind - h(eps), with
         the h of ``binary_entropy``, whose log1p(-eps) keeps the eps / ln 2
         term that log2(1 - eps) rounds to 0 once eps < 1.1e-16.  Either way
-        the sign survives for long blocks.
+        the sign survives for long blocks.  Noise q and 1 - q give the same
+        rate, so q is taken in [0, 1/2], the range ``_best_noise_rate`` searches.
         """
+        q = _as_fraction("noise", q, 0.5)
         return _capacity_drop(self.bob_error, q) + self.blind * _one_minus_h(q)
 
 
+# With u = (1 - p_nl)/4 and s = 1 - u, u/s >= 1/4 exactly when p_nl <= 1/5, and p_nl/s >= 1/4
+# exactly when p_nl >= 1/5.  So at every p_nl one of odds = (u/s)^n and (p_nl/s)^n is at least
+# 4^-n = 2^-2n, a normal double exactly when 2n <= 1 - min_exp, and no block of length at most
+# AD_MAX_N = 511 underflows.  At p_nl = 1/5 both equal 4^-n, and they underflow from n = 512.
+AD_MAX_N = (1 - sys.float_info.min_exp) // 2
+
+
+def _as_length(name: str, n, least: int) -> int:
+    """``_as_count`` of a block length, at most AD_MAX_N; else DomainError."""
+    n = _as_count(name, n, least)
+    if n > AD_MAX_N:
+        raise DomainError(f"{name} {n} is above {AD_MAX_N}: a longer block underflows at p_nl = 1/5")
+    return n
+
+
 def ad_block_ensemble(p_nl: float, n: int) -> AdBlockEnsemble:
-    """Exact accepted-block ensemble in closed form.
+    """Exact accepted-block ensemble in closed form, for n up to AD_MAX_N.
 
     A round is an error with probability u = p_L/4; with s = 1 - u the
     block is accepted with probability s^n + u^n.  Eve is blind on the
@@ -485,32 +500,23 @@ def ad_block_ensemble(p_nl: float, n: int) -> AdBlockEnsemble:
 
         p_accept = s^n (1 + odds),  eps = odds / (1 + odds),
         blind = (2 odds + (p_nl/s)^n) / (1 + odds).
-
-    When both odds and (p_nl/s)^n underflow, every term of the rate is
-    lost and its sign is meaningless, so that raises DomainError.
     """
-    p_nl, n = _as_fraction("p_nl", p_nl), _as_count("block length", n, 1)
-    ensemble, lost = _ensemble(p_nl, n, pow)
-    if lost:
-        raise DomainError(f"block length {n} at p_nl {p_nl!r} underflows double precision")
-    return ensemble
+    return _ensemble(_as_fraction("p_nl", p_nl), _as_length("block length", n, 1), pow)
 
 
 def _ensemble(p_nl, n, power):
-    """The ensemble of ``ad_block_ensemble``, and whether odds and (p_nl/s)^n both underflow.
+    """The ensemble of ``ad_block_ensemble``, unchecked.
 
     One formula for a float p_nl and int n with power = pow, and for arrays of both
-    with ``_libm_power``: the same IEEE operations either way.  (At p_nl = 1,
-    u = 0 and (p_nl/s)^n = 1, so only p_nl < 1 can underflow.)
+    with ``_libm_power``: the same IEEE operations either way.
     """
     u = (1.0 - p_nl) / 4.0
     s = 1.0 - u
     odds, blank = power(u / s, n), power(p_nl / s, n)
     scale = 1.0 + odds
-    ensemble = AdBlockEnsemble(
+    return AdBlockEnsemble(
         n=n, p_accept=power(s, n) * scale, bob_error=odds / scale, blind=(2.0 * odds + blank) / scale
     )
-    return ensemble, (odds < sys.float_info.min) & (blank < sys.float_info.min)
 
 
 def _libm_power(x: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -573,13 +579,6 @@ class AdThreshold:
     per_n_curve: tuple  # ((n, zero_crossing), ...)
 
 
-# With u = (1 - p_nl)/4 and s = 1 - u, u/s >= 1/4 exactly when p_nl <= 1/5, and p_nl/s >= 1/4
-# exactly when p_nl >= 1/5.  So at every p_nl one of odds = (u/s)^n and (p_nl/s)^n is at least
-# 4^-n = 2^-2n, a normal double exactly when 2n <= 1 - min_exp, and no block of length at most
-# AD_MAX_N = 511 underflows.  At p_nl = 1/5 both equal 4^-n, and they underflow from n = 512.
-AD_MAX_N = (1 - sys.float_info.min_exp) // 2
-
-
 def _block_zeros(n_max: int, *block_rates) -> tuple:
     """Per block rate, the smallest double p_nl with block_rate(ensemble) > 0 for each n <= n_max.
 
@@ -594,15 +593,13 @@ def _block_zeros(n_max: int, *block_rates) -> tuple:
     a bracket's midpoints and signs, hence its zero, are the same doubles as in a search of that
     rate alone.  An n_max above AD_MAX_N raises DomainError before any search, so no block underflows.
     """
-    n_max = _as_count("n_max", n_max, 2)
-    if n_max > AD_MAX_N:
-        raise DomainError(f"n_max {n_max} is above {AD_MAX_N}: a longer block underflows at p_nl = 1/5")
+    n_max = _as_length("n_max", n_max, 2)
     ns = np.arange(1, n_max + 1)
     lengths = np.tile(ns, len(block_rates))
     parts = [slice(k * n_max, (k + 1) * n_max) for k in range(len(block_rates))]  # each rate's brackets
 
     def sign_fn(p):
-        ensemble = _ensemble(p, lengths, _libm_power)[0]
+        ensemble = _ensemble(p, lengths, _libm_power)
         return np.concatenate([block_rate(ensemble)[part] for block_rate, part in zip(block_rates, parts)])
 
     bracket = np.full(len(lengths), 0.02), np.full(len(lengths), 0.95)
@@ -696,18 +693,18 @@ def _best_noise_rate(ensemble: AdBlockEnsemble) -> tuple:
 
 
 def ad_with_preprocessing(p_nl: float, n_max: int) -> dict:
-    """Best block rate at p_nl over lengths up to n_max and noise q.
+    """Best block rate at p_nl over lengths up to n_max (at most AD_MAX_N) and noise q.
 
     The Bernoulli noise is composed with the distillation step: it is
     applied to the block secret before the final one-way distillation,
     which penalizes the eavesdropper's mostly-certain posterior more
     than Bob's estimate.
     """
-    n_max = _as_count("n_max", n_max, 1)
+    n_max = _as_length("n_max", n_max, 1)
+    p_nl = _as_fraction("p_nl", p_nl)
     best = {"best_rate": -math.inf, "best_rate_sign": -1, "q_used": 0.0, "n_used": 1}
     for n in range(1, n_max + 1):
-        ensemble = ad_block_ensemble(p_nl, n)
-        q, rate = _best_noise_rate(ensemble)
+        q, rate = _best_noise_rate(_ensemble(p_nl, n, pow))
         if rate > best["best_rate"]:
             best.update(best_rate=rate, q_used=q, n_used=n)
     best["best_rate_sign"] = 1 if best["best_rate"] > 0.0 else (-1 if best["best_rate"] < 0.0 else 0)

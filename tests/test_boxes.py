@@ -48,6 +48,25 @@ class TestValidate:
         assert err.value.party == "alice"
         assert err.value.setting == 0
 
+    def test_rejects_bob_side_signaling(self):
+        # at (x, y) = (1, 1) only, mass moves from b = 0 to b = 1: Bob's y = 1 marginal then
+        # depends on x, while Alice's marginals, the sums and the signs stay valid
+        table = np.full((2, 2, 2, 2), 0.25)
+        table[1, 1] = [[0.1, 0.4], [0.1, 0.4]]
+        with pytest.raises(Signaling) as err:
+            validate(table.ravel())
+        assert err.value.party == "bob"
+        assert err.value.setting == 1
+        assert err.value.deviation == pytest.approx(0.3, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        values = np.full(16, 0.25)
+        values[5] = bad
+        with pytest.raises(ValueError) as err:
+            validate(values)
+        assert str(err.value) == "box entries must be finite"
+
     def test_rejects_unnormalized(self):
         values = np.full(16, 0.25)
         values[0] = 0.45  # the x=0, y=0 block sums to 1.2
@@ -283,6 +302,12 @@ class TestSerialization:
         header = ",".join(boxes.CSV_HEADER)
         with pytest.raises(ValueError, match="shorter than its header"):
             Box.from_csv(header + "\n0.25,0.25\n")
+
+    def test_csv_missing_column_names_it(self):
+        header = ",".join(boxes.CSV_HEADER[:-1] + ("extra",))
+        with pytest.raises(ValueError) as err:
+            Box.from_csv(header + "\n" + ",".join(["0.25"] * 16) + "\n")
+        assert str(err.value) == "box CSV missing column 'a1b1x1y1'"
 
     def test_csv_header_labels(self):
         header = boxes.CSV_HEADER

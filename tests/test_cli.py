@@ -508,6 +508,19 @@ class TestFlagPlacement:
             outputs.append(out_file.read_bytes())
         assert outputs[0] == outputs[1] != outputs[2]  # the last run leaves the flag out
 
+    @pytest.mark.parametrize("argv", [["--help"], ["ad", "--help"], ["rates", "--help"]], ids=["top", "ad", "rates"])
+    def test_help_says_which_commands_read_grid_and_format(self, capsys, argv):
+        # as the README says: only rates reads --grid, and only vertices and rates read --format
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal width
+        assert "--grid GRID sweep resolution, positive; only rates reads it" in text
+        assert (
+            "--format {csv,json} format of --out; only vertices and rates read it, the others always write JSON"
+            in text
+        )
+
     def test_calls_share_no_flag_state(self, capsys, tmp_path):
         # main builds its parser once per process, and each call still starts from the defaults
         json_file, csv_file = tmp_path / "v.json", tmp_path / "v.csv"

@@ -41,6 +41,7 @@ def test_numpy_integer_block_length_gives_the_same_bits():
         lambda p: rates.ad_block_ensemble(p, 5).bob_error,
         lambda p: rates.ad_block_ensemble(p, 5).blind,
         lambda p: rates.ad_rate(p, 7),
+        lambda p: rates.ad_block_ensemble(0.5, 3).rate(p),
         lambda p: rates.intrinsic_exact(p).lower,
         lambda p: rates.intrinsic_exact(p, announce=True).lower,
         rates.pnl_to_disturbance,
@@ -56,6 +57,7 @@ def test_numpy_integer_block_length_gives_the_same_bits():
         "bob_error",
         "blind",
         "ad_rate",
+        "noisy_rate",
         "exact_lower",
         "announce_lower",
         "pnl_to_disturbance",
@@ -96,6 +98,8 @@ def test_float32_probability_computes_in_double(call):
         (lambda: attack.optimal_attack(True), "visibility True outside [0, 1]"),
         (lambda: boxes.isotropic(True), "visibility True outside [0, 1]"),
         (lambda: simulate.run(True, 100), "visibility True outside [0, 1]"),
+        (lambda: rates.ad_block_ensemble(0.5, 3).rate(True), "noise True outside [0, 0.5]"),
+        (lambda: rates.ad_block_ensemble(0.5, 3).rate(math.nan), "noise nan outside [0, 0.5]"),
     ],
     ids=[
         "run-rounds",
@@ -119,6 +123,8 @@ def test_float32_probability_computes_in_double(call):
         "optimal-attack",
         "isotropic",
         "run-visibility",
+        "noise",
+        "noise-nan",
     ],
 )
 def test_bool_is_refused(call, message):

@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -53,6 +54,23 @@ class TestEntropy:
     def test_mutual_information_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
             mutual_information(np.full((2, 2), 0.3))
+
+    @pytest.mark.parametrize(
+        "measure, ndim, shape",
+        [
+            (mutual_information, 2, (4,)),
+            (mutual_information, 2, (2, 2, 2)),
+            (conditional_mutual_information, 3, (2, 2)),
+            (conditional_mutual_information, 3, (2, 2, 2, 2)),
+        ],
+        ids=["mi-1d", "mi-3d", "cmi-2d", "cmi-4d"],
+    )
+    def test_information_rejects_the_wrong_ndim(self, measure, ndim, shape):
+        # each joint sums to 1, so only its dimension is wrong
+        with pytest.raises(ValueError) as err:
+            measure(np.full(shape, 1.0 / math.prod(shape)))
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"{measure.__name__} expects a {ndim}-d joint"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_information_rejects_non_finite(self, bad):
@@ -681,14 +699,21 @@ class TestAdvantageDistillation:
                 assert rates.ad_block_ensemble(float(p_nl), n).noise_margin() < 0.0, (p_nl, n)
 
     def test_long_block_underflow_raises(self):
-        # odds (u/s)^n and (p_nl/s)^n both fall below the smallest double at n = 630
-        assert rates.ad_block_ensemble(0.02, 629).rate() < 0.0
-        for n in (630, 2700):
-            with pytest.raises(DomainError, match=f"block length {n} at p_nl 0.02"):
+        # every length above AD_MAX_N is refused at every p_nl, also those (629 at 0.02) that do not underflow
+        for n in (629, 630, 2700):
+            with pytest.raises(DomainError) as err:
                 rates.ad_block_ensemble(0.02, n)
+            assert str(err.value) == f"block length {n} is above 511: a longer block underflows at p_nl = 1/5"
 
     def test_no_block_up_to_ad_max_n_underflows(self):
         # one of (u/s)^n and (p_nl/s)^n is at least 4^-n at every p_nl, and both are 4^-n at 1/5
+        def both_underflow(p_nl, n):
+            u = (1.0 - p_nl) / 4.0
+            s = 1.0 - u
+            n = np.full(len(p_nl), n)
+            odds, blank = rates._libm_power(u / s, n), rates._libm_power(p_nl / s, n)
+            return (odds < sys.float_info.min) & (blank < sys.float_info.min)
+
         assert rates.AD_MAX_N == 511
         near_fifth = [0.2]
         for direction in (0.0, 1.0):
@@ -697,10 +722,8 @@ class TestAdvantageDistillation:
                 p = math.nextafter(p, direction)
                 near_fifth.append(p)
         for p_nl in (np.linspace(0.0, 1.0, 100_001), np.array(near_fifth)):
-            _, under = rates._ensemble(p_nl, np.full(len(p_nl), rates.AD_MAX_N), rates._libm_power)
-            assert not under.any()
-        with pytest.raises(DomainError, match=f"block length {rates.AD_MAX_N + 1} at p_nl 0.2 underflows"):
-            rates.ad_block_ensemble(0.2, rates.AD_MAX_N + 1)
+            assert not both_underflow(p_nl, rates.AD_MAX_N).any()
+        assert both_underflow(np.array([0.2]), rates.AD_MAX_N + 1).all()
 
     @pytest.mark.parametrize("n_max", [512, 513, 700, 3000, 10**6])
     @pytest.mark.parametrize(
@@ -716,6 +739,30 @@ class TestAdvantageDistillation:
         finally:
             tracemalloc.stop()
         assert str(raised.value) == f"n_max {n_max} is above 511: a longer block underflows at p_nl = 1/5"
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "entry, name",
+        [
+            (lambda n: rates.ad_block_ensemble(0.3, n), "block length"),
+            (lambda n: rates.ad_rate(0.3, n), "block length"),
+            (lambda n: rates.ad_with_preprocessing(0.3, n), "n_max"),
+            (rates.ad_threshold, "n_max"),
+            (rates.ad_preprocessing_threshold, "n_max"),
+        ],
+        ids=["ensemble", "ad_rate", "with_preprocessing", "plain", "preprocessing"],
+    )
+    def test_every_entry_refuses_one_block_past_the_bound(self, entry, name):
+        # one domain for the whole layer, checked before any block is built
+        n = rates.AD_MAX_N + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError) as raised:
+                entry(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == f"{name} 512 is above 511: a longer block underflows at p_nl = 1/5"
         assert peak < 2**20
 
     @pytest.mark.parametrize(
@@ -850,6 +897,15 @@ class TestNoiseMargin:
             for delta in (1e-10, 1e-6, 1e-3):
                 assert rates._best_noise_rate(rates.ad_block_ensemble(z + delta, n))[1] > 0.0, (n, delta)
         assert exact.threshold_estimate == 0.19994694747161373
+
+    def test_flat_top_keeps_half_noise(self):
+        # a margin just above 0 whose slope at the double below 1/2 computes to 0: the sign
+        # search for the slope's zero has no bracket (``_sign_change`` returns None), so q is 1/2
+        ens = rates.ad_block_ensemble(0.23795278302649883, 3)
+        assert ens.noise_margin() == 6.938893903907228e-18
+        assert rates._noise_slope(ens, math.nextafter(0.5, 0.0)) == 0.0
+        assert rates._noise_slope(ens, sys.float_info.min) > 0.0
+        assert rates._best_noise_rate(ens) == (0.5, 0.0)
 
     @pytest.mark.parametrize("delta", [1e-9, 1e-7])
     def test_noise_helps_just_above_the_threshold(self, delta):
@@ -1001,7 +1057,7 @@ class TestExactSearch:
         # at 0.95 is 2.56e-9 (n = 511) and the greatest at 0.02 is -1.4e-247, far from rounding
         ns = np.arange(1, rates.AD_MAX_N + 1)
         for p_nl, positive in [(0.02, False), (0.95, True)]:
-            ensemble, _ = rates._ensemble(np.full(len(ns), p_nl), ns, rates._libm_power)
+            ensemble = rates._ensemble(np.full(len(ns), p_nl), ns, rates._libm_power)
             for sign in (rates._entropy_deficit(ensemble), ensemble.noise_margin()):
                 assert ((sign > 0.0) == positive).all(), p_nl
 
