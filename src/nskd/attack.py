@@ -12,7 +12,9 @@ Alice flips her bit when both settings were 1) Eve's useful knowledge
 per round collapses onto five symbols (e_a, e_b), where "?" marks a bit
 she cannot predict.  Sifting reads each vertex's ``responses`` (its
 answer at every x, y and coin, written once in ``polytope``): Eve knows
-a bit when it is the same over everything she cannot see.
+a bit when it is the same over everything she cannot see.  Where each
+answer lands depends on the vertex alone, so it is worked out once per
+tuple of vertices, and a sift only sums each cell's weights.
 """
 
 from __future__ import annotations
@@ -128,20 +130,6 @@ class JointABE:
         return self.p.sum(axis=2)
 
 
-def _accumulate(contribs: dict):
-    """Assemble per-cell contribution lists into an array.
-
-    Cells are summed with fsum so that the many equal power-of-two
-    scaled addends produced by uniform mixtures collapse to their exact
-    closed-form totals.
-    """
-    symbols = tuple(sorted({sym for sym, _, _ in contribs}, key=_symbol_sort_key))
-    p = np.zeros((2, 2, len(symbols)))
-    for (sym, a, b), values in contribs.items():
-        p[a, b, symbols.index(sym)] = math.fsum(values)
-    return p, symbols
-
-
 def _known(bits: np.ndarray) -> Optional[int]:
     """The bit when every entry agrees, else None."""
     return int(bits.flat[0]) if bits.min() == bits.max() else None
@@ -166,14 +154,32 @@ def _cells(vertex: polytope.Vertex, announce: bool) -> tuple:
     return tuple(cells)
 
 
-def _sift(attack: FullAttack, announce: bool) -> JointABE:
-    """Reconciled round statistics; ``announce`` makes Alice's setting public."""
-    contribs: dict = {}
-    for vertex, w in attack.components:
+@functools.lru_cache(maxsize=64)  # bounded; the optimal attacks fill 8 entries (4 vertex tuples, 2 announce)
+def _grouping(vertices: tuple, announce: bool) -> tuple:
+    """Eve's symbols in canonical order, and per nonzero cell of the (2, 2, len(symbols)) table
+    its flat index with the position in ``vertices`` of each answer landing there."""
+    members: dict = {}
+    for i, vertex in enumerate(vertices):
         for cell in _cells(vertex, announce):
-            contribs.setdefault(cell, []).append(w * 0.125)
-    p, symbols = _accumulate(contribs)
-    return JointABE(p=p, symbols=symbols)
+            members.setdefault(cell, []).append(i)
+    symbols = tuple(sorted({sym for sym, _, _ in members}, key=_symbol_sort_key))
+    cells = tuple(((2 * a + b) * len(symbols) + symbols.index(sym), tuple(at)) for (sym, a, b), at in members.items())
+    return symbols, cells
+
+
+def _sift(attack: FullAttack, announce: bool) -> JointABE:
+    """Reconciled round statistics; ``announce`` makes Alice's setting public.
+
+    A cell is the ``math.fsum`` of an eighth of the vertex weight per answer landing there
+    (``_grouping``): correctly rounded in any order, so the equal power-of-two scaled addends
+    of a uniform mixture sum to their exact closed-form totals.
+    """
+    symbols, cells = _grouping(tuple(vertex for vertex, _ in attack.components), announce)
+    eighths = [w * 0.125 for _, w in attack.components]
+    p = [0.0] * (4 * len(symbols))
+    for flat, at in cells:
+        p[flat] = math.fsum([eighths[i] for i in at])
+    return JointABE(p=np.reshape(p, (2, 2, len(symbols))), symbols=symbols)
 
 
 def sift(attack: FullAttack) -> JointABE:

@@ -54,6 +54,8 @@ class EmptyInput(ValueError):
 
 def _as_count(name: str, value, least: int) -> int:
     """int(value) for an integer (numpy's too, not a bool) of at least ``least``; else DomainError."""
+    if type(value) is int and value >= least:  # the common case, without the ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} {value!r} must be an integer")
     if value < least:
@@ -63,6 +65,8 @@ def _as_count(name: str, value, least: int) -> int:
 
 def _as_fraction(name: str, value, hi: float = 1.0) -> float:
     """float(value) for a real number (numpy's too, not a bool) in [0, hi], -0 as +0; else DomainError."""
+    if type(value) is float and 0.0 <= value <= hi:  # the common case, without the ABC check
+        return value + 0.0
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= hi:
         raise DomainError(f"{name} {value!r} outside [0, {hi:g}]")
     return float(value) + 0.0  # -0.0 + 0.0 is +0.0

@@ -80,11 +80,11 @@ def _cmi_log_ratio(p: np.ndarray) -> np.ndarray:
 
 def _check_normalized(p: np.ndarray, axis=None) -> None:
     """Raise NotNormalized unless p is finite, nonnegative and sums to one (each slice along axis)."""
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():  # array methods: the np.all/np.any/np.argmax wrappers cost more here
         raise NotNormalized("weights must be finite")
-    if np.any(p < -PROB_TOL):
+    if (p < -PROB_TOL).any():
         raise NotNormalized("weights must be nonnegative")
-    totals = np.ravel(p.sum(axis=axis))
-    worst = float(totals[np.argmax(np.abs(totals - 1.0))])
+    totals = p.sum(axis=axis).ravel()
+    worst = float(totals[abs(totals - 1.0).argmax()])
     if abs(worst - 1.0) > PROB_TOL:
         raise NotNormalized(f"weights sum to {worst!r}, not normalized to 1")

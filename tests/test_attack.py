@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from nskd import polytope
+from nskd import attack, polytope
 from nskd.attack import (
     EveSymbol,
     FullAttack,
@@ -148,6 +149,61 @@ def single_vertex_oracle(vertex, announce: bool) -> dict:
                 key = (a ^ (x & y), b, EveSymbol(None, None))
                 cells[key] = cells.get(key, 0.0) + 0.125
     return cells
+
+
+def oracle_sift(strategy: FullAttack, announce: bool) -> tuple:
+    """(p, symbols) by the route before cells were grouped once per vertex tuple.
+
+    Every answer's eighth of its vertex's weight goes into a dict of per-cell lists,
+    and each list is summed by math.fsum.
+    """
+    contribs = {}
+    for vertex, w in strategy.components:
+        for cell in attack._cells(vertex, announce):
+            contribs.setdefault(cell, []).append(w * 0.125)
+    symbols = tuple(sorted({sym for sym, _, _ in contribs}, key=attack._symbol_sort_key))
+    p = np.zeros((2, 2, len(symbols)))
+    for (sym, a, b), values in contribs.items():
+        p[a, b, symbols.index(sym)] = math.fsum(values)
+    return p, symbols
+
+
+def random_attack(seed: int) -> FullAttack:
+    """A random subset of the 24 vertices in random order, Dirichlet weights; seed 0 lists a vertex twice."""
+    rng = np.random.default_rng(seed)
+    picked = rng.permutation(24)[: rng.integers(1, 25)].tolist()
+    if seed == 0:
+        picked.append(picked[0])
+    weights = rng.dirichlet(np.full(len(picked), 0.5)).tolist()
+    components = tuple(zip([polytope.vertices()[i] for i in picked], weights))
+    return FullAttack(p_nl=math.fsum(w for vertex, w in components if not vertex.is_local), components=components)
+
+
+def assert_matches_oracle(strategy: FullAttack):
+    for announce, route in ((False, sift), (True, sift_alice_announces)):
+        joint = route(strategy)
+        p, symbols = oracle_sift(strategy, announce)
+        assert joint.symbols == symbols
+        assert joint.p.tobytes() == p.tobytes()
+
+
+class TestSiftAgainstTheOracle:
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_attacks(self, seed):
+        assert_matches_oracle(random_attack(seed))
+
+    def test_optimal_attacks_on_a_fine_grid(self):
+        for p_nl in np.linspace(0.0, 1.0, 2001).tolist():
+            assert_matches_oracle(attack_from_pnl(p_nl))
+
+    def test_grouping_cache_stays_within_its_bound(self):
+        bound = attack._grouping.cache_info().maxsize
+        assert bound is not None
+        pairs = list(itertools.permutations(polytope.vertices(), 2))[: bound + 40]
+        for pair in pairs:
+            sift(FullAttack(p_nl=0.0, components=tuple((vertex, 0.5) for vertex in pair)))
+        assert attack._grouping.cache_info().currsize == bound
+        assert_matches_oracle(FullAttack(p_nl=0.0, components=tuple((vertex, 0.5) for vertex in pairs[0])))
 
 
 def negative_table() -> np.ndarray:

@@ -11,15 +11,17 @@ import io
 import json
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nskd import attack, boxes, cli, rates, simulate
+from nskd import attack, boxes, cli, info, rates, simulate
 from nskd.attack import table_joint
-from nskd.exceptions import DomainError, _as_fraction
+from nskd.exceptions import DomainError, NotNormalized, _as_count, _as_fraction
 from nskd.info import binary_entropy
 
 
@@ -136,6 +138,75 @@ def test_bool_is_refused(call, message):
 @pytest.mark.parametrize("zero", [-0.0, np.float64(-0.0), 0.0])
 def test_signed_zero_is_returned_as_plus_zero(zero):
     assert math.copysign(1.0, _as_fraction("x", zero)) == 1.0
+
+
+# (value, what _as_count("n", value, 1) gives, what _as_fraction("p", value) gives): a Python
+# int or float, or the DomainError message.  A plain int or float takes a shorter path than the
+# others, with the same result for each of these.
+CONTRACT = [
+    (5, 5, "p 5 outside [0, 1]"),
+    (0, "n 0 must be at least 1", 0.0),
+    (1, 1, 1.0),
+    (True, "n True must be an integer", "p True outside [0, 1]"),
+    (np.int64(5), 5, "p np.int64(5) outside [0, 1]"),
+    (np.int64(0), "n np.int64(0) must be at least 1", 0.0),
+    (0.25, "n 0.25 must be an integer", 0.25),
+    (2.0, "n 2.0 must be an integer", "p 2.0 outside [0, 1]"),
+    (np.float32(0.3), "n np.float32(0.3) must be an integer", 0.30000001192092896),
+    (np.float64(0.3), "n np.float64(0.3) must be an integer", 0.3),
+    (Fraction(1, 3), "n Fraction(1, 3) must be an integer", 0.3333333333333333),
+    (Decimal("0.5"), "n Decimal('0.5') must be an integer", "p Decimal('0.5') outside [0, 1]"),
+    (math.nan, "n nan must be an integer", "p nan outside [0, 1]"),
+    (math.inf, "n inf must be an integer", "p inf outside [0, 1]"),
+    (-math.inf, "n -inf must be an integer", "p -inf outside [0, 1]"),
+    (-0.0, "n -0.0 must be an integer", 0.0),
+]
+
+
+@pytest.mark.parametrize("value, count, _", CONTRACT, ids=[repr(row[0]) for row in CONTRACT])
+def test_count_contract(value, count, _):
+    if isinstance(count, str):
+        with pytest.raises(DomainError) as err:
+            _as_count("n", value, 1)
+        assert str(err.value) == count
+    else:
+        result = _as_count("n", value, 1)
+        assert type(result) is int and result == count
+
+
+@pytest.mark.parametrize("value, _, fraction", CONTRACT, ids=[repr(row[0]) for row in CONTRACT])
+def test_fraction_contract(value, _, fraction):
+    if isinstance(fraction, str):
+        with pytest.raises(DomainError) as err:
+            _as_fraction("p", value)
+        assert str(err.value) == fraction
+    else:
+        result = _as_fraction("p", value)
+        assert type(result) is float and result == fraction and math.copysign(1.0, result) == 1.0
+
+
+def _joint(*moves):
+    """table_joint(0.3).p with each (cell, delta) added."""
+    p = table_joint(0.3).p.copy()
+    for cell, delta in moves:
+        p[cell] += delta
+    return p
+
+
+@pytest.mark.parametrize(
+    "table, axis, message",
+    [
+        (_joint(((0, 0, 0), math.nan)), None, "weights must be finite"),
+        (_joint(((0, 1, 0), -2e-9), ((0, 0, 0), 2e-9)), None, "weights must be nonnegative"),
+        (_joint(((1, 1, 4), 2e-9)), None, "weights sum to 1.000000002, not normalized to 1"),
+        (np.eye(5) + np.diag([0.0, 0.0, 0.0, 2e-9, 0.0]), 1, "weights sum to 1.000000002, not normalized to 1"),
+    ],
+    ids=["nan", "negative", "joint-off", "channel-row-off"],
+)
+def test_normalization_contract(table, axis, message):
+    with pytest.raises(NotNormalized) as err:
+        info._check_normalized(table, axis)
+    assert str(err.value) == message
 
 
 def test_negative_zero_p_nl_reads_zero(tmp_path, capsys):

@@ -710,8 +710,7 @@ class TestAdvantageDistillation:
         def both_underflow(p_nl, n):
             u = (1.0 - p_nl) / 4.0
             s = 1.0 - u
-            n = np.full(len(p_nl), n)
-            odds, blank = rates._libm_power(u / s, n), rates._libm_power(p_nl / s, n)
+            odds, blank = (np.array([pow(x, n) for x in ratio.tolist()]) for ratio in (u / s, p_nl / s))
             return (odds < sys.float_info.min) & (blank < sys.float_info.min)
 
         assert rates.AD_MAX_N == 511
@@ -1057,8 +1056,10 @@ class TestExactSearch:
         # at 0.95 is 2.56e-9 (n = 511) and the greatest at 0.02 is -1.4e-247, far from rounding
         ns = np.arange(1, rates.AD_MAX_N + 1)
         for p_nl, positive in [(0.02, False), (0.95, True)]:
-            ensemble = rates._ensemble(np.full(len(ns), p_nl), ns, rates._libm_power)
-            for sign in (rates._entropy_deficit(ensemble), ensemble.noise_margin()):
+            u = (1.0 - p_nl) / 4.0
+            s = 1.0 - u
+            eps, blind = rates._eps_blind(*(np.array([pow(x, n) for n in ns.tolist()]) for x in (u / s, p_nl / s)))
+            for sign in (rates._entropy_deficit(eps, blind), rates._noise_margin(eps, blind)):
                 assert ((sign > 0.0) == positive).all(), p_nl
 
     @pytest.mark.parametrize(
