@@ -60,7 +60,6 @@ _EXPORTS = {
         "Channel",
         "ad_block_ensemble",
         "ad_preprocessing_threshold",
-        "ad_rate",
         "ad_threshold",
         "ad_with_preprocessing",
         "ck_rate",

@@ -43,16 +43,6 @@ class EveSymbol(NamedTuple):
         return f"({qa},{qb})"
 
 
-# The five symbols arising from facet-plus-PR attacks, canonical order.
-TABLE_SYMBOLS = (
-    EveSymbol(0, 0),
-    EveSymbol(1, 1),
-    EveSymbol(None, 0),
-    EveSymbol(None, 1),
-    EveSymbol(None, None),
-)
-
-
 def _symbol_sort_key(sym: EveSymbol):
     return (sym.e_a is None, sym.e_a or 0, sym.e_b is None, sym.e_b or 0)
 
@@ -118,13 +108,6 @@ class JointABE:
         info._check_normalized(p)
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
-
-    def prob(self, a: int, b: int, symbol: EveSymbol) -> float:
-        try:
-            k = self.symbols.index(symbol)
-        except ValueError:
-            return 0.0
-        return float(self.p[a, b, k])
 
     def ab_marginal(self) -> np.ndarray:
         return self.p.sum(axis=2)

@@ -44,17 +44,6 @@ class Box:
 
     table: np.ndarray  # shape (2, 2, 2, 2), axes (x, y, a, b); read-only
 
-    def prob(self, a: int, b: int, x: int, y: int) -> float:
-        """P(a, b | x, y)."""
-        return float(self.table[x, y, a, b])
-
-    def flat(self) -> np.ndarray:
-        """The 16 entries in (x, y, a, b) row-major order."""
-        return self.table.ravel().copy()
-
-    def allclose(self, other: "Box", atol: float = 1e-12) -> bool:
-        return bool(np.allclose(self.table, other.table, rtol=0.0, atol=atol))
-
     def to_json(self) -> str:
         return json.dumps({"p": [float(v) for v in self.table.ravel()]})
 

@@ -73,7 +73,7 @@ def cmd_decompose(args) -> str:
     print(f"residual:        {dec.residual:.3e}")
     print(f"relabeling:      {dec.relabeling.name} (CHSH {dec.chsh:.17g})")
     print(f"{'vertex':<10}weight")
-    for name, w in dec.as_dict(polytope.REPORT_TOL).items():
+    for name, w in dec.as_dict().items():
         print(f"{name:<10}{w:.17g}")
     return dec.to_json()
 

@@ -132,19 +132,16 @@ class Decomposition:
     def nonlocal_weight(self) -> float:
         return float(self.weights @ _nonlocal_cost())
 
-    def as_dict(self, threshold: float = 0.0) -> dict:
-        return {
-            v.name: float(w)
-            for v, w in zip(vertices(), self.weights)
-            if w > threshold
-        }
+    def as_dict(self) -> dict:
+        """Vertex name -> weight, for the weights above REPORT_TOL."""
+        return {v.name: float(w) for v, w in zip(vertices(), self.weights) if w > REPORT_TOL}
 
     def reconstruct(self) -> Box:
         flat = _vertex_matrix() @ self.weights
         return boxes._make_box(flat.reshape(2, 2, 2, 2))
 
     def to_json(self) -> str:
-        entries = [{"vertex": name, "w": w} for name, w in self.as_dict(REPORT_TOL).items()]
+        entries = [{"vertex": name, "w": w} for name, w in self.as_dict().items()]
         return json.dumps({"weights": entries, "residual": self.residual})
 
 

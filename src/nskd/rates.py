@@ -387,29 +387,25 @@ LOG2E = 1.0 / math.log(2.0)
 
 
 def _one_minus_h(s: float) -> float:
-    """1 - h(s) for s in [0, 1/2], with absolute error about 1e-16 |1 - 2s| near s = 1/2.
+    """1 - h(s) for s in (0, 1/2], with absolute error about 1e-16 |1 - 2s| near s = 1/2.
 
     Uses 1 - h(s) = s log2(2s) + (1-s) log2(2(1-s)); 2s is exact, and
     the second factor is log1p(1 - 2s)/ln 2, whose argument is exact for
     s in [1/4, 3/4], so neither logarithm is rounded near s = 1/2.
     """
-    if s <= 0.0:
-        return 1.0
     t1 = s * math.log(2.0 * s)
     t2 = (1.0 - s) * math.log1p(1.0 - 2.0 * s)
     return (t1 + t2) * LOG2E
 
 
 def _capacity_drop(t: float, q: float) -> float:
-    """[1 - h(q*t)] - [1 - h(q)] for the binary convolution q*t.
+    """[1 - h(q*t)] - [1 - h(q)] for the binary convolution q*t, q in (0, 1/2].
 
     With d = t(1 - 2q) the shift of q*t away from q, the difference is
     -d log2((1-q)/q) plus a remainder of order d^2/q written through
     log1p, whose rounding error stays near 1e-16 d however small d is
     against q; a truncated Taylor series in t fails once t >> q.
     """
-    if q <= 0.0:
-        return -binary_entropy(t)
     d = t * (1.0 - 2.0 * q)
     p = 1.0 - q
     remainder = (q + d) * math.log1p(d / q) + (p - d) * math.log1p(-d / p)
@@ -428,7 +424,6 @@ class AdBlockEnsemble:
     accepted block reveals r.
     """
 
-    n: int
     p_accept: float
     bob_error: float
     blind: float  # P(Eve's posterior on r is uniform | accept)
@@ -469,13 +464,14 @@ class AdBlockEnsemble:
         single-round analysis but acting on the block-level secret:
         [1 - h(q*eps)] - (1 - blind)[1 - h(q)].  The two 1-bit constants
         cancel exactly.  For q > 0 the tiny remaining quantities go through
-        cancellation-free helpers; at q = 0 the rate is blind - h(eps), with
-        the h of ``binary_entropy``, whose log1p(-eps) keeps the eps / ln 2
-        term that log2(1 - eps) rounds to 0 once eps < 1.1e-16.  Either way
+        cancellation-free helpers; at q = 0 the rate is ``_entropy_deficit``,
+        blind - h(eps), the function the threshold search signs.  Either way
         the sign survives for long blocks.  Noise q and 1 - q give the same
         rate, so q is taken in [0, 1/2], the range ``_best_noise_rate`` searches.
         """
         q = _as_fraction("noise", q, 0.5)
+        if q == 0.0:
+            return float(_entropy_deficit(self.bob_error, self.blind))
         return _capacity_drop(self.bob_error, q) + self.blind * _one_minus_h(q)
 
 
@@ -515,18 +511,13 @@ def _ensemble(p_nl: float, n: int) -> AdBlockEnsemble:
     s = 1.0 - u
     odds = pow(u / s, n)
     eps, blind = _eps_blind(odds, pow(p_nl / s, n))
-    return AdBlockEnsemble(n=n, p_accept=pow(s, n) * (1.0 + odds), bob_error=eps, blind=blind)
+    return AdBlockEnsemble(p_accept=pow(s, n) * (1.0 + odds), bob_error=eps, blind=blind)
 
 
 def _eps_blind(odds, blank):
     """(eps, blind) from odds = (u/s)^n and blank = (p_nl/s)^n, for ``_ensemble``'s floats and the search's arrays."""
     scale = 1.0 + odds
     return odds / scale, (2.0 * odds + blank) / scale
-
-
-def ad_rate(p_nl: float, n: int) -> float:
-    """Block rate of plain advantage distillation at length n."""
-    return ad_block_ensemble(p_nl, n).rate()
 
 
 def _sign_change(sign_fn, lo: float, hi: float):
@@ -613,7 +604,7 @@ def _block_zeros(n_max: int, *block_rates) -> tuple:
 
 
 def _entropy_deficit(eps, blind):
-    """rate() = blind - h(eps) of floats or arrays, with the h of ``binary_entropy``."""
+    """``AdBlockEnsemble.rate(0)`` = blind - h(eps) of floats or arrays, with the h of ``binary_entropy``."""
     return blind - info._entropy(eps)
 
 
@@ -711,12 +702,11 @@ def ad_with_preprocessing(p_nl: float, n_max: int) -> dict:
     """
     n_max = _as_length("n_max", n_max, 1)
     p_nl = _as_fraction("p_nl", p_nl)
-    best = {"best_rate": -math.inf, "best_rate_sign": -1, "q_used": 0.0, "n_used": 1}
+    best = {"best_rate": -math.inf, "q_used": 0.0, "n_used": 1}
     for n in range(1, n_max + 1):
         q, rate = _best_noise_rate(_ensemble(p_nl, n))
         if rate > best["best_rate"]:
             best.update(best_rate=rate, q_used=q, n_used=n)
-    best["best_rate_sign"] = 1 if best["best_rate"] > 0.0 else (-1 if best["best_rate"] < 0.0 else 0)
     return best
 
 

@@ -49,9 +49,10 @@ class RoundLog:
     vertex_names (int16), 7 bytes per round, so million-round runs stay
     cheap.  ``run`` returns the six columns as views of one 7n-byte
     buffer, vertex_index first, so one column kept alone keeps the whole
-    buffer alive.  Columns of different lengths, or a vertex index
-    outside vertex_names, raise DomainError, at construction and again
-    in ``to_csv`` and (lengths only) ``estimate``.
+    buffer alive.  Columns of different lengths or of a dtype other than
+    bool or integer, or a vertex index outside vertex_names, raise
+    DomainError, at construction and again in ``to_csv`` and (all but
+    the indices) ``estimate``.
     """
 
     def __init__(self, x, y, a, b, vertex_index, sifted_a, vertex_names):
@@ -68,10 +69,13 @@ class RoundLog:
         return len(self.x)
 
     def _check(self, indices: bool = True) -> None:
-        """Raise DomainError unless the columns as they are now have one length and,
-        with ``indices`` (one pass over the column), every vertex index is a name's."""
-        if len({len(col) for col in (self.x, self.y, self.a, self.b, self.vertex_index, self.sifted_a)}) != 1:
+        """Raise DomainError unless the columns as they are now have one length and a bool or
+        integer dtype and, with ``indices`` (one pass over the column), every vertex index is a name's."""
+        columns = (self.x, self.y, self.a, self.b, self.vertex_index, self.sifted_a)
+        if len({len(col) for col in columns}) != 1:
             raise DomainError("round log columns must have the same length")
+        if any(np.asarray(col).dtype.kind not in "biu" for col in columns):
+            raise DomainError("round log columns must hold bools or integers")
         k, names = self.vertex_index, self.vertex_names
         if indices and len(k) and not 0 <= k.min() <= k.max() < len(names):
             raise DomainError(f"vertex indices must lie in [0, {len(names)})")

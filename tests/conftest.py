@@ -14,6 +14,11 @@ def random_mixture_box(rng: np.random.Generator, concentration: float = 0.5) -> 
     return _make_box(table)
 
 
+def joint_cell(joint, a: int, b: int, symbol) -> float:
+    """P(a, b, symbol) of a sifted joint; 0.0 for a symbol it does not have."""
+    return float(joint.p[a, b, joint.symbols.index(symbol)]) if symbol in joint.symbols else 0.0
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -14,7 +14,7 @@ import numpy as np
 from nskd import attack, boxes, polytope, rates, simulate
 from nskd.attack import EveSymbol
 from nskd.info import binary_entropy, mutual_information
-from tests.conftest import random_mixture_box
+from tests.conftest import joint_cell, random_mixture_box
 from tests.test_rates import brute_force_block
 
 SQRT2 = math.sqrt(2.0)
@@ -115,7 +115,7 @@ def test_criterion_03_attack_table_reproduction():
             (1, 1, EveSymbol(None, None)): p_nl / 2,
         }
         for (a, b, sym), value in expected.items():
-            got = joint.prob(a, b, sym)
+            got = joint_cell(joint, a, b, sym)
             if got != value:
                 crit.check(
                     False,
@@ -243,10 +243,10 @@ def test_criterion_10_property_suites():
     rng = np.random.default_rng(777)
 
     for v in np.linspace(0.0, 1.0, 1001):
-        boxes.validate(boxes.isotropic(float(v)).flat())
+        boxes.validate(boxes.isotropic(float(v)).table.ravel())
     for vertex in polytope.vertices():
-        boxes.validate(vertex.box.flat())
-    boxes.validate(boxes.bb84_box().flat())
+        boxes.validate(vertex.box.table.ravel())
+    boxes.validate(boxes.bb84_box().table.ravel())
 
     worst_drift = 0.0
     mixtures = [random_mixture_box(rng) for _ in range(1000)]

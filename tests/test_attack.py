@@ -9,7 +9,6 @@ from nskd.attack import (
     EveSymbol,
     FullAttack,
     JointABE,
-    TABLE_SYMBOLS,
     alice_bob_stats,
     attack_from_pnl,
     optimal_attack,
@@ -19,6 +18,16 @@ from nskd.attack import (
 )
 from nskd.boxes import isotropic
 from nskd.exceptions import DomainError
+from tests.conftest import joint_cell
+
+# the five symbols of the facet-plus-PR attacks, in canonical order
+CANONICAL_SYMBOLS = (
+    EveSymbol(0, 0),
+    EveSymbol(1, 1),
+    EveSymbol(None, 0),
+    EveSymbol(None, 1),
+    EveSymbol(None, None),
+)
 
 
 def expected_table(p_nl: float) -> dict:
@@ -99,7 +108,7 @@ class TestSift:
     def test_exact_closed_forms(self, p_nl):
         joint = table_joint(p_nl)
         for (a, b, sym), value in expected_table(p_nl).items():
-            assert joint.prob(a, b, sym) == value  # bitwise
+            assert joint_cell(joint, a, b, sym) == value  # bitwise
 
     def test_no_extra_mass(self):
         joint = table_joint(0.3)
@@ -113,7 +122,7 @@ class TestSift:
 
     def test_symbols_are_the_table_five(self):
         joint = table_joint(0.4)
-        assert joint.symbols == TABLE_SYMBOLS
+        assert joint.symbols == CANONICAL_SYMBOLS
 
     def test_marginal_matches_sifted_box(self):
         joint = table_joint(0.6)
@@ -228,11 +237,11 @@ class TestJointValidation:
     )
     def test_rejects_malformed_tables(self, table, match):
         with pytest.raises(ValueError, match=match):
-            JointABE(p=table, symbols=TABLE_SYMBOLS)
+            JointABE(p=table, symbols=CANONICAL_SYMBOLS)
 
     def test_stores_a_read_only_copy(self):
         table = table_joint(0.3).p.copy()
-        joint = JointABE(p=table, symbols=TABLE_SYMBOLS)
+        joint = JointABE(p=table, symbols=CANONICAL_SYMBOLS)
         assert table.flags.writeable
         assert not joint.p.flags.writeable
         table[0, 0, 0] = 0.5
@@ -308,7 +317,7 @@ class TestSiftAliceAnnounces:
                 cells[key] = cells.get(key, 0.0) + (1 / 8) * 0.25
         joint = sift_alice_announces(attack_from_pnl(0.0))
         for (a, b, sym), val in cells.items():
-            assert joint.prob(a, b, sym) == pytest.approx(val, abs=1e-15)
+            assert joint_cell(joint, a, b, sym) == pytest.approx(val, abs=1e-15)
         assert sum(cells.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_outcome_distribution_of_local_rounds(self):

@@ -31,8 +31,8 @@ SQRT2 = math.sqrt(2.0)
 
 class TestValidate:
     def test_accepts_pr_box(self):
-        box = validate(isotropic(1.0).flat())
-        assert box.prob(0, 0, 0, 0) == 0.5
+        box = validate(isotropic(1.0).table.ravel())
+        assert box.table[0, 0, 0, 0] == 0.5
 
     def test_accepts_uniform(self):
         box = validate(np.full(16, 0.25))
@@ -97,14 +97,14 @@ class TestValidate:
 
     def test_isotropic_grid_validates(self):
         for v in np.linspace(0.0, 1.0, 1001):
-            validate(isotropic(float(v)).flat())
+            validate(isotropic(float(v)).table.ravel())
 
 
 class TestIsotropic:
     def test_endpoints(self):
         pr = isotropic(1.0)
-        assert pr.prob(0, 0, 0, 0) == 0.5
-        assert pr.prob(0, 1, 0, 0) == 0.0
+        assert pr.table[0, 0, 0, 0] == 0.5
+        assert pr.table[0, 0, 0, 1] == 0.0
         assert np.allclose(isotropic(0.0).table, 0.25)
 
     def test_local_bound_at_half(self):
@@ -143,7 +143,7 @@ class TestChsh:
             for x, y, a, b in itertools.product((0, 1), repeat=4):
                 win = (a ^ b) == (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
                 if win:
-                    total += box.prob(a, b, x, y)
+                    total += box.table[x, y, a, b]
             assert scores[g] == pytest.approx(total, abs=1e-12)
         assert chsh(box) == scores[0]
 
@@ -184,27 +184,27 @@ class TestWerner:
         assert chsh(werner_box(1.0)) == pytest.approx(2.0 + SQRT2, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert werner_box(0.0).allclose(isotropic(0.0))
+        assert np.allclose(werner_box(0.0).table, isotropic(0.0).table, rtol=0.0, atol=1e-12)
 
     def test_visibility_correspondence(self):
         w = SQRT2 * 0.6
-        assert werner_box(w).allclose(isotropic(0.6), atol=1e-15)
+        assert np.allclose(werner_box(w).table, isotropic(0.6).table, rtol=0.0, atol=1e-15)
 
     def test_tsirelson_consistency(self):
         for w in np.linspace(0.0, 1.0, 51):
-            box = validate(werner_box(float(w)).flat())
+            box = validate(werner_box(float(w)).table.ravel())
             assert chsh(box) <= 2.0 + SQRT2 + 1e-12
 
 
 class TestBB84:
     def test_cells(self):
         box = bb84_box()
-        assert box.prob(0, 0, 0, 0) == 0.5
-        assert box.prob(0, 1, 0, 1) == 0.25
-        assert box.prob(0, 1, 1, 1) == 0.0
+        assert box.table[0, 0, 0, 0] == 0.5
+        assert box.table[0, 1, 0, 1] == 0.25
+        assert box.table[1, 1, 0, 1] == 0.0
 
     def test_no_signaling(self):
-        validate(bb84_box().flat())
+        validate(bb84_box().table.ravel())
 
     def test_canonical_chsh_is_two(self):
         # matched-basis agreement sits in only two of the four terms
@@ -246,7 +246,7 @@ class TestTwirl:
             assert np.array_equal(twirl_to_isotropic(iso).table, iso.table)
 
     def test_pr_vertex_maps_to_itself(self):
-        assert twirl_to_isotropic(isotropic(1.0)).allclose(isotropic(1.0))
+        assert np.allclose(twirl_to_isotropic(isotropic(1.0)).table, isotropic(1.0).table, rtol=0.0, atol=1e-12)
 
     def test_facet_vertex_maps_to_half(self):
         from nskd import polytope
@@ -254,7 +254,7 @@ class TestTwirl:
         for vertex in polytope.vertices():
             if vertex.on_chsh_facet:
                 twirled = twirl_to_isotropic(vertex.box)
-                assert twirled.allclose(isotropic(0.5), atol=1e-15)
+                assert np.allclose(twirled.table, isotropic(0.5).table, rtol=0.0, atol=1e-15)
 
     def test_output_is_isotropic(self, rng):
         for _ in range(100):
@@ -264,7 +264,7 @@ class TestTwirl:
             # entries depend only on the winning-condition indicator
             for x, y, a, b in itertools.product((0, 1), repeat=4):
                 expected = v * 0.5 + (1 - v) * 0.25 if (a ^ b) == (x & y) else (1 - v) * 0.25
-                assert twirled.prob(a, b, x, y) == pytest.approx(expected, abs=1e-12)
+                assert twirled.table[x, y, a, b] == pytest.approx(expected, abs=1e-12)
 
     def test_chsh_preserved_on_thousand_boxes(self, rng):
         worst = 0.0
@@ -279,7 +279,7 @@ class TestSerialization:
     def test_json_round_trip(self):
         box = isotropic(0.8)
         again = Box.from_json(box.to_json())
-        assert again.allclose(box, atol=1e-15)
+        assert np.allclose(again.table, box.table, rtol=0.0, atol=1e-15)
 
     def test_json_order_is_row_major(self):
         import json
@@ -291,7 +291,7 @@ class TestSerialization:
     def test_csv_round_trip(self):
         box = werner_box(0.73)
         again = Box.from_csv(box.to_csv())
-        assert again.allclose(box, atol=1e-15)
+        assert np.allclose(again.table, box.table, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("text", ['{"q": 1}', "[0.25]"])
     def test_json_without_p_key_says_so(self, text):
@@ -318,7 +318,7 @@ class TestSerialization:
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_isotropic_always_validates(v):
-    validate(isotropic(v).flat())
+    validate(isotropic(v).table.ravel())
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))

@@ -42,7 +42,7 @@ def test_numpy_integer_block_length_gives_the_same_bits():
         lambda p: rates.ad_block_ensemble(p, 5).p_accept,
         lambda p: rates.ad_block_ensemble(p, 5).bob_error,
         lambda p: rates.ad_block_ensemble(p, 5).blind,
-        lambda p: rates.ad_rate(p, 7),
+        lambda p: rates.ad_block_ensemble(p, 7).rate(),
         lambda p: rates.ad_block_ensemble(0.5, 3).rate(p),
         lambda p: rates.intrinsic_exact(p).lower,
         lambda p: rates.intrinsic_exact(p, announce=True).lower,
@@ -58,7 +58,7 @@ def test_numpy_integer_block_length_gives_the_same_bits():
         "p_accept",
         "bob_error",
         "blind",
-        "ad_rate",
+        "plain_rate",
         "noisy_rate",
         "exact_lower",
         "announce_lower",
@@ -88,7 +88,7 @@ def test_float32_probability_computes_in_double(call):
         (lambda: rates.curve_rows([0.01], restarts=True), "restarts True must be an integer"),
         (lambda: rates.curve_rows([0.01], seed=True), "seed True must be an integer"),
         (lambda: rates.ad_block_ensemble(0.3, True), "block length True must be an integer"),
-        (lambda: rates.ad_rate(0.3, np.bool_(True)), "block length np.True_ must be an integer"),
+        (lambda: rates.ad_block_ensemble(0.3, np.bool_(True)), "block length np.True_ must be an integer"),
         (lambda: rates.ad_threshold(True), "n_max True must be an integer"),
         (lambda: rates.ad_preprocessing_threshold(True), "n_max True must be an integer"),
         (lambda: rates.ad_with_preprocessing(0.3, True), "n_max True must be an integer"),

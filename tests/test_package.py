@@ -50,7 +50,6 @@ EXPORTS = {
         "Channel",
         "ad_block_ensemble",
         "ad_preprocessing_threshold",
-        "ad_rate",
         "ad_threshold",
         "ad_with_preprocessing",
         "ck_rate",
@@ -110,7 +109,7 @@ def test_namespace_is_the_eager_one():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["names"] == 54 + 7 + 1
+    assert report["names"] == 53 + 7 + 1
     assert report["version"] == "0.1.0"
     assert report["not_listed"] == []
     assert report["wrong_lookup"] == []

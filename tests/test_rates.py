@@ -177,7 +177,7 @@ class TestPreprocessing:
 
     def test_rejects_p_nl_outside_unit_interval(self):
         with pytest.raises(DomainError):
-            rates.ad_rate(-0.1, 3)
+            rates.ad_block_ensemble(-0.1, 3).rate()
         with pytest.raises(DomainError):
             rates.optimize_preprocessing(1.5)
 
@@ -683,10 +683,10 @@ class TestAdvantageDistillation:
     def test_negative_for_every_length_up_to_one_fifth(self):
         for p_nl in np.linspace(0.0, rates.AD_LIMIT, 201):
             for n in range(1, 301):
-                assert rates.ad_rate(float(p_nl), n) < 0.0, (p_nl, n)
+                assert rates.ad_block_ensemble(float(p_nl), n).rate() < 0.0, (p_nl, n)
 
     def test_per_n_zeros_approach_one_fifth_from_above(self):
-        # the exact zeros, from decimal_ad_rate; h without log1p once put the n = 30 zero at 0.2227
+        # the exact zeros, from decimal_block_rate; h without log1p once put the n = 30 zero at 0.2227
         zeros = dict(rates.ad_threshold(300).per_n_curve)
         picked = [zeros[n] for n in (30, 100, 300)]
         assert picked[0] > picked[1] > picked[2] > rates.AD_LIMIT
@@ -744,12 +744,11 @@ class TestAdvantageDistillation:
         "entry, name",
         [
             (lambda n: rates.ad_block_ensemble(0.3, n), "block length"),
-            (lambda n: rates.ad_rate(0.3, n), "block length"),
             (lambda n: rates.ad_with_preprocessing(0.3, n), "n_max"),
             (rates.ad_threshold, "n_max"),
             (rates.ad_preprocessing_threshold, "n_max"),
         ],
-        ids=["ensemble", "ad_rate", "with_preprocessing", "plain", "preprocessing"],
+        ids=["ensemble", "with_preprocessing", "plain", "preprocessing"],
     )
     def test_every_entry_refuses_one_block_past_the_bound(self, entry, name):
         # one domain for the whole layer, checked before any block is built
@@ -794,14 +793,14 @@ class TestAdvantageDistillation:
 
     def test_single_round_reduces_to_oneway(self):
         for p_nl in (0.2, 0.318, 0.5):
-            assert rates.ad_rate(p_nl, 1) == pytest.approx(
+            assert rates.ad_block_ensemble(p_nl, 1).rate() == pytest.approx(
                 rates.ck_rate(p_nl), abs=1e-12
             )
         zeros = dict(rates.ad_threshold(2).per_n_curve)
         assert zeros[1] == pytest.approx(0.318, abs=1e-3)
 
     def test_positive_block_exists_above_one_fifth(self):
-        assert any(rates.ad_rate(0.3, n) > 0.0 for n in range(1, 31))
+        assert any(rates.ad_block_ensemble(0.3, n).rate() > 0.0 for n in range(1, 31))
 
     def test_threshold_extrapolation(self):
         result = rates.ad_threshold(30)
@@ -821,9 +820,9 @@ class TestAdvantageDistillation:
     def test_preprocessing_composition_helps(self):
         # at p_nl = 0.21 plain distillation fails for every n <= 30 but
         # the noisy composition recovers a positive rate
-        assert all(rates.ad_rate(0.21, n) <= 0.0 for n in range(1, 31))
+        assert all(rates.ad_block_ensemble(0.21, n).rate() <= 0.0 for n in range(1, 31))
         combined = rates.ad_with_preprocessing(0.21, 30)
-        assert combined["best_rate_sign"] == 1
+        assert combined["best_rate"] > 0.0
         assert 0.0 < combined["q_used"] < 0.5
 
     @pytest.mark.parametrize(
@@ -838,13 +837,13 @@ class TestAdvantageDistillation:
         ids=["0", "-3", "2.5", "2.0", "3.0"],
     )
     def test_rejects_block_length_that_is_not_a_positive_integer(self, n, message):
-        # a real n once gave ad_rate(0.5, 2.5) = 0.195, the rate of no block
+        # a real n once gave a block rate of 0.195 at n = 2.5, the rate of no block
         with pytest.raises(DomainError) as err:
-            rates.ad_rate(0.5, n)
+            rates.ad_block_ensemble(0.5, n).rate()
         assert str(err.value) == message
 
     def test_accepts_numpy_integer_block_length(self):
-        assert rates.ad_rate(0.5, np.int64(3)) == rates.ad_rate(0.5, 3)
+        assert rates.ad_block_ensemble(0.5, np.int64(3)).rate() == rates.ad_block_ensemble(0.5, 3).rate()
 
     def test_preprocessing_rejects_empty_block_range(self):
         # no block is evaluated for n_max < 1, so there is no rate to report
@@ -866,12 +865,23 @@ class TestAdvantageDistillation:
             for n in (1, 4, 9):
                 ens = rates.ad_block_ensemble(p_nl, n)
                 assert ens.rate(0.0) == pytest.approx(
-                    rates.ad_rate(p_nl, n), abs=1e-15
+                    rates.ad_block_ensemble(p_nl, n).rate(), abs=1e-15
                 )
         # and searching over q can only improve on the plain optimum
         result = rates.ad_with_preprocessing(0.35, 8)
-        plain_best = max(rates.ad_rate(0.35, n) for n in range(1, 9))
+        plain_best = max(rates.ad_block_ensemble(0.35, n).rate() for n in range(1, 9))
         assert result["best_rate"] >= plain_best - 1e-12
+
+    def test_plain_rate_is_the_searched_entropy_deficit_bit_for_bit(self):
+        # rate(0) once had its own formula, -binary_entropy(eps) + blind, kept here as the oracle;
+        # it now returns _entropy_deficit, the sign that ad_threshold bisects
+        rng = np.random.default_rng(2005)
+        p_values = [0.0, 0.2, 0.2 + 1e-16, 0.5, math.sqrt(5.0) - 2.0, 1.0, *rng.random(2000).tolist()]
+        for p_nl in p_values:
+            for n in (1, 2, 3, 7, 30, 100, 511):
+                ens = rates.ad_block_ensemble(p_nl, n)
+                oracle = -binary_entropy(ens.bob_error) + ens.blind
+                assert ens.rate(0.0).hex() == oracle.hex(), (p_nl, n)
 
     def test_block_length_one_with_noise_matches_preprocessing(self):
         # composing noise with a length-1 block is exactly the one-way
@@ -935,7 +945,7 @@ class TestNoiseMargin:
                 ens = rates.ad_block_ensemble(float(p_nl), n)
                 margin = ens.noise_margin()
                 for q in qs:
-                    bound = margin * rates._one_minus_h(float(q))
+                    bound = margin * (rates._one_minus_h(float(q)) if q > 0.0 else 1.0)  # 1 - h(0) = 1
                     assert ens.rate(float(q)) <= bound + 1e-15, (p_nl, n, q)
 
     @pytest.mark.parametrize("p_nl, n", [(0.1, 1), (0.236, 1), (0.3, 2), (0.6, 5), (0.9, 3)])
@@ -970,7 +980,7 @@ def decimal_ensemble(p_nl: float, n: int) -> tuple:
     return odds / (1 + odds), (2 * odds + (p / s) ** n) / (1 + odds)
 
 
-def decimal_ad_rate(p_nl: float, n: int) -> decimal.Decimal:
+def decimal_block_rate(p_nl: float, n: int) -> decimal.Decimal:
     """blind - h(eps), the plain block rate; -(1 - eps) ln(1 - eps) is its series where 1 - eps loses eps."""
     eps, blind = decimal_ensemble(p_nl, n)
     if eps == 0:
@@ -1000,7 +1010,7 @@ class TestExactSearch:
     @pytest.mark.parametrize(
         "threshold, sign",
         [
-            (rates.ad_threshold, rates.ad_rate),
+            (rates.ad_threshold, lambda p, n: rates.ad_block_ensemble(p, n).rate()),
             (rates.ad_preprocessing_threshold, lambda p, n: rates.ad_block_ensemble(p, n).noise_margin()),
         ],
         ids=["plain", "preprocessing"],
@@ -1064,7 +1074,7 @@ class TestExactSearch:
 
     @pytest.mark.parametrize(
         "threshold, exact, ulps",
-        [(rates.ad_threshold, decimal_ad_rate, 2), (rates.ad_preprocessing_threshold, decimal_noise_margin, 3)],
+        [(rates.ad_threshold, decimal_block_rate, 2), (rates.ad_preprocessing_threshold, decimal_noise_margin, 3)],
         ids=["plain", "preprocessing"],
     )
     def test_every_zero_is_within_ulps_of_the_exact_zero(self, threshold, exact, ulps):

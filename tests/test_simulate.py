@@ -343,7 +343,7 @@ class TestEstimate:
             for a in (0, 1):
                 for b in (0, 1):
                     freq = float(((log.a[sel] == a) & (log.b[sel] == b)).mean())
-                    p = box.prob(a, b, sx, sy)
+                    p = box.table[sx, sy, a, b]
                     se = max(np.sqrt(p * (1 - p) / n_xy), 1e-6)
                     worst = max(worst, abs(freq - p) / se)
         assert worst < 5.0
@@ -521,6 +521,25 @@ class TestRecordsCsv:
         log.b = log.b.copy()
         log.b[3] = 2
         with pytest.raises(DomainError, match="must hold bits"):
+            log.to_csv()
+
+    def test_rejects_a_float_bit_column(self):
+        # estimate and to_csv raised numpy's TypeError on it
+        log = self._log(10)
+        log.b = log.b.astype(float)
+        with pytest.raises(DomainError, match="must hold bools or integers"):
+            simulate.estimate(log)
+        with pytest.raises(DomainError, match="must hold bools or integers"):
+            log.to_csv()
+
+    def test_rejects_a_float_vertex_index(self):
+        # indices 0.5 and 1.9 passed the range check, and to_csv wrote vertices 0 and 1
+        x = np.zeros(2, dtype=np.int8)
+        with pytest.raises(DomainError, match="must hold bools or integers"):
+            simulate.RoundLog(x, x, x, x, np.array([0.5, 1.9]), x, self.NAMES)
+        log = self._log(2)
+        log.vertex_index = np.array([0.5, 1.9])
+        with pytest.raises(DomainError, match="must hold bools or integers"):
             log.to_csv()
 
 
