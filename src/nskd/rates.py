@@ -32,13 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import info
-from .attack import JointABE, alice_bob_stats, attack_from_pnl, sift_alice_announces, table_joint
+from .attack import JointABE, attack_from_pnl, sift_alice_announces, table_joint
+from .attack import alice_bob_stats  # noqa: F401  perfbench/tracing.py patches it here
 from .exceptions import DomainError, _as_count, _as_fraction
-from .info import (  # noqa: F401  perfbench/tracing.py patches mutual_information here
-    binary_entropy,
-    conditional_mutual_information,
-    mutual_information,
-)
+from .info import binary_entropy, conditional_mutual_information, mutual_information
 
 SQRT2 = math.sqrt(2.0)
 
@@ -61,8 +58,7 @@ def ck_rate(p_nl: float) -> float:
 
 def oneway_rate(joint: JointABE) -> float:
     """I(A:B) - I(A:E) for an arbitrary sifted joint."""
-    stats = alice_bob_stats(joint)
-    return stats.i_ab - stats.i_ae
+    return mutual_information(joint.ab_marginal()) - mutual_information(joint.p.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -288,8 +284,7 @@ def intrinsic_numeric(joint: JointABE, restarts: int = 64, seed: int = 0) -> flo
 
 def intrinsic_upper_bound(joint: JointABE) -> float:
     """min(I(A:B), I(A:B|E)); any channel value must stay below this."""
-    stats = alice_bob_stats(joint)
-    return min(stats.i_ab, conditional_mutual_information(joint.p))
+    return min(mutual_information(joint.ab_marginal()), conditional_mutual_information(joint.p))
 
 
 @dataclass(frozen=True)
@@ -541,10 +536,11 @@ def _sign_changes(sign_fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``_sign_change`` on every bracket [lo[i], hi[i]] at once, in lockstep.
 
     sign_fn(p) signs the midpoints p, one per bracket.  The caller vouches for sign_fn(lo) <= 0
-    < sign_fn(hi) (``_block_zeros`` proves it), so no end is evaluated.  Each bracket meets the
-    midpoints its own ``_sign_change`` takes, so each result is the same double; one whose ends
-    are adjacent doubles keeps them, as its midpoint rounds to an end of known sign.  For one
-    bracket the scalar loop is 10 to 20 times faster, so scalar callers keep it.
+    < sign_fn(hi), so no end is evaluated: ``_block_zeros`` passes ends it has signed, or 0.02 and
+    0.95, whose signs it proves.  Each bracket meets the midpoints its own ``_sign_change`` takes,
+    so each result is the same double; one whose ends are adjacent doubles keeps them, as its
+    midpoint rounds to an end of known sign.  For one bracket the scalar loop is 10 to 20 times
+    faster, so scalar callers keep it.
     """
     while True:
         mid = (lo + hi) / 2.0
@@ -578,29 +574,83 @@ def _block_zeros(n_max: int, *block_rates) -> tuple:
     > 0 at 0.95.  There u = 1/80, s = 79/80, odds = (u/s)^n and blank = (p_nl/s)^n = 76^n odds, so
     margin >= blind - 4 eps = (blank - 2 odds)/(1 + odds) > 0; and by h(x) <= 2 sqrt(x(1 - x)),
     rate(0) >= blank/(1 + odds) - 2 sqrt(odds) > 0, since blank/sqrt(odds) = (p_nl/sqrt(us))^n >=
-    8.55 > 2(1 + odds).  So one lockstep ``_sign_changes`` searches every n of every block rate: its
-    brackets are the lengths 1..n_max once per rate.  An iteration computes at the midpoints only
-    what a sign reads: odds and blank by C ``pow`` (``math.pow``, as float ** int; ``np.power``
-    can differ by an ulp) in one ``map``, then ``_eps_blind``, then each rate on its own brackets.
-    Every operation is elementwise, so a bracket's midpoints and signs, hence its zero, are the
-    same doubles as in a search of that rate alone, on the eps and blind of ``ad_block_ensemble``.
+    8.55 > 2(1 + odds).  The brackets are the lengths 1..n_max once per rate, searched in lockstep.
+
+    A sign evaluation computes only what it reads: odds and blank by C ``pow`` (``math.pow``, as
+    float ** int; ``np.power`` can differ by an ulp) in one ``map``, then ``_eps_blind``, then each
+    rate on its own brackets.  Every operation is elementwise, so a bracket's signs, hence its zero,
+    are the same doubles as in a search of that rate alone, on the eps and blind of
+    ``ad_block_ensemble``.  Three stages find the zeros in about 17 sign and guess evaluations:
+
+    * guess: a lockstep secant on ``_log_gap`` in t = ln(p/(1 - p)) from p = 0.22 and 0.30, its
+      points kept in [0.02, 0.95]; a bracket freezes, and takes no further step, once its step is
+      at most 16 ulps of t.  A bracket's path depends on its n and rate alone, and every one of
+      the 2 AD_MAX_N paths freezes within 7 steps, so the loop ends;
+    * verify: the sign at the guess -/+ 64 doubles narrows [0.02, 0.95] to the part that still
+      holds a sign change, so sign(lo) <= 0 < sign(hi) holds whatever the guess;
+    * finish: one ``_sign_changes`` on all the brackets, about 7 halvings.
+
+    For every n <= AD_MAX_N and both rates the computed sign changes exactly once within 256
+    doubles of each zero, so the adjacent pair is unique and any valid bracket closes on the
+    double a bisection of [0.02, 0.95] finds; a bad guess costs halvings, never a different zero.
     An n_max above AD_MAX_N raises DomainError before any search, so no block underflows.
     """
     n_max = _as_length("n_max", n_max, 2)
     ns = list(range(1, n_max + 1))
-    exponents = ns * (2 * len(block_rates))  # odds, then blank, at every bracket
 
     def sign_fn(p):
+        # p: each rate's points in turn, as k runs over n = 1..n_max (k = 2 when verifying, else 1)
         u = (1.0 - p) / 4.0
         s = 1.0 - u
-        powers = np.fromiter(map(math.pow, (u / s).tolist() + (p / s).tolist(), exponents), float, len(exponents))
-        eps, blind = _eps_blind(*powers.reshape(2, len(block_rates), n_max))
+        ratios = np.concatenate([u / s, p / s]).tolist()
+        powers = np.fromiter(map(math.pow, ratios, ns * (len(ratios) // n_max)), float, len(ratios))
+        eps, blind = _eps_blind(*powers.reshape(2, len(block_rates), -1))
         return np.concatenate([block_rate(*pair) for block_rate, *pair in zip(block_rates, eps, blind)])
 
-    bracket = np.full(len(block_rates) * n_max, 0.02), np.full(len(block_rates) * n_max, 0.95)
-    found = _sign_changes(sign_fn, *bracket).reshape(-1, n_max)
+    n = np.tile(np.arange(1.0, n_max + 1), len(block_rates))
+    plain = np.repeat([block_rate is _entropy_deficit for block_rate in block_rates], n_max)
+    t_lo, t_hi = math.log(0.02 / 0.98), math.log(0.95 / 0.05)
+    t0, t1 = np.full(n.size, math.log(0.22 / 0.78)), np.full(n.size, math.log(0.30 / 0.70))
+    g0, g1 = _log_gap(t0, n, plain), _log_gap(t1, n, plain)
+    live = np.ones(n.size, bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # once g1 == g0 the step is 0/0 or inf
+        while True:
+            step = g1 * (t1 - t0) / (g1 - g0)
+            live &= abs(step) > 16.0 * np.spacing(abs(t1))
+            if not live.any():
+                break
+            t0, g0 = t1, g1
+            t1 = np.where(live, np.clip(t1 - step, t_lo, t_hi), t1)
+            g1 = _log_gap(t1, n, plain)
+    guess = (1.0 / (1.0 + np.exp(-t1))).reshape(len(block_rates), 1, n_max)
+    near = np.clip((guess.view(np.int64) + np.array([[-64], [64]])).view(float), 0.02, 0.95)
+    up = sign_fn(near.ravel()).reshape(near.shape) > 0.0
+    below, above = near[:, 0].ravel(), near[:, 1].ravel()
+    below_up, above_up = up[:, 0].ravel(), up[:, 1].ravel()
+    lo = np.where(below_up, 0.02, np.where(above_up, below, above))
+    hi = np.where(below_up, below, np.where(above_up, above, 0.95))
+    found = _sign_changes(sign_fn, lo, hi).reshape(-1, n_max)
     curves = [tuple(zip(ns, row)) for row in found.tolist()]
     return tuple(AdThreshold(threshold_estimate=_extrapolate_zeros(z), per_n_curve=z) for z in curves)
+
+
+def _log_gap(t, n, plain):
+    """ln(blind) - ln(loss) at p_nl = 1/(1 + e^-t), loss h(eps) where plain, else 4 eps (1 - eps).
+
+    The surrogate whose zeros ``_block_zeros`` guesses; it only picks points, never a sign.  With
+    w = ln(4 + 3 e^-t), u/s = e^-t / (4 + 3 e^-t) and p_nl/s = 4 / (4 + 3 e^-t), so
+    a = ln odds = -n (t + w) and ln blank = n (ln 4 - w).  Then l1 = ln(1 + odds) = -ln(1 - eps),
+    ln eps = a - l1 and h(eps) ln 2 = eps (l1 - a + l1/odds), where l1/odds -> 1 once odds
+    underflows.  Everything stays in logs, so no length up to AD_MAX_N underflows at any t.
+    """
+    ln2, ln4 = math.log(2.0), math.log(4.0)
+    w = np.logaddexp(ln4, math.log(3.0) - t)
+    a = -n * (t + w)
+    l1 = np.logaddexp(0.0, a)
+    odds = np.exp(a)
+    per_odds = np.divide(l1, odds, out=np.ones_like(a), where=odds > 0.0)
+    ln_loss = np.where(plain, np.log((l1 - a + per_odds) / ln2), ln4 - l1) + a - l1
+    return np.logaddexp(ln2 + a, n * (ln4 - w)) - l1 - ln_loss
 
 
 def _entropy_deficit(eps, blind):
@@ -718,9 +768,9 @@ def ad_preprocessing_threshold(n_max: int) -> AdThreshold:
 def ad_thresholds(n_max: int) -> tuple:
     """(``ad_threshold(n_max)``, ``ad_preprocessing_threshold(n_max)``) from one lockstep search.
 
-    ``_block_zeros`` bisects the plain rate's and the noise margin's zeros together, 2 n_max
-    brackets at once, so each iteration pays numpy's per-call cost once for both.  Each zero is
-    the same double as in its own search, since every step is elementwise.
+    ``_block_zeros`` searches the plain rate's and the noise margin's zeros together, 2 n_max
+    brackets at once, so each guess and sign evaluation pays numpy's per-call cost once for both.
+    Each zero is the same double as in its own search, since every step is elementwise.
     """
     return _block_zeros(n_max, _entropy_deficit, _noise_margin)
 

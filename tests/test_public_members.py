@@ -20,6 +20,8 @@ PACKAGE = ROOT / "src" / "nskd"
 # member -> why it stays although only tests read it
 ALLOWED = {
     "attack.AliceBobStats.qber": "alice_bob_stats reports it; ROADMAP item 16 leaves it to the owner",
+    "attack.AliceBobStats.i_ab": "alice_bob_stats reports it; rates reads I(A:B) without it",
+    "attack.AliceBobStats.i_ae": "alice_bob_stats reports it; rates reads I(A:E) without it",
     "attack.AliceBobStats.i_be": "alice_bob_stats reports it; ROADMAP item 16 leaves it to the owner",
     "exceptions.Signaling.party": "a caller that catches Signaling reads it",
     "exceptions.Signaling.setting": "a caller that catches Signaling reads it",

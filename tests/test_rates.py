@@ -121,6 +121,15 @@ class TestOneWayRate:
     def test_positive_inside_quantum_region(self):
         assert rates.ck_rate(SQRT2 - 1.0) > 0.0
 
+    @pytest.mark.parametrize("announce", [False, True], ids=["table", "announce"])
+    def test_rates_equal_the_stats_route_bit_for_bit(self, announce):
+        # oneway_rate and intrinsic_upper_bound take only the informations they read
+        for p_nl in np.linspace(0.0, 1.0, 2001).tolist():
+            joint = attack.sift_alice_announces(attack.attack_from_pnl(p_nl)) if announce else table_joint(p_nl)
+            stats = alice_bob_stats(joint)
+            assert rates.oneway_rate(joint) == stats.i_ab - stats.i_ae, p_nl
+            assert rates.intrinsic_upper_bound(joint) == min(stats.i_ab, conditional_mutual_information(joint.p)), p_nl
+
 
 def preprocess_joint(joint: JointABE, q: float) -> JointABE:
     """Oracle: Alice flips her bit with probability q before reconciliation."""
@@ -1062,6 +1071,41 @@ class TestExactSearch:
             eps, blind = rates._eps_blind(*(np.array([pow(x, n) for n in ns.tolist()]) for x in (u / s, p_nl / s)))
             for sign in (rates._entropy_deficit(eps, blind), rates._noise_margin(eps, blind)):
                 assert ((sign > 0.0) == positive).all(), p_nl
+
+    def test_each_zero_is_the_only_sign_change_within_64_doubles(self):
+        # why any valid bracket closes on the same zero: the search's own sign formula, at the 129
+        # doubles z - 64 ... z + 64, is <= 0 below z and > 0 from z on, for every n
+        offsets = np.arange(-64, 65)
+        exponents = np.repeat(np.arange(1, rates.AD_MAX_N + 1), offsets.size).tolist()
+        for result, rate in zip(rates.ad_thresholds(rates.AD_MAX_N), (rates._entropy_deficit, rates._noise_margin)):
+            z = np.array([zero for _, zero in result.per_n_curve])
+            p = (z.view(np.int64)[:, None] + offsets).view(float)
+            u = (1.0 - p) / 4.0
+            s = 1.0 - u
+            ratios = (u / s).ravel().tolist(), (p / s).ravel().tolist()
+            odds, blank = (np.array(list(map(math.pow, x, exponents))).reshape(p.shape) for x in ratios)
+            up = rate(*rates._eps_blind(odds, blank)) > 0.0
+            assert (up == (offsets >= 0)).all(), np.flatnonzero((up != (offsets >= 0)).any(axis=1)) + 1
+
+    @pytest.mark.parametrize("n_max", [2, 30, 511])
+    def test_search_takes_at_most_20_evaluations(self, n_max, monkeypatch):
+        # each secant step evaluates _log_gap once and each sign step _eps_blind once; halving
+        # every bracket from [0.02, 0.95] needs 55 sign steps
+        steps = []
+
+        def counted(name):
+            fn = getattr(rates, name)
+
+            def call(*args):
+                steps.append(name)
+                return fn(*args)
+
+            return call
+
+        for name in ("_log_gap", "_eps_blind"):
+            monkeypatch.setattr(rates, name, counted(name))
+        rates.ad_thresholds(n_max)
+        assert len(steps) <= 20, steps
 
     @pytest.mark.parametrize(
         "threshold, exact, ulps",
