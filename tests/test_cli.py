@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nskd
-from nskd import attack, boxes, cli, rates, simulate
+from nskd import attack, boxes, cli, polytope, rates, simulate
 from nskd.cli import main
 
 
@@ -481,6 +481,124 @@ class TestAdCommand:
         assert code == 2
         assert err == "error: n_max 512 is above 511: a longer block underflows at p_nl = 1/5\n"
         assert out == ""
+
+
+def _write_boxes(tmp_path) -> dict:
+    """Box files the pinned decompositions read: isotropic(0.8), a seeded local mixture, the PR box."""
+    local = np.array([vertex.box.table.ravel() for vertex in polytope.vertices()[:16]])
+    texts = {
+        "isotropic": boxes.isotropic(0.8).to_json(),
+        "local": boxes.validate(np.random.default_rng(11).dirichlet(np.ones(16)) @ local).to_json(),
+        "pr": polytope.pr_box_vertex().box.to_json(),
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    return {name: str(tmp_path / f"{name}.json") for name in texts} | {"records": str(tmp_path / "records.csv")}
+
+
+# argv (paths as {name} fields of _write_boxes), then the SHA-256 of stdout and of --out
+OUTPUT_PINS = {
+    "vertices-csv": (
+        ["vertices"],
+        "56ce791c27e242b74fa958efdd101f8354b839ce9e3ea4fdf5f96ee7e72ec12b",
+        "6bc35ed2831e170408fdd324d6cb74223f3fd8f22f9f834f292777f40093a1ba",
+    ),
+    "vertices-json": (
+        ["vertices", "--format", "json"],
+        "56ce791c27e242b74fa958efdd101f8354b839ce9e3ea4fdf5f96ee7e72ec12b",
+        "2ac663e1595648f20cdc9e51b97603cc7edb5c874d17628a1d4765a3f4cdc77a",
+    ),
+    "decompose-isotropic": (
+        ["decompose", "{isotropic}"],
+        "55fb1662fd832f0a768c8892142eefd36288501a69a9736331d37f97797321dc",
+        "d06b65c0e37e6b5733b96f25351af7d05ebc4747c342db97311f22c592f3a03d",
+    ),
+    "decompose-local": (
+        ["decompose", "{local}"],
+        "f5254324b141360ee5863e61842bccbb75e7f9fcc737eaba7f4f09c92aa95afe",
+        "edccf0179f5dc5b241edb9d2b85a4edf3e32e7fccafa5c97c0085f193b01597f",
+    ),
+    "decompose-pr": (
+        ["decompose", "{pr}"],
+        "b8e995eed71b6dace7503f46d33a02d02aec115b39a67c37d8bb4a91f88f880d",
+        "bd6da982b8394247e260d8a25a1da979ab355a46dffd7e08b08d43e5fadba298",
+    ),
+    "rates-csv": (
+        ["rates"],
+        "f43341f0aff1ca9320fce8c466992d3288d5a77bfaf35361a913ef4afef6090c",
+        "f43341f0aff1ca9320fce8c466992d3288d5a77bfaf35361a913ef4afef6090c",
+    ),
+    "rates-json": (
+        ["rates", "--format", "json"],
+        "f43341f0aff1ca9320fce8c466992d3288d5a77bfaf35361a913ef4afef6090c",
+        "a42502baf3268e91f0fde59f5e160765e548f909adc05b223dfc2cd8fe15a27d",
+    ),
+    "rates-grid": (
+        ["rates", "--grid", "0.03"],
+        "5650bd0d8bf8019418fab27027c3562b0040450b20044f5b85116d6afa8d1f84",
+        "5650bd0d8bf8019418fab27027c3562b0040450b20044f5b85116d6afa8d1f84",
+    ),
+    "intrinsic-table": (
+        ["intrinsic", "--p-nl", "0.5"],
+        "77edd4b8ecf36762234aa6d1282ff37fe653477b2eb82254026ab8fedd1941a7",
+        "654441a37b5a0d17cd00fa2a334b85e1d674143a28e2883a39df520af9cf5558",
+    ),
+    "intrinsic-announce": (
+        ["intrinsic", "--p-nl", "0.15", "--announce", "--restarts", "12"],
+        "434edaaf587b8afcde6dfa6342f1a014bbb42f0e2868d9e855327f9a4e2ea447",
+        "0a897a5e091eb95f95d87d084e7a82b907593f155db4bf69a2333bdd175ae001",
+    ),
+    "simulate": (
+        ["simulate", "--rounds", "300000", "--seed", "5"],
+        "ec3ac4500ac7972ab548bc4efb16841e68e87f77468387668dc7186059855311",
+        "e7778c70de0cb5f4223b75249891d42ef7551306c74aab0665333357d65e4801",
+    ),
+    "simulate-records": (
+        ["simulate", "--rounds", "300000", "--seed", "5", "--records", "{records}"],
+        "ec3ac4500ac7972ab548bc4efb16841e68e87f77468387668dc7186059855311",
+        "e7778c70de0cb5f4223b75249891d42ef7551306c74aab0665333357d65e4801",
+    ),
+}
+RECORDS_SHA = "8c306d745e3b595e214230ab0abade968f2f2dbda29380a090f6ba2fbc65ec7b"
+
+# argv of one bad flag per command, and its stderr ({missing} is a path under a directory that is not there)
+ERROR_PINS = {
+    "vertices": (["vertices", "--out", "{missing}"], "error: [Errno 2] No such file or directory: {missing!r}\n"),
+    "decompose": (["decompose", "{missing}"], "error: [Errno 2] No such file or directory: {missing!r}\n"),
+    "rates": (["rates", "--grid", "0"], "error: grid step 0.0 must be positive and finite\n"),
+    "simulate": (["simulate", "--visibility", "1.5"], "error: visibility 1.5 outside [0, 1]\n"),
+    "intrinsic": (["intrinsic", "--p-nl", "1.5"], "error: p_nl 1.5 outside [0, 1]\n"),
+    "ad": (["ad", "--n-max", "1"], "error: n_max 1 must be at least 2\n"),
+}
+
+
+class TestEveryCommandIsPinned:
+    """SHA-256 of what each command prints and writes, taken before a change that must keep its bits.
+
+    A value that moves by one double fails here, and a deliberate move re-pins its hashes.  The
+    pins belong to this platform: the intrinsic search's channel goes through ``ndarray.dot`` and
+    the rates through libm, as the ``nskd ad`` pins go through libm's ``pow``.
+    """
+
+    @pytest.mark.parametrize("name", list(OUTPUT_PINS))
+    def test_output_is_pinned(self, capsys, tmp_path, name):
+        argv, stdout_sha, out_sha = OUTPUT_PINS[name]
+        paths = _write_boxes(tmp_path)
+        out_file = tmp_path / "out"
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv), "--out", str(out_file))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == out_sha
+        if "--records" in argv:
+            assert hashlib.sha256(Path(paths["records"]).read_bytes()).hexdigest() == RECORDS_SHA
+
+    @pytest.mark.parametrize("name", list(ERROR_PINS))
+    def test_bad_flag_is_pinned(self, capsys, tmp_path, name):
+        argv, message = ERROR_PINS[name]
+        missing = str(tmp_path / "missing" / "file")
+        code, _, err = run_cli(capsys, *(arg.format(missing=missing) for arg in argv))
+        assert code == 2
+        assert err == message.format(missing=missing)
 
 
 class TestFlagPlacement:
