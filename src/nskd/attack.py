@@ -14,7 +14,10 @@ she cannot predict.  Sifting reads each vertex's ``responses`` (its
 answer at every x, y and coin, written once in ``polytope``): Eve knows
 a bit when it is the same over everything she cannot see.  Where each
 answer lands depends on the vertex alone, so it is worked out once per
-tuple of vertices, and a sift only sums each cell's weights.
+tuple of vertices, and a sift only sums each cell's weights.  The optimal
+attack's table is a count of eighths per cell, so ``table_joint`` and the
+rates module write it from those counts (``_optimal_table``), bit for bit
+the sift's; ``sift`` stays the route for every other attack.
 """
 
 from __future__ import annotations
@@ -188,9 +191,44 @@ def sift_alice_announces(attack: FullAttack) -> JointABE:
     return _sift(attack, announce=True)
 
 
+# Eve's symbols of the optimal attack in canonical order, and per cell of its (2, 2, 5) table
+# the facet answers and the PR answers landing there (``_grouping`` of its nine vertices): each
+# facet symbol takes 16 and 8 eighths, 24 and 8 once Alice announces, and the PR box 4 eighths
+# in (?,?) at a = b.  No cell mixes the two kinds.
+_OPTIMAL_CELLS = {
+    False: (
+        (EveSymbol(0, 0), EveSymbol(1, 1), EveSymbol(None, 0), EveSymbol(None, 1), EveSymbol(None, None)),
+        np.array([[[16, 0, 8, 0, 0], [0, 0, 0, 8, 0]], [[0, 0, 8, 0, 0], [0, 16, 0, 8, 0]]]),
+    ),
+    True: (
+        (EveSymbol(0, 0), EveSymbol(0, 1), EveSymbol(1, 0), EveSymbol(1, 1), EveSymbol(None, None)),
+        np.array([[[24, 0, 0, 0, 0], [0, 8, 0, 0, 0]], [[0, 0, 8, 0, 0], [0, 0, 0, 24, 0]]]),
+    ),
+}
+_PR_CELLS = np.array([[[0, 0, 0, 0, 4], [0, 0, 0, 0, 0]], [[0, 0, 0, 0, 0], [0, 0, 0, 0, 4]]])
+
+
+def _optimal_table(p_nl: float, announce: bool) -> tuple:
+    """(p, symbols) of ``_sift(attack_from_pnl(p_nl), announce)``, written from its closed-form cells.
+
+    A cell is its count times one vertex's eighth, ((1 - p_nl)/8)/8 for a facet point and
+    p_nl/8 for the PR box, which is the correctly rounded sum ``_sift`` takes of that many
+    equal addends, so every bit agrees; (?,?) is left out at p_nl = 0 and every facet
+    symbol at p_nl = 1, where ``attack_from_pnl`` leaves out their vertices.  p_nl is unchecked.
+    """
+    symbols, facet_cells = _OPTIMAL_CELLS[announce]
+    p = facet_cells * ((1.0 - p_nl) / 8.0 * 0.125) + _PR_CELLS * (p_nl * 0.125)
+    if p_nl == 0.0:
+        return np.ascontiguousarray(p[..., :4]), symbols[:4]
+    if p_nl == 1.0:
+        return np.ascontiguousarray(p[..., 4:]), symbols[4:]
+    return p, symbols
+
+
 def table_joint(p_nl: float) -> JointABE:
-    """Shortcut: sifted joint of the optimal attack with given p_nl."""
-    return sift(attack_from_pnl(p_nl))
+    """Sifted joint of the optimal attack with given p_nl: ``sift(attack_from_pnl(p_nl))``, bit for bit."""
+    p, symbols = _optimal_table(_as_fraction("p_nl", p_nl), announce=False)
+    return JointABE(p=p, symbols=symbols)
 
 
 class AliceBobStats(NamedTuple):

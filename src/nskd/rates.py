@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import info
-from .attack import JointABE, attack_from_pnl, sift_alice_announces, table_joint
-from .attack import alice_bob_stats  # noqa: F401  perfbench/tracing.py patches it here
+from .attack import JointABE, _optimal_table
+from .attack import alice_bob_stats, table_joint  # noqa: F401  perfbench/tracing.py patches them here
 from .exceptions import DomainError, _as_count, _as_fraction
 from .info import binary_entropy, conditional_mutual_information, mutual_information
 
@@ -297,6 +297,30 @@ class IntrinsicCertificate:
     dual: np.ndarray  # one coefficient per Eve symbol
 
 
+def _exact(p_nl: float, announce: bool) -> tuple:
+    """(value, p, channel, kept, eps, fraction) of ``intrinsic_exact``; p_nl is unchecked.
+
+    The table comes from its closed-form cells (``attack._optimal_table``), and the table,
+    the channel and the merged table are each checked to be normalized, as ``JointABE``,
+    ``Channel`` and ``cmi_given_channel`` check them.
+    """
+    p, symbols = _optimal_table(p_nl, announce)
+    info._check_normalized(p)
+    if announce:
+        eps = (1.0 - p_nl) / (1.0 + 3.0 * p_nl)
+        fraction = (1.0 - 5.0 * p_nl) / (3.0 * (1.0 - p_nl)) if p_nl < 0.2 else 0.0
+    else:
+        eps, fraction = (1.0 - p_nl) / (2.0 * (1.0 + p_nl)), 0.0
+    kept = [s.e_a is not None and s.e_a == s.e_b for s in symbols]
+    rows = [[0.0, 0.0, 1.0] for _ in symbols]
+    for row, symbol, keep in zip(rows, symbols, kept):
+        if keep:
+            row[symbol.e_a], row[2] = 1.0 - fraction, fraction
+    channel = np.array(rows)
+    info._check_normalized(channel, axis=1)
+    return conditional_mutual_information(p @ channel), p, channel, kept, eps, fraction
+
+
 def intrinsic_exact(p_nl: float, announce: bool = False) -> IntrinsicCertificate:
     """I(A:B down E) of ``table_joint(p_nl)``, or of its announce variant, with its certificate.
 
@@ -307,7 +331,8 @@ def intrinsic_exact(p_nl: float, announce: bool = False) -> IntrinsicCertificate
     weight.  In the announce variant below p = 1/5 the channel also sends a
     fraction lambda = (1-5p)/(3(1-p)) of (0,0) and of (1,1) to the merged
     output, which leaves A and B independent there: I(A:B down E) = 0.
-    ``value`` is ``cmi_given_channel`` on that channel.
+    ``value`` is ``cmi_given_channel`` on that channel, and the table is
+    written from its closed-form cells (``_exact``), bit for bit the sift's.
 
     I(A:B down E) is the lower convex envelope, at p_E, of g(pi) = I(A:B)
     under sum_e pi_e p(a,b|e) over the simplex of Eve's symbols (Christandl,
@@ -321,36 +346,25 @@ def intrinsic_exact(p_nl: float, announce: bool = False) -> IntrinsicCertificate
     The merged errors average to eps, so ``lower`` = c . p_E = W f(eps), the
     value, up to rounding.  Below p = 1/5 in the announce variant the dual
     is 0.  At p_nl = 1 Eve has the single symbol (?,?), eps = 0 and f' is
-    -inf, so the dual is (value,) and ``lower`` is the value.
+    -inf, so the dual is (value,) and ``lower`` is the value.  A symbol of
+    zero mass gets 0, which adds nothing to c . p_E: (?,?) below p_nl =
+    2.5e-323, where the PR box's eighths underflow and its t_e would be 0/0.
 
     Feasibility, c . pi <= g(pi) on the simplex, is checked on its
     vertices, its edges and Dirichlet samples (tests/test_intrinsic_exact.py),
     not proved.
     """
-    p_nl = _as_fraction("p_nl", p_nl)
-    joint = sift_alice_announces(attack_from_pnl(p_nl)) if announce else table_joint(p_nl)
-    if announce:
-        eps = (1.0 - p_nl) / (1.0 + 3.0 * p_nl)
-        fraction = (1.0 - 5.0 * p_nl) / (3.0 * (1.0 - p_nl)) if p_nl < 0.2 else 0.0
-    else:
-        eps, fraction = (1.0 - p_nl) / (2.0 * (1.0 + p_nl)), 0.0
-    channel = np.zeros((len(joint.symbols), 3))
-    kept = np.array([s.e_a is not None and s.e_a == s.e_b for s in joint.symbols])
-    for row, symbol, keep in zip(channel, joint.symbols, kept):
-        if keep:
-            row[symbol.e_a], row[2] = 1.0 - fraction, fraction
-        else:
-            row[2] = 1.0
-    value = cmi_given_channel(joint, Channel(channel))
-    p_e = joint.p.sum(axis=(0, 1))
+    value, p, channel, kept, eps, fraction = _exact(_as_fraction("p_nl", p_nl), announce)
+    p_e = p.sum(axis=(0, 1))
     if eps == 0.0:
         dual = np.array([value])
     elif fraction > 0.0:
         dual = np.zeros(len(p_e))
     else:
         slope = (math.log(eps) - math.log1p(-eps)) * LOG2E
-        errors = (joint.p[0, 1] + joint.p[1, 0]) / p_e  # t_e, exactly 0, 1/2 or 1 here
-        dual = np.where(kept, 0.0, 1.0 - info._entropy(eps) + slope * (errors - eps))
+        merged = ~np.array(kept) & (p_e > 0.0)
+        errors = np.divide(p[0, 1] + p[1, 0], p_e, out=np.zeros(len(p_e)), where=merged)  # 0, 1/2 or 1
+        dual = np.where(merged, 1.0 - info._entropy(eps) + slope * (errors - eps), 0.0)
     return IntrinsicCertificate(value=value, lower=float(dual @ p_e), channel=channel, dual=dual)
 
 
@@ -812,7 +826,7 @@ def curve_rows(d_values, restarts: int = 16, seed: int = 0):
                 "rate_opt": opt.rate,
                 "q_opt": opt.q_opt,
                 "intrinsic_closed": intrinsic_closed(p_nl),
-                "intrinsic_numeric": intrinsic_exact(p_nl).value,
+                "intrinsic_numeric": _exact(p_nl, False)[0],
             }
         )
     return rows

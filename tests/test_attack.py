@@ -18,7 +18,7 @@ from nskd.attack import (
 )
 from nskd.boxes import isotropic
 from nskd.exceptions import DomainError
-from tests.conftest import joint_cell
+from tests.conftest import edge_pnls, joint_cell
 
 # the five symbols of the facet-plus-PR attacks, in canonical order
 CANONICAL_SYMBOLS = (
@@ -213,6 +213,32 @@ class TestSiftAgainstTheOracle:
             sift(FullAttack(p_nl=0.0, components=tuple((vertex, 0.5) for vertex in pair)))
         assert attack._grouping.cache_info().currsize == bound
         assert_matches_oracle(FullAttack(p_nl=0.0, components=tuple((vertex, 0.5) for vertex in pairs[0])))
+
+
+class TestClosedFormTable:
+    @pytest.mark.parametrize("announce", [False, True], ids=["table", "announce"])
+    def test_equals_the_sift_bit_for_bit(self, announce):
+        route = sift_alice_announces if announce else sift
+        for p_nl in edge_pnls():
+            p, symbols = attack._optimal_table(p_nl, announce)
+            joint = route(attack_from_pnl(p_nl))
+            oracle_p, oracle_symbols = oracle_sift(attack_from_pnl(p_nl), announce)
+            assert symbols == joint.symbols == oracle_symbols, p_nl
+            assert p.shape == joint.p.shape, p_nl
+            assert p.tobytes() == joint.p.tobytes() == oracle_p.tobytes(), p_nl
+
+    def test_table_joint_is_the_sift(self):
+        for p_nl in edge_pnls()[:20]:
+            joint = table_joint(p_nl)
+            assert joint.symbols == sift(attack_from_pnl(p_nl)).symbols
+            assert joint.p.tobytes() == sift(attack_from_pnl(p_nl)).p.tobytes()
+
+    @pytest.mark.parametrize("p_nl, count", [(0.0, 4), (5e-324, 5), (0.5, 5), (1.0 - 2.0**-53, 5), (1.0, 1)])
+    def test_drops_the_symbols_of_a_missing_vertex(self, p_nl, count):
+        # (?,?) stays at 5e-324, whose PR eighths underflow to 0, as the sift keeps it
+        for announce in (False, True):
+            p, symbols = attack._optimal_table(p_nl, announce)
+            assert p.shape == (2, 2, count) and len(symbols) == count and p.flags.c_contiguous
 
 
 def negative_table() -> np.ndarray:

@@ -8,11 +8,14 @@ where it is tight and seeded Dirichlet samples.  Sampling is evidence,
 not a proof of feasibility.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from nskd import attack, info, rates
 from nskd.exceptions import DomainError
+from tests.conftest import edge_pnls
 
 POINTS = [k / 20 for k in range(21)]  # p_nl = 0, 0.05, ..., 0.95, 1
 CONCENTRATIONS = (0.05, 0.2, 1.0, 5.0)
@@ -104,6 +107,63 @@ def test_a_single_symbol_at_unit_nonlocality(announce):
     assert cert.channel.shape == (1, 3)
     assert cert.value == cert.lower == 1.0
     assert cert.dual.tolist() == [1.0]
+
+
+def sift_route(p_nl, announce):
+    """(value, lower, channel, dual) by the route before the table was written from its cells.
+
+    The sift, ``Channel`` and ``cmi_given_channel``, and the dual as it was: a symbol of zero
+    mass divides 0 by 0 and makes its coefficient and ``lower`` NaN.
+    """
+    joint = sifted(p_nl, announce)
+    if announce:
+        eps = (1.0 - p_nl) / (1.0 + 3.0 * p_nl)
+        fraction = (1.0 - 5.0 * p_nl) / (3.0 * (1.0 - p_nl)) if p_nl < 0.2 else 0.0
+    else:
+        eps, fraction = (1.0 - p_nl) / (2.0 * (1.0 + p_nl)), 0.0
+    channel = np.zeros((len(joint.symbols), 3))
+    kept = np.array([s.e_a is not None and s.e_a == s.e_b for s in joint.symbols])
+    for row, symbol, keep in zip(channel, joint.symbols, kept):
+        if keep:
+            row[symbol.e_a], row[2] = 1.0 - fraction, fraction
+        else:
+            row[2] = 1.0
+    value = rates.cmi_given_channel(joint, rates.Channel(channel))
+    p_e = joint.p.sum(axis=(0, 1))
+    if eps == 0.0:
+        dual = np.array([value])
+    elif fraction > 0.0:
+        dual = np.zeros(len(p_e))
+    else:
+        slope = (math.log(eps) - math.log1p(-eps)) * rates.LOG2E
+        with np.errstate(invalid="ignore"):
+            errors = (joint.p[0, 1] + joint.p[1, 0]) / p_e
+        dual = np.where(kept, 0.0, 1.0 - info._entropy(eps) + slope * (errors - eps))
+    return value, float(dual @ p_e), channel, dual
+
+
+@pytest.mark.parametrize("announce", [False, True], ids=["table", "announce"])
+def test_every_field_equals_the_sift_route(announce):
+    for p_nl in edge_pnls():
+        cert = rates.intrinsic_exact(p_nl, announce)
+        value, lower, channel, dual = sift_route(p_nl, announce)
+        zero_mass = np.isnan(dual)  # only where the old route divided 0 by 0
+        assert cert.value == value, p_nl
+        assert cert.channel.shape == channel.shape and cert.channel.tobytes() == channel.tobytes(), p_nl
+        assert cert.dual.tobytes() == np.where(zero_mass, 0.0, dual).tobytes(), p_nl
+        assert cert.lower == (0.0 if zero_mass.any() else lower), p_nl
+        if zero_mass.any():
+            assert math.isnan(lower) and not announce and p_nl < 2.5e-323
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p_nl", [5e-324, 1e-323, 1.5e-323, 2e-323])
+def test_a_symbol_of_zero_mass_gets_a_zero_coefficient(p_nl):
+    # the PR box's eighths underflow to 0 while (?,?) stays; lower was 0/0 = NaN
+    cert = rates.intrinsic_exact(p_nl)
+    p_e = attack.table_joint(p_nl).p.sum(axis=(0, 1))
+    assert p_e[-1] == 0.0 and cert.dual[-1] == 0.0
+    assert cert.lower == 0.0 <= cert.value
 
 
 @pytest.mark.parametrize("p_nl", [-0.1, 1.5, float("nan")])
