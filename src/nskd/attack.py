@@ -191,21 +191,21 @@ def sift_alice_announces(attack: FullAttack) -> JointABE:
     return _sift(attack, announce=True)
 
 
-# Eve's symbols of the optimal attack in canonical order, and per cell of its (2, 2, 5) table
-# the facet answers and the PR answers landing there (``_grouping`` of its nine vertices): each
-# facet symbol takes 16 and 8 eighths, 24 and 8 once Alice announces, and the PR box 4 eighths
-# in (?,?) at a = b.  No cell mixes the two kinds.
-_OPTIMAL_CELLS = {
-    False: (
-        (EveSymbol(0, 0), EveSymbol(1, 1), EveSymbol(None, 0), EveSymbol(None, 1), EveSymbol(None, None)),
-        np.array([[[16, 0, 8, 0, 0], [0, 0, 0, 8, 0]], [[0, 0, 8, 0, 0], [0, 16, 0, 8, 0]]]),
-    ),
-    True: (
-        (EveSymbol(0, 0), EveSymbol(0, 1), EveSymbol(1, 0), EveSymbol(1, 1), EveSymbol(None, None)),
-        np.array([[[24, 0, 0, 0, 0], [0, 8, 0, 0, 0]], [[0, 0, 8, 0, 0], [0, 0, 0, 24, 0]]]),
-    ),
-}
-_PR_CELLS = np.array([[[0, 0, 0, 0, 4], [0, 0, 0, 0, 0]], [[0, 0, 0, 0, 0], [0, 0, 0, 0, 4]]])
+@functools.cache
+def _optimal_cells(announce: bool) -> tuple:
+    """Eve's symbols of the optimal attack, and per cell of its (2, 2, 5) table the count of
+    facet answers and of PR answers landing there, read from ``_grouping`` of its nine vertices.
+
+    Each facet symbol takes 16 and 8 eighths, 24 and 8 once Alice announces, and the PR box 4
+    eighths in (?,?) at a = b; (?,?) sorts last, and no cell mixes the two kinds.
+    """
+    vertices = (*polytope.facet_vertices(), polytope.pr_box_vertex())
+    symbols, cells = _grouping(vertices, announce)
+    facet, pr = np.zeros((2, 4 * len(symbols)), dtype=int)
+    for flat, at in cells:
+        pr[flat] = at.count(len(vertices) - 1)  # the PR box is the last vertex
+        facet[flat] = len(at) - pr[flat]
+    return symbols, facet.reshape(2, 2, -1), pr.reshape(2, 2, -1)
 
 
 def _optimal_table(p_nl: float, announce: bool) -> tuple:
@@ -216,8 +216,8 @@ def _optimal_table(p_nl: float, announce: bool) -> tuple:
     equal addends, so every bit agrees; (?,?) is left out at p_nl = 0 and every facet
     symbol at p_nl = 1, where ``attack_from_pnl`` leaves out their vertices.  p_nl is unchecked.
     """
-    symbols, facet_cells = _OPTIMAL_CELLS[announce]
-    p = facet_cells * ((1.0 - p_nl) / 8.0 * 0.125) + _PR_CELLS * (p_nl * 0.125)
+    symbols, facet_cells, pr_cells = _optimal_cells(announce)
+    p = facet_cells * ((1.0 - p_nl) / 8.0 * 0.125) + pr_cells * (p_nl * 0.125)
     if p_nl == 0.0:
         return np.ascontiguousarray(p[..., :4]), symbols[:4]
     if p_nl == 1.0:

@@ -29,8 +29,7 @@ import numpy as np
 from . import boxes
 from .exceptions import DomainError
 
-# the shared flags' values when absent; each command returns its --out text
-_SHARED_DEFAULTS = dict(grid=0.005, restarts=8, seed=0, format="csv", out="")
+# each command returns its --out text
 
 
 def cmd_vertices(args) -> str:
@@ -86,13 +85,12 @@ def cmd_rates(args) -> str:
     d_values = np.arange(0.0, rates.MAX_DISTURBANCE + args.grid / 2, args.grid)
     d_values = np.clip(d_values, 0.0, rates.MAX_DISTURBANCE)
     header = ",".join(rates.CURVE_COLUMNS)
+    print(header, flush=True)
     rows, lines = [], [header]
     for d in d_values:
-        [row] = rates.curve_rows([d], restarts=args.restarts, seed=args.seed)
+        [row] = rates.curve_rows([d])
         line = ",".join(repr(float(row[c])) for c in rates.CURVE_COLUMNS)
-        # rows are independent, so each is printed once computed; the header waits for the
-        # first row, so a bad --seed or --restarts prints nothing
-        print(line if rows else f"{header}\n{line}", flush=True)
+        print(line, flush=True)  # rows are independent, so each is printed once computed
         rows.append(row)
         lines.append(line)
     if args.format == "json":
@@ -165,58 +163,41 @@ def cmd_ad(args) -> str:
 
 @functools.cache  # parse_args keeps no state in the parsers, so one tree serves every main call
 def _build_parser() -> argparse.ArgumentParser:
-    # shared flags work both before and after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--grid", type=float, default=argparse.SUPPRESS,
-        help="sweep resolution, positive; only rates reads it",
-    )
-    common.add_argument(
-        "--restarts", type=int, default=argparse.SUPPRESS,
-        help="intrinsic search starts, integer >= 1; rates only checks it",
-    )
-    common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS,
-        help="simulate and intrinsic seed, integer >= 0; rates only checks it",
-    )
-    common.add_argument(
-        "--format", choices=("csv", "json"), default=argparse.SUPPRESS,
-        help="format of --out; only vertices and rates read it, the others always write JSON",
-    )
-    common.add_argument("--out", default=argparse.SUPPRESS, help="write machine output here")
-
     parser = argparse.ArgumentParser(
-        prog="nskd",
-        description="No-signaling boxes, eavesdropping decompositions and key rates.",
-        parents=[common],
+        prog="nskd", description="No-signaling boxes, eavesdropping decompositions and key rates."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary):
-        p = sub.add_parser(name, help=summary, parents=[common])
+    def command(name, run, summary, formats=("json",)):
+        # every command writes --out, in the formats it has; the first is the default
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
+        p.add_argument("--format", choices=formats, default=formats[0], help="format of --out")
+        p.add_argument("--out", default="", help="write machine output here")
         return p
 
-    command("vertices", cmd_vertices, "list the 24 extreme points")
+    command("vertices", cmd_vertices, "list the 24 extreme points", formats=("csv", "json"))
     p_dec = command("decompose", cmd_decompose, "minimal nonlocal-weight mixture")
     p_dec.add_argument("box_file", help="box as JSON or CSV")
-    command("rates", cmd_rates, "disturbance sweep of key rates")
+    p_rates = command("rates", cmd_rates, "disturbance sweep of key rates", formats=("csv", "json"))
+    p_rates.add_argument("--grid", type=float, default=0.005, help="sweep step in d, positive and finite")
     p_sim = command("simulate", cmd_simulate, "Monte Carlo protocol run")
     p_sim.add_argument("--visibility", type=float, default=0.8, help="isotropic visibility, 0 to 1")
     p_sim.add_argument("--rounds", type=int, default=1_000_000, help="integer >= 1")
+    p_sim.add_argument("--seed", type=int, default=0, help="integer >= 0")
     p_sim.add_argument("--records", default="", help="write per-round CSV here")
     p_int = command("intrinsic", cmd_intrinsic, "intrinsic information at one point")
     p_int.add_argument("--p-nl", type=float, required=True, help="nonlocal weight, 0 to 1")
     p_int.add_argument("--announce", action="store_true", help="Alice announces her setting too")
+    p_int.add_argument("--restarts", type=int, default=8, help="search starts, integer >= 1")
+    p_int.add_argument("--seed", type=int, default=0, help="integer >= 0")
     p_ad = command("ad", cmd_ad, "advantage-distillation thresholds")
     p_ad.add_argument("--n-max", type=int, default=30, help="longest block length, 2 to 511")
     return parser
 
 
 def main(argv=None) -> int:
-    # shared flags default to SUPPRESS in every parser, so one given before the
-    # subcommand survives it and an absent one keeps its value from here
-    args = _build_parser().parse_args(argv, argparse.Namespace(**_SHARED_DEFAULTS))
+    args = _build_parser().parse_args(argv)
     try:
         text = args.run(args)
         if args.out:

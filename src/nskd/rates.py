@@ -139,7 +139,6 @@ def cmi_given_channel(joint: JointABE, channel: Channel) -> float:
 EG_STEPS = 400
 EG_STEP = 4.0
 START_MIX = 1e-2
-MAX_OUTPUTS = 5  # the channel maps Eve's symbol to min(MAX_OUTPUTS, |E|) outputs
 
 
 @dataclass(frozen=True)
@@ -253,17 +252,15 @@ def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> Intr
     exceeds I(A:B).  A start's descent rounds the same alone or in any
     batch, so the value is nonincreasing in ``restarts``.
 
-    A local method cannot certify the global minimum; the returned
-    channel certifies that the minimum is at most ``value``.  When Eve
-    has more than MAX_OUTPUTS symbols, the identity start sends each
-    extra symbol to output e mod MAX_OUTPUTS, merging it with another.
-    So at restarts = 1 the search can end above 0 where I(A:B|E) = 0:
-    by up to 1.55e-4 bits on the six-symbol sifted local mixtures of
-    tests/test_separable_model.py, where restarts = 4 reaches 0.
+    The channel has one output per Eve symbol, which suffices to reach
+    the minimum (Christandl, Renner & Wolf, ISIT 2003), and makes the
+    identity start exact: the value never exceeds I(A:B|E).  A local
+    method cannot certify the global minimum; the returned channel
+    certifies that the minimum is at most ``value``.
     """
     restarts, seed = _as_count("restarts", restarts, 1), _as_count("seed", seed, 0)
     p_abe = np.asarray(joint.p, dtype=float)
-    m = min(MAX_OUTPUTS, p_abe.shape[2])
+    m = p_abe.shape[2]
     # at one restart the constant channel, start 1, is scored too: its value I(A:B) bounds I down E
     scored = _starts(p_abe, max(restarts, 2), seed, m)
     candidates = np.concatenate([scored, _descend(_MARGINALS @ p_abe.reshape(4, -1), scored[:restarts])])
@@ -550,7 +547,7 @@ def _sign_changes(sign_fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``_sign_change`` on every bracket [lo[i], hi[i]] at once, in lockstep.
 
     sign_fn(p) signs the midpoints p, one per bracket.  The caller vouches for sign_fn(lo) <= 0
-    < sign_fn(hi), so no end is evaluated: ``_block_zeros`` passes ends it has signed, or 0.02 and
+    < sign_fn(hi), so no end is evaluated: ``ad_thresholds`` passes ends it has signed, or 0.02 and
     0.95, whose signs it proves.  Each bracket meets the midpoints its own ``_sign_change`` takes,
     so each result is the same double; one whose ends are adjacent doubles keeps them, as its
     midpoint rounds to an end of known sign.  For one bracket the scalar loop is 10 to 20 times
@@ -580,20 +577,23 @@ class AdThreshold:
     per_n_curve: tuple  # ((n, zero_crossing), ...)
 
 
-def _block_zeros(n_max: int, *block_rates) -> tuple:
-    """Per block rate, the smallest double p_nl with block_rate(eps, blind) > 0 for each n <= n_max.
+def ad_thresholds(n_max: int) -> tuple:
+    """(``ad_threshold(n_max)``, ``ad_preprocessing_threshold(n_max)``) from one lockstep search.
 
-    Returns one ``AdThreshold`` per block rate, its zeros extrapolated.  Each n changes sign in
-    [0.02, 0.95]: the rate and the noise margin are <= 0 at p_nl <= 1/5 (see ``ad_threshold``) and
-    > 0 at 0.95.  There u = 1/80, s = 79/80, odds = (u/s)^n and blank = (p_nl/s)^n = 76^n odds, so
-    margin >= blind - 4 eps = (blank - 2 odds)/(1 + odds) > 0; and by h(x) <= 2 sqrt(x(1 - x)),
-    rate(0) >= blank/(1 + odds) - 2 sqrt(odds) > 0, since blank/sqrt(odds) = (p_nl/sqrt(us))^n >=
-    8.55 > 2(1 + odds).  The brackets are the lengths 1..n_max once per rate, searched in lockstep.
+    For the plain rate and for the noise margin, the smallest double p_nl where it is > 0, for each
+    n <= n_max, the zeros extrapolated.  The 2 n_max brackets, the lengths 1..n_max for each of the
+    two, are searched together, so each guess and sign evaluation pays numpy's per-call cost once.
+
+    Each n changes sign in [0.02, 0.95]: the rate and the noise margin are <= 0 at p_nl <= 1/5 (see
+    ``ad_threshold``) and > 0 at 0.95.  There u = 1/80, s = 79/80, odds = (u/s)^n and
+    blank = (p_nl/s)^n = 76^n odds, so margin >= blind - 4 eps = (blank - 2 odds)/(1 + odds) > 0;
+    and by h(x) <= 2 sqrt(x(1 - x)), rate(0) >= blank/(1 + odds) - 2 sqrt(odds) > 0, since
+    blank/sqrt(odds) = (p_nl/sqrt(us))^n >= 8.55 > 2(1 + odds).
 
     A sign evaluation computes only what it reads: odds and blank by C ``pow`` (``math.pow``, as
     float ** int; ``np.power`` can differ by an ulp) in one ``map``, then ``_eps_blind``, then each
-    rate on its own brackets.  Every operation is elementwise, so a bracket's signs, hence its zero,
-    are the same doubles as in a search of that rate alone, on the eps and blind of
+    sign quantity on its own brackets.  Every operation is elementwise, so a bracket's signs, hence
+    its zero, are the same doubles as in a search of that bracket alone, on the eps and blind of
     ``ad_block_ensemble``.  Three stages find the zeros in about 17 sign and guess evaluations:
 
     * guess: a lockstep secant on ``_log_gap`` in t = ln(p/(1 - p)) from p = 0.22 and 0.30, its
@@ -613,16 +613,17 @@ def _block_zeros(n_max: int, *block_rates) -> tuple:
     ns = list(range(1, n_max + 1))
 
     def sign_fn(p):
-        # p: each rate's points in turn, as k runs over n = 1..n_max (k = 2 when verifying, else 1)
+        # p: the plain rate's points, then the margin's, as k runs over n = 1..n_max (k = 2 when
+        # verifying, else 1)
         u = (1.0 - p) / 4.0
         s = 1.0 - u
         ratios = np.concatenate([u / s, p / s]).tolist()
         powers = np.fromiter(map(math.pow, ratios, ns * (len(ratios) // n_max)), float, len(ratios))
-        eps, blind = _eps_blind(*powers.reshape(2, len(block_rates), -1))
-        return np.concatenate([block_rate(*pair) for block_rate, *pair in zip(block_rates, eps, blind)])
+        (eps_plain, eps_noisy), (blind_plain, blind_noisy) = _eps_blind(*powers.reshape(2, 2, -1))
+        return np.concatenate([_entropy_deficit(eps_plain, blind_plain), _noise_margin(eps_noisy, blind_noisy)])
 
-    n = np.tile(np.arange(1.0, n_max + 1), len(block_rates))
-    plain = np.repeat([block_rate is _entropy_deficit for block_rate in block_rates], n_max)
+    n = np.tile(np.arange(1.0, n_max + 1), 2)
+    plain = np.repeat([True, False], n_max)
     t_lo, t_hi = math.log(0.02 / 0.98), math.log(0.95 / 0.05)
     t0, t1 = np.full(n.size, math.log(0.22 / 0.78)), np.full(n.size, math.log(0.30 / 0.70))
     g0, g1 = _log_gap(t0, n, plain), _log_gap(t1, n, plain)
@@ -636,7 +637,7 @@ def _block_zeros(n_max: int, *block_rates) -> tuple:
             t0, g0 = t1, g1
             t1 = np.where(live, np.clip(t1 - step, t_lo, t_hi), t1)
             g1 = _log_gap(t1, n, plain)
-    guess = (1.0 / (1.0 + np.exp(-t1))).reshape(len(block_rates), 1, n_max)
+    guess = (1.0 / (1.0 + np.exp(-t1))).reshape(2, 1, n_max)
     near = np.clip((guess.view(np.int64) + np.array([[-64], [64]])).view(float), 0.02, 0.95)
     up = sign_fn(near.ravel()).reshape(near.shape) > 0.0
     below, above = near[:, 0].ravel(), near[:, 1].ravel()
@@ -651,7 +652,7 @@ def _block_zeros(n_max: int, *block_rates) -> tuple:
 def _log_gap(t, n, plain):
     """ln(blind) - ln(loss) at p_nl = 1/(1 + e^-t), loss h(eps) where plain, else 4 eps (1 - eps).
 
-    The surrogate whose zeros ``_block_zeros`` guesses; it only picks points, never a sign.  With
+    The surrogate whose zeros ``ad_thresholds`` guesses; it only picks points, never a sign.  With
     w = ln(4 + 3 e^-t), u/s = e^-t / (4 + 3 e^-t) and p_nl/s = 4 / (4 + 3 e^-t), so
     a = ln odds = -n (t + w) and ln blank = n (ln 4 - w).  Then l1 = ln(1 + odds) = -ln(1 - eps),
     ln eps = a - l1 and h(eps) ln 2 = eps (l1 - a + l1/odds), where l1/odds -> 1 once odds
@@ -702,7 +703,7 @@ def ad_threshold(n_max: int) -> AdThreshold:
     The per-n zeros therefore approach 1/5 from above, and the 1/N
     extrapolation only estimates it.
     """
-    return _block_zeros(n_max, _entropy_deficit)[0]
+    return ad_thresholds(n_max)[0]
 
 
 def _noise_slope(ensemble: AdBlockEnsemble, q: float) -> float:
@@ -776,17 +777,7 @@ def ad_with_preprocessing(p_nl: float, n_max: int) -> dict:
 
 def ad_preprocessing_threshold(n_max: int) -> AdThreshold:
     """Positivity threshold of distillation with pre-processing: the zeros of ``noise_margin``."""
-    return _block_zeros(n_max, _noise_margin)[0]
-
-
-def ad_thresholds(n_max: int) -> tuple:
-    """(``ad_threshold(n_max)``, ``ad_preprocessing_threshold(n_max)``) from one lockstep search.
-
-    ``_block_zeros`` searches the plain rate's and the noise margin's zeros together, 2 n_max
-    brackets at once, so each guess and sign evaluation pays numpy's per-call cost once for both.
-    Each zero is the same double as in its own search, since every step is elementwise.
-    """
-    return _block_zeros(n_max, _entropy_deficit, _noise_margin)
+    return ad_thresholds(n_max)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -140,8 +140,6 @@ class TestRates:
             "rates",
             "--grid",
             "0.002",
-            "--restarts",
-            "1",
             "--out",
             str(out_file),
         )
@@ -166,9 +164,7 @@ class TestRates:
 
     def test_rows_ordered_by_grid(self, capsys, tmp_path):
         out_file = tmp_path / "curve.csv"
-        code, _, _ = run_cli(
-            capsys, "rates", "--grid", "0.03", "--restarts", "1", "--out", str(out_file)
-        )
+        code, _, _ = run_cli(capsys, "rates", "--grid", "0.03", "--out", str(out_file))
         with open(out_file) as fh:
             ds = [float(r["d"]) for r in csv.DictReader(fh)]
         assert ds == sorted(ds)
@@ -176,35 +172,26 @@ class TestRates:
     def test_each_row_is_printed_before_the_next_is_computed(self, capsys, monkeypatch):
         seen = []  # stdout printed before each call of curve_rows
 
-        def one_row_at_a_time(d_values, restarts, seed):
+        def one_row_at_a_time(d_values):
             seen.append(capsys.readouterr().out)
-            return compute(d_values, restarts, seed)
+            return compute(d_values)
 
         compute = rates.curve_rows
         monkeypatch.setattr(rates, "curve_rows", one_row_at_a_time)
-        code = main(["rates", "--grid", "0.05", "--restarts", "1"])
+        code = main(["rates", "--grid", "0.05"])
         seen.append(capsys.readouterr().out)
         assert code == 0
-        # nothing before the first row, then the header with the first row, then one row per call
-        assert [part.count("\n") for part in seen] == [0, 2, 1, 1, 1]
+        # the header before the first row, then one row per call
+        assert [part.count("\n") for part in seen] == [1, 1, 1, 1, 1]
         assert "".join(seen).splitlines()[0] == ",".join(rates.CURVE_COLUMNS)
 
     def test_rows_equal_one_sweep_over_the_grid(self, capsys, tmp_path):
         out_file = tmp_path / "curve.json"
-        argv = ["rates", "--grid", "0.03", "--restarts", "1", "--format", "json", "--out", str(out_file)]
+        argv = ["rates", "--grid", "0.03", "--format", "json", "--out", str(out_file)]
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         d_values = np.clip(np.arange(0.0, rates.MAX_DISTURBANCE + 0.015, 0.03), 0.0, rates.MAX_DISTURBANCE)
-        assert json.loads(out_file.read_text()) == rates.curve_rows(d_values, restarts=1)
-
-    def test_restarts_and_seed_do_not_change_the_sweep(self, capsys, tmp_path):
-        outputs = []
-        for i, flags in enumerate((["--restarts", "1"], ["--restarts", "8", "--seed", "5"])):
-            out_file = tmp_path / f"{i}.csv"
-            code, out, _ = run_cli(capsys, "rates", "--grid", "0.03", *flags, "--out", str(out_file))
-            assert code == 0
-            outputs.append((out, out_file.read_bytes()))
-        assert outputs[0] == outputs[1]
+        assert json.loads(out_file.read_text()) == rates.curve_rows(d_values)
 
     def test_default_sweep_runs_no_descent(self, capsys, tmp_path, monkeypatch):
         # the intrinsic column is the merge channel's exact value, equal to the search's to rounding
@@ -235,7 +222,7 @@ class TestRates:
     # 1e-15 asks numpy for a 1 PiB grid, and that allocation fails at once
     @pytest.mark.parametrize("grid", ["0", "-0.1", "nan", "inf", "1e-15"])
     def test_bad_grid_exits_two(self, capsys, grid):
-        code, out, err = run_cli(capsys, "rates", "--grid", grid, "--restarts", "1")
+        code, out, err = run_cli(capsys, "rates", "--grid", grid)
         assert code == 2
         assert "error:" in err
         assert "Traceback" not in out + err
@@ -601,48 +588,62 @@ class TestEveryCommandIsPinned:
         assert err == message.format(missing=missing)
 
 
+# the flags each command reads besides --format and --out, with a valid value (None: a switch)
+OWN_FLAGS = {
+    "vertices": {},
+    "decompose": {},
+    "rates": {"--grid": "0.2"},
+    "simulate": {"--visibility": "0.7", "--rounds": "1000", "--seed": "1", "--records": "r.csv"},
+    "intrinsic": {"--p-nl": "0.5", "--announce": None, "--restarts": "1", "--seed": "1"},
+    "ad": {"--n-max": "5"},
+}
+BASE_ARGV = {"decompose": ["decompose", "box.json"], "intrinsic": ["intrinsic", "--p-nl", "0.5"]}
+ALL_FLAGS = {flag: value for flags in OWN_FLAGS.values() for flag, value in flags.items()}
+UNREAD = [
+    (command, flag, [flag] if ALL_FLAGS[flag] is None else [flag, ALL_FLAGS[flag]])
+    for command, flags in OWN_FLAGS.items()
+    for flag in ALL_FLAGS
+    if flag not in flags
+]
+# these four write JSON only
+UNREAD += [(command, "--format", ["--format", "csv"]) for command in ("decompose", "simulate", "intrinsic", "ad")]
+
+
+@pytest.mark.parametrize(
+    "command, flag, words", UNREAD, ids=[" ".join([command, *words]) for command, _, words in UNREAD]
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, command, flag, words):
+    # a value the flag would accept elsewhere, so the only fault is the flag itself
+    with pytest.raises(SystemExit) as stop:
+        main([*BASE_ARGV.get(command, [command]), *words])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: nskd")
+    expected = "argument --format: invalid choice: 'csv'" if flag == "--format" else f"unrecognized arguments: {flag}"
+    assert expected in captured.err
+
+
 class TestFlagPlacement:
     def test_flags_accepted_after_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--rounds", "1000", "--seed", "1")
         assert code == 0
 
-    def test_flags_accepted_before_subcommand(self, capsys):
-        code, _, _ = run_cli(capsys, "--seed", "1", "simulate", "--rounds", "1000")
-        assert code == 0
-
     @pytest.mark.parametrize(
-        "before, after",
-        [
-            (["--format", "json", "vertices"], ["vertices", "--format", "json"]),
-            (["--seed", "4", "simulate", "--rounds", "20000"], ["simulate", "--rounds", "20000", "--seed", "4"]),
-        ],
-        ids=["vertices", "simulate"],
+        "argv",
+        [["--seed", "1", "simulate", "--rounds", "1000"], ["--format", "json", "vertices"], ["--out", "v", "vertices"]],
+        ids=["seed", "format", "out"],
     )
-    def test_flag_before_subcommand_takes_effect(self, capsys, tmp_path, before, after):
-        outputs = []
-        for i, argv in enumerate((before, after, after[:-2])):
-            out_file = tmp_path / f"{i}.out"
-            assert run_cli(capsys, *argv, "--out", str(out_file))[0] == 0
-            outputs.append(out_file.read_bytes())
-        assert outputs[0] == outputs[1] != outputs[2]  # the last run leaves the flag out
-
-    @pytest.mark.parametrize("argv", [["--help"], ["ad", "--help"], ["rates", "--help"]], ids=["top", "ad", "rates"])
-    def test_help_says_which_commands_read_grid_and_format(self, capsys, argv):
-        # as the README says: only rates reads --grid, and only vertices and rates read --format
+    def test_flag_before_subcommand_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as stop:
             main(argv)
-        assert stop.value.code == 0
-        text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal width
-        assert "--grid GRID sweep resolution, positive; only rates reads it" in text
-        assert (
-            "--format {csv,json} format of --out; only vertices and rates read it, the others always write JSON"
-            in text
-        )
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: nskd")
 
     def test_calls_share_no_flag_state(self, capsys, tmp_path):
         # main builds its parser once per process, and each call still starts from the defaults
         json_file, csv_file = tmp_path / "v.json", tmp_path / "v.csv"
-        assert run_cli(capsys, "--format", "json", "vertices", "--out", str(json_file))[0] == 0
+        assert run_cli(capsys, "vertices", "--format", "json", "--out", str(json_file))[0] == 0
         assert run_cli(capsys, "vertices", "--out", str(csv_file))[0] == 0
         assert run_cli(capsys, "vertices", "--format", "json")[0] == 0  # no --out: nothing written
         assert len(json.loads(json_file.read_text())) == 24
@@ -651,27 +652,25 @@ class TestFlagPlacement:
         assert cli._build_parser() is cli._build_parser()
 
 
+def test_perfbench_spelling_of_ad_writes_what_ad_writes(capsys, tmp_path):
+    # perfbench/workloads.py times cli.main(["ad", "--n-max", "30", "--format", "json", "--out", F])
+    outputs = []
+    for i, flags in enumerate((["--format", "json"], [])):
+        out_file = tmp_path / f"{i}.json"
+        code, out, err = run_cli(capsys, "ad", "--n-max", "30", *flags, "--out", str(out_file))
+        assert (code, err) == (0, "")
+        outputs.append((out, out_file.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["simulate", "--seed", "-1"],
-        ["intrinsic", "--p-nl", "0.5", "--seed", "-1"],
-        ["rates", "--grid", "0.2", "--seed", "-1"],
-    ],
-    ids=lambda argv: argv[0],
+    "argv", [["simulate", "--seed", "-1"], ["intrinsic", "--p-nl", "0.5", "--seed", "-1"]], ids=lambda argv: argv[0]
 )
 def test_negative_seed_names_the_flag(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err == "error: seed -1 must be at least 0\n"
     assert out == ""
-
-
-@pytest.mark.parametrize("argv", [["vertices"], ["ad", "--n-max", "5"]], ids=lambda argv: argv[0])
-def test_commands_without_randomness_ignore_the_seed(capsys, argv):
-    code, _, err = run_cli(capsys, *argv, "--seed", "-1")
-    assert code == 0
-    assert err == ""
 
 
 # nskd.* modules each start holds after it ran; each command imports what it runs
@@ -681,7 +680,7 @@ COLD_STARTS = {
     "import": (None, set()),
     "vertices": (["vertices"], _CLI | {"nskd.polytope"}),
     "decompose": (["decompose", "{box}"], _CLI | {"nskd.polytope"}),
-    "rates": (["rates", "--grid", "0.2", "--restarts", "1"], _ATTACK | {"nskd.rates"}),
+    "rates": (["rates", "--grid", "0.2"], _ATTACK | {"nskd.rates"}),
     "simulate": (["simulate", "--rounds", "1000"], _ATTACK | {"nskd.simulate"}),
     "intrinsic": (["intrinsic", "--p-nl", "0.5", "--restarts", "2"], _ATTACK | {"nskd.rates"}),
     "ad": (["ad", "--n-max", "5"], _ATTACK | {"nskd.rates"}),

@@ -236,23 +236,25 @@ def _values(*valid):
 
 
 PROBABILITY = _values(st.sampled_from(HUGE), _floats(0.0, 1.0), st.floats().map(repr))
-SHARED = {
-    "--grid": _values(st.sampled_from(HUGE), _floats(0.02, 1e300)),
-    "--restarts": _values(st.sampled_from(["-1e400", str(-(10**30))]), st.integers(1, 4).map(str)),
-    "--seed": _values(st.sampled_from(HUGE), st.integers(0, 2**70).map(str)),
-    "--format": st.sampled_from(["csv", "json", "xml"]),
-    "--out": "path",
-}
+SEED = _values(st.sampled_from(HUGE), st.integers(0, 2**70).map(str))
+# every command takes --format (vertices and rates write csv or json, the others json) and --out
+OUTPUT = {"--format": st.sampled_from(["csv", "json", "xml"]), "--out": "path"}
 COMMANDS = {
     "vertices": {},
     "decompose": {},
-    "rates": {},
+    "rates": {"--grid": _values(st.sampled_from(HUGE), _floats(0.02, 1e300))},
     "simulate": {
         "--visibility": PROBABILITY,
         "--rounds": _values(st.integers(1, 10**4).map(str)),
+        "--seed": SEED,
         "--records": "path",
     },
-    "intrinsic": {"--p-nl": PROBABILITY, "--announce": None},
+    "intrinsic": {
+        "--p-nl": PROBABILITY,
+        "--announce": None,
+        "--restarts": _values(st.sampled_from(["-1e400", str(-(10**30))]), st.integers(1, 4).map(str)),
+        "--seed": SEED,
+    },
     "ad": {"--n-max": _values(st.sampled_from(HUGE), st.integers(0, 40).map(str), st.integers(512, 10**9).map(str))},
 }
 
@@ -283,29 +285,28 @@ def box_file(draw):
 
 @st.composite
 def argv(draw, workdir):
-    """An nskd command line, shared flags placed before or after the subcommand."""
+    """An nskd command line: the subcommand, then flags drawn from those it reads."""
     paths = ["", str(workdir / "out.txt"), str(workdir), str(workdir / "missing" / "out.txt")]
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    flags = {**SHARED, **COMMANDS[command]}
+    flags = {**OUTPUT, **COMMANDS[command]}
     chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=5))
     if command == "rates" and "--grid" not in chosen:
         chosen.append("--grid")  # the default 0.005 runs 30 rows
     if command == "intrinsic" and "--p-nl" not in chosen and draw(st.integers(0, 9)):
         chosen.append("--p-nl")
-    before, after = [], [command]
+    words = [command]
     if command == "decompose":
         box = workdir / "box"
         box.write_bytes(draw(box_file()))
-        after.append(draw(st.sampled_from([str(box)] * 8 + [str(workdir), str(workdir / "missing.json")])))
+        words.append(draw(st.sampled_from([str(box)] * 8 + [str(workdir), str(workdir / "missing.json")])))
     for flag in chosen:
-        where = before if flag in SHARED and draw(st.booleans()) else after
         strategy = flags[flag]
         if strategy is None:
-            where.append(flag)
+            words.append(flag)
             continue
         value = draw(st.sampled_from(paths)) if strategy == "path" else draw(strategy)
-        where.extend([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
-    return before + after
+        words.extend([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    return words
 
 
 @pytest.fixture(scope="module")

@@ -518,14 +518,14 @@ class TestIntrinsicNumeric:
         [f(p_nl).p for f in (table_joint, _announce) for p_nl in (0.05, 0.25, 0.5, 0.75, 0.95)]
         + [np.array([0.3, 0.1, 0.05, 0.15, 0.1, 0.05, 0.05, 0.2]).reshape(2, 2, 2)]
         + [_without_01_row(table_joint(0.5).p)]
-        # fewer Eve symbols than MAX_OUTPUTS outputs, and more
+        # one to seven Eve symbols, one output each
         + [np.random.default_rng(k).dirichlet(np.ones(4 * k)).reshape(2, 2, k) for k in (1, 3, 4, 6, 7)],
         ids=[f"{v}-{p_nl}" for v in ("table", "announce") for p_nl in (0.05, 0.25, 0.5, 0.75, 0.95)]
         + ["two-eve-symbols", "no-01-row"]
         + [f"dirichlet-{k}-eve-symbols" for k in (1, 3, 4, 6, 7)],
     )
     def test_descent_equals_the_allocating_loop_bit_for_bit(self, p_abe, restarts):
-        starts = rates._starts(p_abe, restarts, 0, min(rates.MAX_OUTPUTS, p_abe.shape[2]))
+        starts = rates._starts(p_abe, restarts, 0, p_abe.shape[2])
         q = rates._MARGINALS @ p_abe.reshape(4, -1)
         assert np.array_equal(rates._descend(q, starts), allocating_descent(q, starts))
 
@@ -564,8 +564,7 @@ class TestIntrinsicNumeric:
                 result = rates.intrinsic_search(joint, restarts=restarts, seed=0)
                 assert np.all(np.isfinite(result.channel)) and np.all(result.channel >= 0.0)
                 assert np.allclose(result.channel.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
-                m = min(rates.MAX_OUTPUTS, joint.p.shape[2])
-                for start in rates._starts(joint.p, restarts, 0, m):
+                for start in rates._starts(joint.p, restarts, 0, joint.p.shape[2]):
                     assert 0.0 <= result.value <= rates.cmi_given_channel(joint, rates.Channel(start))
                 assert result.value <= rates.intrinsic_upper_bound(joint) + 1e-12
 
@@ -1062,7 +1061,7 @@ class TestExactSearch:
         assert found.tolist() == [rates._sign_change(fn, a, b) for fn, a, b in brackets]
 
     def test_every_block_length_changes_sign_inside_the_bracket(self):
-        # the proof in _block_zeros: both sign quantities are <= 0 at 0.02 and > 0 at 0.95; the least
+        # the proof in ad_thresholds: both sign quantities are <= 0 at 0.02 and > 0 at 0.95; the least
         # at 0.95 is 2.56e-9 (n = 511) and the greatest at 0.02 is -1.4e-247, far from rounding
         ns = np.arange(1, rates.AD_MAX_N + 1)
         for p_nl, positive in [(0.02, False), (0.95, True)]:

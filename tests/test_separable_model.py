@@ -40,8 +40,6 @@ def local_boxes() -> dict:
 
 
 CASES = local_boxes()
-# the search costs about 10 ms a joint, so it runs on every structured case and the first 50 mixtures
-SEARCHED = {name for name in CASES if not name.startswith("mixture-") or int(name.split("-")[1]) < 50}
 
 
 def ket(bits) -> np.ndarray:
@@ -96,6 +94,6 @@ def test_local_decomposition_leaves_no_secrecy():
         weights = polytope.min_nonlocal_decomposition(box).weights[:16].tolist()
         joint = sift(FullAttack(0.0, tuple((vertex, w) for vertex, w in zip(LOCAL, weights) if w > 0.0)))
         assert conditional_mutual_information(joint.p) == 0.0, name
-        if name in SEARCHED:
-            assert rates.intrinsic_search(joint, restarts=4).value == 0.0, name
+        # one channel output per Eve symbol, so the identity start alone is exact: I(A:B|E) = 0
+        assert rates.intrinsic_search(joint, restarts=1).value == 0.0, name
 
