@@ -241,12 +241,9 @@ class AliceBobStats(NamedTuple):
 def alice_bob_stats(joint: JointABE) -> AliceBobStats:
     """Error rate and the three pairwise mutual informations."""
     ab = joint.ab_marginal()
-    qber = float(ab[0, 1] + ab[1, 0])
-    ae = joint.p.sum(axis=1)
-    be = joint.p.sum(axis=0)
     return AliceBobStats(
-        qber=qber,
-        i_ab=info.mutual_information(ab),
-        i_ae=info.mutual_information(ae),
-        i_be=info.mutual_information(be),
+        qber=float(ab[0, 1] + ab[1, 0]),
+        i_ab=info._mi(ab),
+        i_ae=info._mi(joint.p.sum(axis=1)),
+        i_be=info._mi(joint.p.sum(axis=0)),
     )

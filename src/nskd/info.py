@@ -40,9 +40,12 @@ def mutual_information(joint) -> float:
     if p.ndim != 2:
         raise ValueError("mutual_information expects a 2-d joint")
     _check_normalized(p)
-    px = p.sum(axis=1, keepdims=True)
-    py = p.sum(axis=0, keepdims=True)
-    prod = px * py
+    return _mi(p)
+
+
+def _mi(p: np.ndarray) -> float:
+    """Unchecked I(X:Y) of a 2-d joint p(x, y)."""
+    prod = p.sum(axis=1, keepdims=True) * p.sum(axis=0, keepdims=True)
     mask = p > 0
     vals = p[mask] * np.log2(p[mask] / prod[mask])
     return max(0.0, float(vals.sum()))

@@ -35,7 +35,8 @@ from . import info
 from .attack import JointABE, _optimal_table
 from .attack import alice_bob_stats, table_joint  # noqa: F401  perfbench/tracing.py patches them here
 from .exceptions import DomainError, _as_count, _as_fraction
-from .info import binary_entropy, conditional_mutual_information, mutual_information
+from .info import binary_entropy, conditional_mutual_information
+from .info import mutual_information  # noqa: F401  perfbench/tracing.py patches it here
 
 SQRT2 = math.sqrt(2.0)
 
@@ -58,7 +59,7 @@ def ck_rate(p_nl: float) -> float:
 
 def oneway_rate(joint: JointABE) -> float:
     """I(A:B) - I(A:E) for an arbitrary sifted joint."""
-    return mutual_information(joint.ab_marginal()) - mutual_information(joint.p.sum(axis=1))
+    return info._mi(joint.ab_marginal()) - info._mi(joint.p.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -267,7 +268,7 @@ def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> Intr
     best = int(np.argmin(info._cmi(p_abe @ candidates[:, None])))
     certificate = Channel(candidates[best])
     return IntrinsicResult(
-        value=cmi_given_channel(joint, certificate),
+        value=float(info._cmi(p_abe @ certificate.matrix)),
         channel=certificate.matrix,
         start=best % len(scored),
         steps=EG_STEPS if best >= len(scored) else 0,
@@ -281,7 +282,7 @@ def intrinsic_numeric(joint: JointABE, restarts: int = 64, seed: int = 0) -> flo
 
 def intrinsic_upper_bound(joint: JointABE) -> float:
     """min(I(A:B), I(A:B|E)); any channel value must stay below this."""
-    return min(mutual_information(joint.ab_marginal()), conditional_mutual_information(joint.p))
+    return min(info._mi(joint.ab_marginal()), float(info._cmi(joint.p)))
 
 
 @dataclass(frozen=True)
@@ -297,12 +298,11 @@ class IntrinsicCertificate:
 def _exact(p_nl: float, announce: bool) -> tuple:
     """(value, p, channel, kept, eps, fraction) of ``intrinsic_exact``; p_nl is unchecked.
 
-    The table comes from its closed-form cells (``attack._optimal_table``), and the table,
-    the channel and the merged table are each checked to be normalized, as ``JointABE``,
-    ``Channel`` and ``cmi_given_channel`` check them.
+    The table comes from its closed-form cells (``attack._optimal_table``) and none of the
+    three tables is re-checked: ``TestClosedFormTable`` and ``test_every_field_equals_the_sift_route``
+    prove them equal, bit for bit, to the checked ``sift`` and ``cmi_given_channel`` route.
     """
     p, symbols = _optimal_table(p_nl, announce)
-    info._check_normalized(p)
     if announce:
         eps = (1.0 - p_nl) / (1.0 + 3.0 * p_nl)
         fraction = (1.0 - 5.0 * p_nl) / (3.0 * (1.0 - p_nl)) if p_nl < 0.2 else 0.0
@@ -314,8 +314,7 @@ def _exact(p_nl: float, announce: bool) -> tuple:
         if keep:
             row[symbol.e_a], row[2] = 1.0 - fraction, fraction
     channel = np.array(rows)
-    info._check_normalized(channel, axis=1)
-    return conditional_mutual_information(p @ channel), p, channel, kept, eps, fraction
+    return float(info._cmi(p @ channel)), p, channel, kept, eps, fraction
 
 
 def intrinsic_exact(p_nl: float, announce: bool = False) -> IntrinsicCertificate:

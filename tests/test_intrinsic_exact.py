@@ -170,3 +170,27 @@ def test_a_symbol_of_zero_mass_gets_a_zero_coefficient(p_nl):
 def test_rejects_p_nl_outside_the_unit_interval(p_nl):
     with pytest.raises(DomainError, match="outside"):
         rates.intrinsic_exact(p_nl)
+
+
+def refuse_checks(monkeypatch):
+    """Make every normalization check raise: no table the package writes itself may reach one."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table the package wrote itself was re-checked")
+
+    monkeypatch.setattr(info, "_check_normalized", refuse)
+
+
+def test_the_sweep_checks_no_table_it_writes(monkeypatch):
+    # the d values of nskd rates at its default --grid 0.005
+    d_values = np.clip(np.arange(0.0, rates.MAX_DISTURBANCE + 0.0025, 0.005), 0.0, rates.MAX_DISTURBANCE)
+    expected = rates.curve_rows(d_values)
+    refuse_checks(monkeypatch)
+    assert rates.curve_rows(d_values) == expected
+
+
+@pytest.mark.parametrize("announce", [False, True], ids=["table", "announce"])
+def test_the_exact_certificate_checks_no_table_it_writes(announce, monkeypatch):
+    expected = [rates.intrinsic_exact(p_nl, announce).value for p_nl in edge_pnls()]
+    refuse_checks(monkeypatch)
+    assert [rates.intrinsic_exact(p_nl, announce).value for p_nl in edge_pnls()] == expected

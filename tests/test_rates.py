@@ -1020,27 +1020,23 @@ class TestExactSearch:
 
     @pytest.mark.parametrize("n_max", [2, 30, 511])
     @pytest.mark.parametrize(
-        "threshold, sign",
+        "threshold, half, sign",
         [
-            (rates.ad_threshold, rates.AdBlockEnsemble.rate),
-            (rates.ad_preprocessing_threshold, rates.AdBlockEnsemble.noise_margin),
+            (rates.ad_threshold, 0, rates.AdBlockEnsemble.rate),
+            (rates.ad_preprocessing_threshold, 1, rates.AdBlockEnsemble.noise_margin),
         ],
         ids=["plain", "preprocessing"],
     )
-    def test_lockstep_search_equals_one_search_per_length(self, threshold, sign, n_max):
-        # the scalar oracle: each n bisected alone by _sign_change on the scalar ensemble
+    def test_lockstep_search_equals_one_search_per_length(self, threshold, half, sign, n_max):
+        # the scalar oracle: each n bisected alone by _sign_change on the scalar ensemble; both
+        # the single-rate entry and its half of the joint search must meet it
         zeros = tuple(
             (n, rates._sign_change(lambda p: sign(rates.ad_block_ensemble(p, n)), 0.02, 0.95))
             for n in range(1, n_max + 1)
         )
-        result = threshold(n_max)
-        assert result.per_n_curve == zeros
-        assert result.threshold_estimate == rates._extrapolate_zeros(zeros)
-
-    @pytest.mark.parametrize("n_max", [2, 30, 511])
-    def test_joint_search_equals_the_two_searches(self, n_max):
-        joint = rates.ad_thresholds(n_max)
-        assert joint == (rates.ad_threshold(n_max), rates.ad_preprocessing_threshold(n_max))
+        for result in (threshold(n_max), rates.ad_thresholds(n_max)[half]):
+            assert result.per_n_curve == zeros
+            assert result.threshold_estimate == rates._extrapolate_zeros(zeros)
 
     def test_lockstep_bisection_equals_one_bisection_per_bracket(self):
         # monotone increasing sign functions, each <= 0 at lo and > 0 at hi, closing at different steps
