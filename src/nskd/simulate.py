@@ -7,7 +7,9 @@ run is seeded by (seed, j), so shards computed in parallel reproduce the
 serial stream exactly and merging is plain concatenation.
 
 Each block is one ``random_raw`` call of its bit generator, read bit
-for bit as numpy's ``Generator`` would draw it.  Within a block the
+for bit as numpy's ``Generator`` would draw it.  That call releases the
+GIL, so when the process may use two CPUs one helper thread makes block
+j + 1's call while block j is looked up (``_draws``).  Within a block the
 vertex is the number of cumulative mixture weights at or below a
 uniform draw, read from a table over the top 16 bits of the raw word
 and counted exactly only for the few words whose 16-bit bucket has a
@@ -20,8 +22,9 @@ time, from seven ``count_nonzero`` calls per block; ``stream_estimate``
 tallies the same blocks as they are drawn into one reused block of
 columns, and can write their records CSV as it goes, and keeps none, so
 its memory does not grow with the number of rounds.
-``nskd simulate`` always streams: 20 million rounds take about 0.54 s
-cold and peak at about 38 MB RSS (2 cores, Python 3.11.7, numpy 2.4.6).
+``nskd simulate`` always streams: 20 million rounds take about 0.45 s
+cold (median of 5; single cold runs spread from 0.31 to 0.56 s) and peak
+at about 39 MB RSS (2 cores, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ import io
 import itertools
 import json
 import math
+import os
+import queue
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -165,9 +171,10 @@ class _Strategy:
         Every block draws x, y, u and the coin for all its BLOCK_ROUNDS
         rounds from its own (seed, block index) sequence, in that order,
         and then keeps the part inside the window.  The draws are read
-        from ``_block_draws``, one ``random_raw`` call of the block's PCG64,
-        bit for bit what ``default_rng`` on the same SeedSequence returns
-        (verified on numpy 2.4.6):
+        from ``_draws``, one ``random_raw`` call of the block's PCG64, made
+        one block ahead on a helper thread when two CPUs are usable, bit for
+        bit what ``default_rng`` on the same SeedSequence returns (verified
+        on numpy 2.4.6):
 
         - ``integers(0, 2, size=B, dtype=np.int8)`` buffers the bytes of
           ``next_uint32``, the low then the high half of each 64-bit
@@ -182,29 +189,28 @@ class _Strategy:
         """
         reuse = out is None
         columns = _columns(BLOCK_ROUNDS) if reuse else out
-        lo_block = first_round // BLOCK_ROUNDS
-        hi_block = (first_round + n - 1) // BLOCK_ROUNDS
-        for block in range(lo_block, hi_block + 1):
-            base = block * BLOCK_ROUNDS
-            window = slice(max(first_round - base, 0), min(first_round + n - base, BLOCK_ROUNDS))
-            start = 0 if reuse else base + window.start - first_round
-            part = slice(start, start + window.stop - window.start)
-            x, y, k, a, b, sifted = (col[part] for col in columns)
-            x_bytes, y_bytes, u_words, coin_bytes = _block_draws(seed, block)
-            np.right_shift(x_bytes[window], 7, out=x.view(np.uint8))
-            np.right_shift(y_bytes[window], 7, out=y.view(np.uint8))
-            key = _vertex_x8(self.buckets, self.thresholds, u_words[window])
-            np.right_shift(key, 3, out=k)
-            key += x.view(np.uint8) * 4
-            key += y.view(np.uint8) * 2
-            key += coin_bytes[window] >> 7
-            del x_bytes, y_bytes, u_words, coin_bytes  # free the words before the next block's
-            packed = np.take(self.outcomes, key)
-            np.bitwise_and(packed, 1, out=a)
-            np.right_shift(packed, 1, out=b)
-            b &= 1
-            np.right_shift(packed, 2, out=sifted)
-            yield x, y, k, a, b, sifted
+        blocks = range(first_round // BLOCK_ROUNDS, (first_round + n - 1) // BLOCK_ROUNDS + 1)
+        with contextlib.closing(_draws(seed, blocks)) as draws:
+            for block, (x_bytes, y_bytes, u_words, coin_bytes) in zip(blocks, draws):
+                base = block * BLOCK_ROUNDS
+                window = slice(max(first_round - base, 0), min(first_round + n - base, BLOCK_ROUNDS))
+                start = 0 if reuse else base + window.start - first_round
+                part = slice(start, start + window.stop - window.start)
+                x, y, k, a, b, sifted = (col[part] for col in columns)
+                np.right_shift(x_bytes[window], 7, out=x.view(np.uint8))
+                np.right_shift(y_bytes[window], 7, out=y.view(np.uint8))
+                key = _vertex_x8(self.buckets, self.thresholds, u_words[window])
+                np.right_shift(key, 3, out=k)
+                key += x.view(np.uint8) * 4
+                key += y.view(np.uint8) * 2
+                key += coin_bytes[window] >> 7
+                del x_bytes, y_bytes, u_words, coin_bytes  # free the words before the next block's
+                packed = np.take(self.outcomes, key)
+                np.bitwise_and(packed, 1, out=a)
+                np.right_shift(packed, 1, out=b)
+                b &= 1
+                np.right_shift(packed, 2, out=sifted)
+                yield x, y, k, a, b, sifted
 
 
 def _columns(n: int):
@@ -218,13 +224,63 @@ def _columns(n: int):
     return x, y, k, a, b, sifted
 
 
+_BLOCK_WORDS = 3 * (BLOCK_ROUNDS // 8) + BLOCK_ROUNDS  # x, y, u, coin
+
+
+def _bit_generator(seed: int, block: int) -> np.random.PCG64:
+    return np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+
+
+def _split(words: np.ndarray):
+    """One block's raw words as x's and y's bytes, u's words, the coin's bytes."""
+    bits = BLOCK_ROUNDS // 8  # words of a bit column, 8 bytes each
+    x, y, u_words, coin = np.split(words.astype("<u8", copy=False), (bits, 2 * bits, 2 * bits + BLOCK_ROUNDS))
+    return x.view(np.uint8), y.view(np.uint8), u_words, coin.view(np.uint8)
+
+
 def _block_draws(seed: int, block: int):
     """Block (seed, block)'s raw draws: x's and y's bytes, u's words, the coin's bytes."""
-    bits = BLOCK_ROUNDS // 8  # words of a bit column, 8 bytes each
-    bitgen = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-    words = bitgen.random_raw(3 * bits + BLOCK_ROUNDS).astype("<u8", copy=False)
-    x, y, u_words, coin = np.split(words, np.cumsum([bits, bits, BLOCK_ROUNDS]))
-    return x.view(np.uint8), y.view(np.uint8), u_words, coin.view(np.uint8)
+    return _split(_bit_generator(seed, block).random_raw(_BLOCK_WORDS))
+
+
+def _draws(seed: int, blocks: range):
+    """_block_draws(seed, block) of each block in turn, each next block's words drawn ahead.
+
+    With two usable CPUs and two blocks, one helper thread calls
+    ``random_raw`` (which releases the GIL) on block j + 1's generator
+    while the caller looks block j up; the caller builds the generators,
+    splits the words and re-raises what the helper raised.  The helper is
+    stopped and joined when this generator ends, is closed or raises.
+    """
+    if len(blocks) < 2 or len(os.sched_getaffinity(0)) < 2:  # on one CPU hand-offs only cost
+        yield from (_block_draws(seed, block) for block in blocks)
+        return
+    bitgens = (_bit_generator(seed, block) for block in blocks)
+    requests, results = queue.SimpleQueue(), queue.SimpleQueue()
+    helper = threading.Thread(target=_draw_words, args=(requests, results), daemon=True)
+    helper.start()
+    try:
+        requests.put(next(bitgens))
+        for bitgen in itertools.chain(bitgens, [None]):  # built while the helper draws
+            words = results.get()
+            if isinstance(words, BaseException):
+                raise words
+            if bitgen is not None:
+                requests.put(bitgen)
+            yield _split(words)
+    finally:
+        requests.put(None)
+        helper.join()
+
+
+def _draw_words(requests, results) -> None:
+    """The helper of ``_draws``: random_raw of each bit generator requested, or what it raised."""
+    for bitgen in iter(requests.get, None):
+        try:
+            words = bitgen.random_raw(_BLOCK_WORDS)
+        except BaseException as exc:  # re-raised by the caller
+            words = exc
+        results.put(words)
 
 
 def _word_thresholds(edges) -> np.ndarray:

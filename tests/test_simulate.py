@@ -1,7 +1,12 @@
 import csv
 import hashlib
 import io
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +193,110 @@ class TestBlockDraws:
             assert np.array_equal(a, ga) and np.array_equal(b, gb)
             assert np.array_equal(sifted, ga ^ (gx & gy))
         assert start == first + n
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestPrefetch:
+    """The helper that draws each next block's words ahead changes no bit and outlives no call."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)  # so the helper runs on any machine
+
+    def test_no_thread_outlives_run_or_stream_estimate(self, tmp_path):
+        before = threading.active_count()
+        simulate.run(0.8, 3 * _B + 5, seed=1)
+        assert threading.active_count() == before
+        simulate.stream_estimate(0.8, 3 * _B + 5, seed=1, records=tmp_path / "records.csv")
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus, helpers", [(1, 0), (2, 1)])
+    def test_closing_the_blocks_stops_the_helper(self, monkeypatch, cpus, helpers):
+        _usable_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        blocks = simulate._Strategy(0.8).blocks(3 * _B, seed=1)
+        next(blocks)
+        assert threading.active_count() == before + helpers  # drawing block 1 ahead
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_a_failed_records_write_stops_the_helper(self, monkeypatch, tmp_path):
+        csv_block = simulate._csv_block
+        written = []
+
+        def fail_on_the_second_block(lines, k, bits):
+            if written:
+                raise OSError("no space left on device")
+            written.append(len(k))
+            return csv_block(lines, k, bits)
+
+        monkeypatch.setattr(simulate, "_csv_block", fail_on_the_second_block)
+        before = threading.active_count()
+        with pytest.raises(OSError, match="no space left on device"):
+            simulate.stream_estimate(0.8, 3 * _B, seed=1, records=tmp_path / "records.csv")
+        assert written == [_B]
+        assert threading.active_count() == before
+
+    def test_a_helper_error_reaches_the_caller(self, monkeypatch):
+        error = MemoryError("no room for the words")
+
+        class NoWords:
+            def random_raw(self, size):
+                raise error
+
+        monkeypatch.setattr(simulate, "_bit_generator", lambda seed, block: NoWords())
+        before = threading.active_count()
+        raised = []
+
+        def call():
+            try:
+                simulate.run(0.8, 3 * _B, seed=1)
+            except MemoryError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "run hung on the helper's error"
+        assert len(raised) == 1 and raised[0] is error
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "first, n",
+        [(_B // 2, 2 * _B + 100), (100, 1000), (_B - 1, 1)],
+        ids=["mid-block, three blocks", "one block", "one round"],
+    )
+    def test_prefetched_equals_inline(self, monkeypatch, tmp_path, first, n):
+        def outputs(cpus):
+            _usable_cpus(monkeypatch, cpus)
+            log = simulate.run(0.35, n, seed=11, first_round=first)
+            records = tmp_path / f"records-{cpus}.csv"
+            try:
+                report = simulate.stream_estimate(0.35, first + n, seed=11, records=records)
+            except EmptyInput as exc:
+                report = str(exc)
+            columns = [(str(getattr(log, f).dtype), getattr(log, f).tobytes()) for f in FIELDS]
+            return columns, log.to_csv(), report, records.read_bytes()
+
+        assert outputs(2) == outputs(1)
+
+
+def test_import_loads_no_executor_or_logging():
+    # concurrent.futures costs milliseconds at a cold start, most of them in logging
+    script = "import sys, nskd.simulate; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _edges_of(v):
