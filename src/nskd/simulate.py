@@ -8,7 +8,7 @@ serial stream exactly and merging is plain concatenation.
 
 Each block is one ``random_raw`` call of its bit generator, read bit
 for bit as numpy's ``Generator`` would draw it.  That call releases the
-GIL, so when the process may use two CPUs one helper thread makes block
+GIL, so for a window of two or more blocks one helper thread makes block
 j + 1's call while block j is looked up (``_draws``).  Within a block the
 vertex is the number of cumulative mixture weights at or below a
 uniform draw, read from a table over the top 16 bits of the raw word
@@ -22,9 +22,10 @@ time, from seven ``count_nonzero`` calls per block; ``stream_estimate``
 tallies the same blocks as they are drawn into one reused block of
 columns, and can write their records CSV as it goes, and keeps none, so
 its memory does not grow with the number of rounds.
-``nskd simulate`` always streams: 20 million rounds take about 0.45 s
-cold (median of 5; single cold runs spread from 0.31 to 0.56 s) and peak
-at about 39 MB RSS (2 cores, Python 3.11.7, numpy 2.4.6).
+``nskd simulate`` always streams: 20 million rounds take about 0.37 s
+cold (median of 15, as with inline draws: single cold runs spread from
+0.31 to 0.56 s, so the helper's cold gain is not resolved) and peak at
+about 39 MB RSS (2 cores, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import io
 import itertools
 import json
 import math
-import os
 import queue
 import threading
 from dataclasses import asdict, dataclass
@@ -172,9 +172,9 @@ class _Strategy:
         rounds from its own (seed, block index) sequence, in that order,
         and then keeps the part inside the window.  The draws are read
         from ``_draws``, one ``random_raw`` call of the block's PCG64, made
-        one block ahead on a helper thread when two CPUs are usable, bit for
-        bit what ``default_rng`` on the same SeedSequence returns (verified
-        on numpy 2.4.6):
+        one block ahead on a helper thread when the window spans two or
+        more blocks, bit for bit what ``default_rng`` on the same
+        SeedSequence returns (verified on numpy 2.4.6):
 
         - ``integers(0, 2, size=B, dtype=np.int8)`` buffers the bytes of
           ``next_uint32``, the low then the high half of each 64-bit
@@ -246,13 +246,13 @@ def _block_draws(seed: int, block: int):
 def _draws(seed: int, blocks: range):
     """_block_draws(seed, block) of each block in turn, each next block's words drawn ahead.
 
-    With two usable CPUs and two blocks, one helper thread calls
-    ``random_raw`` (which releases the GIL) on block j + 1's generator
-    while the caller looks block j up; the caller builds the generators,
-    splits the words and re-raises what the helper raised.  The helper is
-    stopped and joined when this generator ends, is closed or raises.
+    With two or more blocks, one helper thread calls ``random_raw``
+    (which releases the GIL) on block j + 1's generator while the caller
+    looks block j up; the caller builds the generators, splits the words
+    and re-raises what the helper raised.  The helper is stopped and
+    joined when this generator ends, is closed or raises.
     """
-    if len(blocks) < 2 or len(os.sched_getaffinity(0)) < 2:  # on one CPU hand-offs only cost
+    if len(blocks) < 2:
         yield from (_block_draws(seed, block) for block in blocks)
         return
     bitgens = (_bit_generator(seed, block) for block in blocks)

@@ -195,16 +195,12 @@ class TestBlockDraws:
         assert start == first + n
 
 
-def _usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(count)))
+def _inline_draws(seed, blocks):
+    return (simulate._block_draws(seed, block) for block in blocks)
 
 
 class TestPrefetch:
     """The helper that draws each next block's words ahead changes no bit and outlives no call."""
-
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        _usable_cpus(monkeypatch, 2)  # so the helper runs on any machine
 
     def test_no_thread_outlives_run_or_stream_estimate(self, tmp_path):
         before = threading.active_count()
@@ -213,11 +209,10 @@ class TestPrefetch:
         simulate.stream_estimate(0.8, 3 * _B + 5, seed=1, records=tmp_path / "records.csv")
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("cpus, helpers", [(1, 0), (2, 1)])
-    def test_closing_the_blocks_stops_the_helper(self, monkeypatch, cpus, helpers):
-        _usable_cpus(monkeypatch, cpus)
+    @pytest.mark.parametrize("n, helpers", [(_B, 0), (3 * _B, 1)], ids=["one block", "three blocks"])
+    def test_closing_the_blocks_stops_the_helper(self, n, helpers):
         before = threading.active_count()
-        blocks = simulate._Strategy(0.8).blocks(3 * _B, seed=1)
+        blocks = simulate._Strategy(0.8).blocks(n, seed=1)
         next(blocks)
         assert threading.active_count() == before + helpers  # drawing block 1 ahead
         blocks.close()
@@ -270,10 +265,9 @@ class TestPrefetch:
         ids=["mid-block, three blocks", "one block", "one round"],
     )
     def test_prefetched_equals_inline(self, monkeypatch, tmp_path, first, n):
-        def outputs(cpus):
-            _usable_cpus(monkeypatch, cpus)
+        def outputs(name):
             log = simulate.run(0.35, n, seed=11, first_round=first)
-            records = tmp_path / f"records-{cpus}.csv"
+            records = tmp_path / f"records-{name}.csv"
             try:
                 report = simulate.stream_estimate(0.35, first + n, seed=11, records=records)
             except EmptyInput as exc:
@@ -281,7 +275,9 @@ class TestPrefetch:
             columns = [(str(getattr(log, f).dtype), getattr(log, f).tobytes()) for f in FIELDS]
             return columns, log.to_csv(), report, records.read_bytes()
 
-        assert outputs(2) == outputs(1)
+        prefetched = outputs("prefetched")
+        monkeypatch.setattr(simulate, "_draws", _inline_draws)
+        assert prefetched == outputs("inline")
 
 
 def test_import_loads_no_executor_or_logging():
