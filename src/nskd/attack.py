@@ -243,7 +243,7 @@ def alice_bob_stats(joint: JointABE) -> AliceBobStats:
     ab = joint.ab_marginal()
     return AliceBobStats(
         qber=float(ab[0, 1] + ab[1, 0]),
-        i_ab=info._mi(ab),
-        i_ae=info._mi(joint.p.sum(axis=1)),
-        i_be=info._mi(joint.p.sum(axis=0)),
+        i_ab=float(info._cmi(ab[..., None])),
+        i_ae=float(info._cmi(joint.p.sum(axis=1)[..., None])),
+        i_be=float(info._cmi(joint.p.sum(axis=0)[..., None])),
     )

@@ -40,15 +40,7 @@ def mutual_information(joint) -> float:
     if p.ndim != 2:
         raise ValueError("mutual_information expects a 2-d joint")
     _check_normalized(p)
-    return _mi(p)
-
-
-def _mi(p: np.ndarray) -> float:
-    """Unchecked I(X:Y) of a 2-d joint p(x, y)."""
-    prod = p.sum(axis=1, keepdims=True) * p.sum(axis=0, keepdims=True)
-    mask = p > 0
-    vals = p[mask] * np.log2(p[mask] / prod[mask])
-    return max(0.0, float(vals.sum()))
+    return float(_cmi(p[..., None]))
 
 
 def conditional_mutual_information(joint) -> float:
@@ -61,7 +53,7 @@ def conditional_mutual_information(joint) -> float:
 
 
 def _cmi(p: np.ndarray):
-    """Unchecked I(X:Y|Z) of joints p(..., x, y, z), one per leading index."""
+    """Unchecked I(X:Y|Z) of joints p(..., x, y, z), one per leading index; I(X:Y) is that of p[..., None]."""
     return np.maximum(0.0, (p * _cmi_log_ratio(p)).sum(axis=(-3, -2, -1)))
 
 

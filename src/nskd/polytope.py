@@ -114,11 +114,6 @@ def _vertex_matrix() -> np.ndarray:
     return np.column_stack([v.box.table.ravel() for v in vertices()])
 
 
-@functools.cache
-def _nonlocal_cost() -> np.ndarray:
-    return np.array([0.0 if v.is_local else 1.0 for v in vertices()])
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Convex weights over the canonical vertex list."""
@@ -130,7 +125,7 @@ class Decomposition:
 
     @property
     def nonlocal_weight(self) -> float:
-        return float(self.weights @ _nonlocal_cost())
+        return float(self.weights[16:].sum())  # the 8 nonlocal vertices follow the 16 local ones
 
     def as_dict(self) -> dict:
         """Vertex name -> weight, for the weights above REPORT_TOL."""

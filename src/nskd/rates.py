@@ -59,7 +59,7 @@ def ck_rate(p_nl: float) -> float:
 
 def oneway_rate(joint: JointABE) -> float:
     """I(A:B) - I(A:E) for an arbitrary sifted joint."""
-    return info._mi(joint.ab_marginal()) - info._mi(joint.p.sum(axis=1))
+    return float(info._cmi(joint.ab_marginal()[..., None]) - info._cmi(joint.p.sum(axis=1)[..., None]))
 
 
 @dataclass(frozen=True)
@@ -161,39 +161,35 @@ _LOG_RATIO = _MARGINALS.T * np.repeat([1.0, -1.0], [5, 4])
 _TINY, _ZERO = np.array(1e-300), np.array(0.0)
 
 
-def _partitions(k: int, m: int) -> np.ndarray:
-    """Restricted-growth strings of k symbols into at most m blocks, in lexicographic order.
+def _partitions(k: int) -> np.ndarray:
+    """Restricted-growth strings of k symbols, in lexicographic order.
 
     Each is the lexicographically (np.ndindex) first of the deterministic
     maps that induce its partition of the k symbols.
     """
     codes = [()]
     for _ in range(k):
-        codes = [c + (z,) for c in codes for z in range(min(max(c, default=-1) + 2, m))]
+        codes = [c + (z,) for c in codes for z in range(max(c, default=-1) + 2)]
     return np.array(codes)
 
 
-def _starts(p_abe: np.ndarray, restarts: int, seed: int, m: int) -> np.ndarray:
+def _starts(p_abe: np.ndarray, restarts: int, seed: int) -> np.ndarray:
     """Identity, constant, uniform, the 8 best partitions of Eve's symbols, then Dirichlet draws.
 
-    A deterministic map's value depends only on the partition of Eve's
+    Every deterministic start is a set of rows of one identity matrix.  A
+    deterministic map's value depends only on the partition of Eve's
     symbols it induces, so one map per partition is scored.
     """
     k = p_abe.shape[2]
-    identity = np.zeros((k, m))
-    identity[np.arange(k), np.arange(k) % m] = 1.0
-    constant = np.zeros((k, m))
-    constant[:, 0] = 1.0
-    structured = [identity, constant, np.full((k, m), 1.0 / m)]
+    maps = np.eye(k)
+    structured = [maps, maps[np.zeros(k, int)], np.full((k, k), 1.0 / k)]
     if restarts > len(structured):
-        codes = _partitions(k, m)
-        det = np.zeros((len(codes), k, m))
-        np.put_along_axis(det, codes[:, :, None], 1.0, axis=2)
+        det = maps[_partitions(k)]
         scores = info._cmi(p_abe @ det[:, None])
         structured.extend(det[np.argsort(scores, kind="stable")[:8]])
     rng = np.random.default_rng(seed)
     starts = structured[:restarts]
-    starts += [rng.dirichlet(np.ones(m), size=k) for _ in range(restarts - len(starts))]
+    starts += [rng.dirichlet(np.ones(k), size=k) for _ in range(restarts - len(starts))]
     return np.array(starts)
 
 
@@ -261,9 +257,8 @@ def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> Intr
     """
     restarts, seed = _as_count("restarts", restarts, 1), _as_count("seed", seed, 0)
     p_abe = np.asarray(joint.p, dtype=float)
-    m = p_abe.shape[2]
     # at one restart the constant channel, start 1, is scored too: its value I(A:B) bounds I down E
-    scored = _starts(p_abe, max(restarts, 2), seed, m)
+    scored = _starts(p_abe, max(restarts, 2), seed)
     candidates = np.concatenate([scored, _descend(_MARGINALS @ p_abe.reshape(4, -1), scored[:restarts])])
     best = int(np.argmin(info._cmi(p_abe @ candidates[:, None])))
     certificate = Channel(candidates[best])
@@ -282,7 +277,7 @@ def intrinsic_numeric(joint: JointABE, restarts: int = 64, seed: int = 0) -> flo
 
 def intrinsic_upper_bound(joint: JointABE) -> float:
     """min(I(A:B), I(A:B|E)); any channel value must stay below this."""
-    return min(info._mi(joint.ab_marginal()), float(info._cmi(joint.p)))
+    return float(min(info._cmi(joint.ab_marginal()[..., None]), info._cmi(joint.p)))
 
 
 @dataclass(frozen=True)

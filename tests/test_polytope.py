@@ -106,7 +106,7 @@ def lexicographic_lp(box, model=_LinprogModel if _Highs is None else _WarmModel)
     """
     target = box.table.ravel()
     lps = model(np.vstack([polytope._vertex_matrix(), np.ones((1, 24))]), np.concatenate([target, [1.0]]))
-    cost = polytope._nonlocal_cost()
+    cost = np.array([0.0 if v.is_local else 1.0 for v in polytope.vertices()])
     w = lps.minimize(cost)
     lps.hold(cost, float(cost @ w))
     for i in range(24):
