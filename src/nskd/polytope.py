@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .exceptions import Infeasible
 
 REPORT_TOL = 1e-8  # weights at or below it are not reported; is_local's bound on the nonlocal weight
 RESIDUAL_TOL = 5e-11  # reconstruction error above which a target is infeasible
+_ZERO_TOL = 1e-12  # a local or artificial weight within it of 0 counts as 0
+_SOLVER_WIDTH = 12  # columns of a basis's solver (see _first_basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +124,7 @@ class Decomposition:
     residual: float  # max-abs reconstruction error
     relabeling: Vertex  # the nonlocal vertex of the highest-scoring CHSH expression
     chsh: float  # that score; its excess over 3 is the nonlocal weight
+    _basis: tuple = field(default=(), repr=False, compare=False)  # a lexicographically optimal basis: the certificate
 
     @property
     def nonlocal_weight(self) -> float:
@@ -141,29 +144,123 @@ class Decomposition:
 
 
 @functools.cache
-def _local_bases() -> tuple:
-    """Every basis of the local system, as (rows, columns, solver).
+def _local_system() -> tuple:
+    """The local system: 9 rows of its 17 that span the rest, over the 16 local vertices.
 
     Weights w over the 16 local vertices that rebuild a target t satisfy
-    V_L w = t and sum(w) = 1: 17 equations of rank 9, of which ``rows``
-    are 9 that span the rest.  A set of 9 columns whose 9x9 block on
-    those rows is nonsingular (4096 of the C(16, 9) = 11440) is a basis,
-    and its inverse maps the 9 right-hand sides to its basic weights.
-    The blocks hold 0s and 1s, so each determinant is an integer.
-    ``rhs @ solver`` is every basis's weights, one basis after another;
-    the 9 x 36864 layout makes that one vector-matrix product.
+    V_L w = t and sum(w) = 1: 17 equations of rank 9.  ``rows`` are the
+    first 9 that are independent; every 9x9 block of their matrix has
+    determinant 0 or +-1, so every tableau entry below is an integer.
     """
     system = np.vstack([_vertex_matrix()[:, :16], np.ones((1, 16))])
     rows = []
     for i in range(len(system)):
         if np.linalg.matrix_rank(system[rows + [i]]) > len(rows):
             rows.append(i)
-    columns = np.array(list(itertools.combinations(range(16), len(rows))))
-    blocks = system[rows][:, columns].transpose(1, 0, 2)
-    basis = np.abs(np.linalg.det(blocks)) > 0.5
-    inverses = np.linalg.inv(blocks[basis])
-    solver = np.ascontiguousarray(inverses.transpose(2, 0, 1).reshape(len(rows), -1))
-    return np.array(rows), columns[basis], solver
+    return np.array(rows), system[rows]
+
+
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    tableau[row] /= tableau[row, col]
+    others = np.arange(len(tableau)) != row
+    tableau[others] -= np.outer(tableau[others, col], tableau[row])
+    np.maximum(tableau[:, -1], 0.0, out=tableau[:, -1])  # rounding can leave a basic value just below 0
+    basis[row] = col
+
+
+def _minimize(tableau: np.ndarray, basis: np.ndarray, costs: np.ndarray) -> None:
+    """Pivot until no column of ``costs`` has a lexicographically negative reduced cost.
+
+    ``costs`` holds one objective per row, the first the most important.
+    The entering column is the first that improves (Bland's rule), and a
+    tie in the ratio test goes to the smallest basic index.
+    """
+    n = costs.shape[1]
+    while True:
+        reduced = costs - costs[:, basis] @ tableau[:, :n]
+        nonzero = np.abs(reduced) > 0.5  # every reduced cost is an integer
+        lead = reduced[nonzero.argmax(axis=0), np.arange(n)]
+        entering = np.flatnonzero(nonzero.any(axis=0) & (lead < 0.0))
+        if not len(entering):
+            return
+        col = tableau[:, entering[0]]
+        rows = np.flatnonzero(col > 0.5)
+        ratios = tableau[rows, -1] / col[rows]
+        ties = rows[ratios == ratios.min()]
+        _pivot(tableau, basis, int(ties[np.argmin(basis[ties])]), int(entering[0]))
+
+
+def _lex_simplex(rhs: np.ndarray) -> tuple:
+    """The optimal basis of the lexicographically smallest local weights, or None if there are none.
+
+    A dense primal simplex on the local system: phase 1 minimizes the sum
+    of 9 artificial variables, pivots out any left at zero, and phase 2
+    minimizes w_0, then w_1, ..., then w_15.
+    """
+    matrix = _local_system()[1]
+    m, n = matrix.shape
+    sign = np.where(rhs < 0.0, -1.0, 1.0)[:, None]
+    tableau = np.hstack([matrix * sign, np.eye(m), rhs[:, None] * sign])
+    basis = np.arange(n, n + m)
+    _minimize(tableau, basis, np.concatenate([np.zeros(n), np.ones(m)])[None, :])
+    if tableau[basis >= n, -1].sum() > _ZERO_TOL:
+        return None
+    for row in np.flatnonzero(basis >= n):
+        _pivot(tableau, basis, row, int(np.flatnonzero(np.abs(tableau[row, :n]) > 0.5)[0]))
+    _minimize(np.hstack([tableau[:, :n], tableau[:, -1:]]), basis, np.eye(n))
+    return tuple(sorted(basis.tolist()))
+
+
+class _OptimalBases:
+    """Every lexicographically optimal basis ``_lex_simplex`` has returned, in combination order.
+
+    Whether a basis is optimal depends only on its reduced costs, not on
+    the right-hand side.  So a kept basis whose weights are feasible for
+    a new target gives that target's lexicographic minimum with no
+    pivot.  ``kept`` holds the bases and their solvers side by side, so
+    one product gives all their weights.
+    """
+
+    def __init__(self):
+        # one tuple, replaced whole, so that a reader in another thread sees columns and
+        # solver that match; an add lost to a race costs one more simplex run later
+        self.kept = ([], np.empty((9, 0)))
+
+    def add(self, columns: tuple) -> None:
+        order = sorted({*self.kept[0], columns})
+        self.kept = order, np.hstack([_first_basis(c)[1] for c in order])
+
+    def first_feasible(self, rhs: np.ndarray):
+        """(columns, weights) of the first kept basis whose weights are all >= -_ZERO_TOL, or None."""
+        columns, solver = self.kept
+        basic = (rhs @ solver).reshape(len(columns), _SOLVER_WIDTH)[:, :9]
+        hit = np.flatnonzero((basic >= -_ZERO_TOL).all(axis=1))
+        return (columns[hit[0]], basic[hit[0]]) if len(hit) else None
+
+
+_optimal_bases = _OptimalBases()
+
+
+@functools.cache
+def _first_basis(support: tuple) -> tuple:
+    """The first 9 columns, in combination order, that hold ``support`` and form a basis, and their solver.
+
+    Only the columns missing from ``support`` are enumerated.  The solver
+    is the transposed inverse of the block, so ``(rhs @ solver)[:9]`` is
+    the basis's weights.  It is kept _SOLVER_WIDTH = 12 columns wide, the
+    last 3 zero: numpy's OpenBLAS sums a vector-matrix product's columns
+    in groups of 4, and a ninth column left alone is summed in another
+    order, which moves some weights by an ulp.
+    """
+    matrix = _local_system()[1]
+    rest = [j for j in range(16) if j not in support]
+    for extra in itertools.combinations(rest, len(matrix) - len(support)):
+        columns = tuple(sorted(support + extra))
+        block = matrix[:, columns]
+        if abs(np.linalg.det(block)) > 0.5:  # the determinant is 0 or +-1
+            solver = np.zeros((9, _SOLVER_WIDTH))
+            solver[:, :9] = np.linalg.inv(block).T
+            return columns, solver
 
 
 def min_nonlocal_decomposition(box: Box) -> Decomposition:
@@ -175,16 +272,17 @@ def min_nonlocal_decomposition(box: Box) -> Decomposition:
     022101, 2005; a box is local iff no relabeled CHSH score exceeds 3,
     Fine, PRL 48, 291, 1982).  The remaining 1 - p is spread over the 16
     local vertices as the lexicographically smallest weight vector in
-    canonical vertex order.  That minimum is a vertex of the polytope of
-    local weights, hence a basic solution: of all nonnegative basic
-    solutions, the one kept is what is left after narrowing them,
-    coordinate by coordinate, to those within 1e-10 of the smallest
-    value.
+    canonical vertex order.  That minimum is a basic solution of the
+    local system.  Its optimal basis comes from a kept basis that is
+    feasible for this target, or else from ``_lex_simplex`` (Bland, Math.
+    Oper. Res. 2, 103, 1977), which then keeps it.  The weights are
+    solved again on the first basis, in combination order, that holds
+    the support, so they do not depend on which optimal basis was found.
 
     Raises Infeasible when the target is not inside the polytope, which
-    for finite inputs means it is not a valid no-signaling box: no basic
-    solution is nonnegative, or the weights rebuild the target only to
-    within more than RESIDUAL_TOL.
+    for finite inputs means it is not a valid no-signaling box: phase 1
+    of the simplex ends with artificial weight above 1e-12, or the
+    weights rebuild the target only to within more than RESIDUAL_TOL.
     """
     target = box.table.ravel()
     matrix = _vertex_matrix()
@@ -192,20 +290,19 @@ def min_nonlocal_decomposition(box: Box) -> Decomposition:
     g = int(np.argmax(scores))
     p = float(np.clip(scores[g] - 3.0, 0.0, 1.0))
 
-    rows, columns, solver = _local_bases()
-    rhs = np.append(target - p * matrix[:, 16 + g], 1.0 - p)[rows]
-    basic = (rhs @ solver).reshape(len(columns), -1)
-    feasible = np.all(basic >= -1e-12, axis=1)
-    if not feasible.any():
-        raise Infeasible("target is not a convex mixture of no-signaling vertices")
-    candidates = np.zeros((int(feasible.sum()), 16))
-    np.put_along_axis(candidates, columns[feasible], basic[feasible], axis=1)
-    for i in range(16):
-        column = candidates[:, i]
-        candidates = candidates[column <= column.min() + 1e-10]
+    rhs = np.append(target - p * matrix[:, 16 + g], 1.0 - p)[_local_system()[0]]
+    found = _optimal_bases.first_feasible(rhs)
+    if found is None:
+        basis = _lex_simplex(rhs)
+        if basis is None:
+            raise Infeasible("target is not a convex mixture of no-signaling vertices")
+        _optimal_bases.add(basis)
+        found = basis, (rhs @ _first_basis(basis)[1])[:9]
+    basis, basic = found
+    columns, solver = _first_basis(tuple(c for c, x in zip(basis, basic) if x > _ZERO_TOL))
 
     w = np.zeros(24)
-    w[:16] = np.clip(candidates[0], 0.0, None)
+    w[list(columns)] = np.clip((rhs @ solver)[:9], 0.0, None)
     w[16 + g] = p
     residual = float(np.abs(matrix @ w - target).max())
     if residual > RESIDUAL_TOL:
@@ -213,7 +310,7 @@ def min_nonlocal_decomposition(box: Box) -> Decomposition:
             f"target is not a convex mixture of no-signaling vertices (residual {residual:.3g})"
         )
     return Decomposition(
-        weights=w, residual=residual, relabeling=vertices()[16 + g], chsh=float(scores[g])
+        weights=w, residual=residual, relabeling=vertices()[16 + g], chsh=float(scores[g]), _basis=basis
     )
 
 

@@ -85,6 +85,18 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", str(bad))
         assert code == 2
 
+    def test_signaling_inside_the_validation_tolerance_exits_two(self, capsys, tmp_path):
+        # ROADMAP item 4's open gap, pinned until its contract is decided: 5e-10 of signaling
+        # passes validation (PROB_TOL 1e-9) but not the decomposition (RESIDUAL_TOL 5e-11)
+        table = boxes.isotropic(0.4).table.copy()
+        table[0, 0, 0, 0] += 5e-10
+        table[0, 0, 1, 0] -= 5e-10
+        box_file = tmp_path / "shifted.json"
+        box_file.write_text(boxes.validate(table.ravel()).to_json())
+        code, out, err = run_cli(capsys, "decompose", str(box_file))
+        assert code == 2 and out == ""
+        assert err == "error: target is not a convex mixture of no-signaling vertices (residual 5e-10)\n"
+
     def test_unnormalized_box_prints_a_float(self, capsys, tmp_path):
         table = np.full(16, 0.25)
         table[0] = 0.45  # the x=0, y=0 block sums to 1.2

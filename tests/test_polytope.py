@@ -1,6 +1,8 @@
 import functools
 import itertools
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -376,6 +378,113 @@ class TestLexicographicOracle:
             min_nonlocal_decomposition(_make_box(table))
         with pytest.raises(Infeasible):
             lexicographic_lp(_make_box(table))
+
+
+@functools.cache
+def _cache_boxes():
+    """Random mixtures (Dirichlet 0.1, 0.3 and 1), sparse mixtures, the vertices, isotropic(v), BB84, Werner.
+
+    A sparse mixture of 2 to 6 vertices has a degenerate minimum: several
+    optimal bases hold its support, and each gives other rounding.
+    """
+    rng = np.random.default_rng(11)
+    mixtures = [random_mixture_box(rng, concentration=c) for c in (0.1, 0.3, 1.0) for _ in range(100)]
+    tables = np.array([v.box.table for v in vertices()])
+    sparse = [
+        _make_box(np.tensordot(rng.dirichlet(np.ones(k)), tables[rng.choice(24, size=k, replace=False)], 1))
+        for k in (2, 3, 4, 5, 6)
+        for _ in range(20)
+    ]
+    grid = [isotropic(float(v)) for v in np.linspace(0.0, 1.0, 101)]
+    return mixtures + sparse + [v.box for v in vertices()] + grid + [bb84_box(), boxes.werner_box(0.8)]
+
+
+def _fields(dec):
+    return dec.weights.tobytes(), dec.residual, dec.relabeling.name, dec.chsh
+
+
+def _local_rhs(box, dec):
+    """The right-hand side of the local system that ``min_nonlocal_decomposition`` solves for ``box``."""
+    g = polytope.vertices().index(dec.relabeling)
+    p = dec.weights[g]
+    rows, _ = polytope._local_system()
+    return np.append(box.table.ravel() - p * polytope._vertex_matrix()[:, g], 1.0 - p)[rows]
+
+
+def _lexicographically_optimal(basis) -> bool:
+    """Every nonbasic column's reduced costs over w_0, ..., w_15 are lexicographically >= -1e-12."""
+    matrix = polytope._local_system()[1]
+    basis = list(basis)
+    reduced = np.eye(16)
+    reduced -= np.eye(16)[:, basis] @ np.linalg.solve(matrix[:, basis], matrix)
+    for j in sorted(set(range(16)) - set(basis)):
+        lead = np.flatnonzero(np.abs(reduced[:, j]) > 1e-12)
+        if len(lead) and reduced[lead[0], j] < 0.0:
+            return False
+    return True
+
+
+class TestOptimalBases:
+    """The kept optimal bases change no result, and each is a certificate of the lexicographic minimum."""
+
+    def test_results_do_not_depend_on_the_kept_bases(self, monkeypatch):
+        cold = []
+        for box in _cache_boxes():
+            monkeypatch.setattr(polytope, "_optimal_bases", polytope._OptimalBases())
+            cold.append(_fields(min_nonlocal_decomposition(box)))
+        monkeypatch.setattr(polytope, "_optimal_bases", polytope._OptimalBases())
+        filling = [_fields(min_nonlocal_decomposition(box)) for box in _cache_boxes()]
+        runs, simplex = [], polytope._lex_simplex
+
+        def counted(rhs):
+            runs.append(rhs)
+            return simplex(rhs)
+
+        monkeypatch.setattr(polytope, "_lex_simplex", counted)
+        full = [_fields(min_nonlocal_decomposition(box)) for box in _cache_boxes()]
+        assert runs == []
+        assert filling == cold
+        assert full == cold
+
+    def test_threads_sharing_the_kept_bases_get_the_serial_results(self, monkeypatch):
+        serial = [_fields(min_nonlocal_decomposition(box)) for box in _cache_boxes()]
+        monkeypatch.setattr(polytope, "_optimal_bases", polytope._OptimalBases())
+        halves = [_cache_boxes()[i % 2::2] for i in range(4)]  # two threads on each half
+        results = [None] * 4
+
+        def decompose(i):
+            results[i] = [_fields(min_nonlocal_decomposition(box)) for box in halves[i]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=decompose, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial[i % 2::2] for i in range(4)]
+
+    def test_every_basis_certifies_its_weights(self, monkeypatch):
+        monkeypatch.setattr(polytope, "_optimal_bases", polytope._OptimalBases())
+        for box in _cache_boxes():
+            dec = min_nonlocal_decomposition(box)
+            assert _lexicographically_optimal(dec._basis)
+            basis = list(dec._basis)
+            rebuilt = np.zeros(16)
+            rebuilt[basis] = np.linalg.solve(polytope._local_system()[1][:, basis], _local_rhs(box, dec))
+            assert np.abs(rebuilt - dec.weights[:16]).max() <= 1e-15
+        kept = polytope._optimal_bases.kept[0]
+        assert 0 < len(kept) <= 4096
+        assert all(_lexicographically_optimal(basis) for basis in kept)
+
+    def test_the_check_sees_a_basis_that_is_not_optimal(self):
+        # the first basis in combination order is a basis, but not a lexicographically optimal one
+        columns, _ = polytope._first_basis(())
+        assert not _lexicographically_optimal(columns)
 
 
 class TestMinimalityOracle:
