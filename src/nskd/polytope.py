@@ -24,7 +24,6 @@ from .exceptions import Infeasible
 REPORT_TOL = 1e-8  # weights at or below it are not reported; is_local's bound on the nonlocal weight
 RESIDUAL_TOL = 5e-11  # reconstruction error above which a target is infeasible
 _ZERO_TOL = 1e-12  # a local or artificial weight within it of 0 counts as 0
-_SOLVER_WIDTH = 12  # columns of a basis's solver (see _first_basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +115,7 @@ def _vertex_matrix() -> np.ndarray:
     return np.column_stack([v.box.table.ravel() for v in vertices()])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Convex weights over the canonical vertex list."""
 
@@ -124,7 +123,7 @@ class Decomposition:
     residual: float  # max-abs reconstruction error
     relabeling: Vertex  # the nonlocal vertex of the highest-scoring CHSH expression
     chsh: float  # that score; its excess over 3 is the nonlocal weight
-    _basis: tuple = field(default=(), repr=False, compare=False)  # a lexicographically optimal basis: the certificate
+    _basis: tuple = field(default=(), repr=False)  # a lexicographically optimal basis: the certificate
 
     @property
     def nonlocal_weight(self) -> float:
@@ -143,6 +142,15 @@ class Decomposition:
         return json.dumps({"weights": entries, "residual": self.residual})
 
 
+def _independent(vectors: np.ndarray, chosen: tuple = ()) -> list:
+    """``chosen``, then each row of ``vectors``, in order, that is independent of the rows taken before it."""
+    taken = list(chosen)
+    for i in range(len(vectors)):
+        if i not in taken and np.linalg.matrix_rank(vectors[taken + [i]]) > len(taken):
+            taken.append(i)
+    return taken
+
+
 @functools.cache
 def _local_system() -> tuple:
     """The local system: 9 rows of its 17 that span the rest, over the 16 local vertices.
@@ -150,13 +158,10 @@ def _local_system() -> tuple:
     Weights w over the 16 local vertices that rebuild a target t satisfy
     V_L w = t and sum(w) = 1: 17 equations of rank 9.  ``rows`` are the
     first 9 that are independent; every 9x9 block of their matrix has
-    determinant 0 or +-1, so every tableau entry below is an integer.
+    determinant 0 or +-1, so every tableau entry B^-1 A is 0 or +-1.
     """
     system = np.vstack([_vertex_matrix()[:, :16], np.ones((1, 16))])
-    rows = []
-    for i in range(len(system)):
-        if np.linalg.matrix_rank(system[rows + [i]]) > len(rows):
-            rows.append(i)
+    rows = _independent(system)
     return np.array(rows), system[rows]
 
 
@@ -168,19 +173,17 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _minimize(tableau: np.ndarray, basis: np.ndarray, costs: np.ndarray) -> None:
-    """Pivot until no column of ``costs`` has a lexicographically negative reduced cost.
+def _minimize(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
+    """Pivot until no column has a negative reduced cost under ``cost``.
 
-    ``costs`` holds one objective per row, the first the most important.
     The entering column is the first that improves (Bland's rule), and a
-    tie in the ratio test goes to the smallest basic index.
+    tie in the ratio test goes to the smallest basic index.  It assumes an
+    integer tableau and costs of 0 or powers of two: each reduced cost is exact,
+    and the ratio test takes the entries above 0.5 as the positive ones.
     """
-    n = costs.shape[1]
+    n = len(cost)
     while True:
-        reduced = costs - costs[:, basis] @ tableau[:, :n]
-        nonzero = np.abs(reduced) > 0.5  # every reduced cost is an integer
-        lead = reduced[nonzero.argmax(axis=0), np.arange(n)]
-        entering = np.flatnonzero(nonzero.any(axis=0) & (lead < 0.0))
+        entering = np.flatnonzero(cost - cost[basis] @ tableau[:, :n] < 0.0)
         if not len(entering):
             return
         col = tableau[:, entering[0]]
@@ -194,20 +197,22 @@ def _lex_simplex(rhs: np.ndarray) -> tuple:
     """The optimal basis of the lexicographically smallest local weights, or None if there are none.
 
     A dense primal simplex on the local system: phase 1 minimizes the sum
-    of 9 artificial variables, pivots out any left at zero, and phase 2
-    minimizes w_0, then w_1, ..., then w_15.
+    of 9 artificial variables and pivots out any left at zero; phase 2
+    minimizes sum_j 2^-j w_j.  With tableau entries 0 or +-1, a reduced cost
+    sums at most 10 signed powers of two and has the sign of its first term, so
+    this has the optimal bases and Bland pivots of w_0, then w_1, ..., then w_15.
     """
     matrix = _local_system()[1]
     m, n = matrix.shape
     sign = np.where(rhs < 0.0, -1.0, 1.0)[:, None]
     tableau = np.hstack([matrix * sign, np.eye(m), rhs[:, None] * sign])
     basis = np.arange(n, n + m)
-    _minimize(tableau, basis, np.concatenate([np.zeros(n), np.ones(m)])[None, :])
+    _minimize(tableau, basis, np.concatenate([np.zeros(n), np.ones(m)]))
     if tableau[basis >= n, -1].sum() > _ZERO_TOL:
         return None
     for row in np.flatnonzero(basis >= n):
         _pivot(tableau, basis, row, int(np.flatnonzero(np.abs(tableau[row, :n]) > 0.5)[0]))
-    _minimize(np.hstack([tableau[:, :n], tableau[:, -1:]]), basis, np.eye(n))
+    _minimize(np.hstack([tableau[:, :n], tableau[:, -1:]]), basis, 0.5 ** np.arange(n))
     return tuple(sorted(basis.tolist()))
 
 
@@ -233,7 +238,7 @@ class _OptimalBases:
     def first_feasible(self, rhs: np.ndarray):
         """(columns, weights) of the first kept basis whose weights are all >= -_ZERO_TOL, or None."""
         columns, solver = self.kept
-        basic = (rhs @ solver).reshape(len(columns), _SOLVER_WIDTH)[:, :9]
+        basic = (rhs @ solver).reshape(len(columns), 9)
         hit = np.flatnonzero((basic >= -_ZERO_TOL).all(axis=1))
         return (columns[hit[0]], basic[hit[0]]) if len(hit) else None
 
@@ -245,22 +250,13 @@ _optimal_bases = _OptimalBases()
 def _first_basis(support: tuple) -> tuple:
     """The first 9 columns, in combination order, that hold ``support`` and form a basis, and their solver.
 
-    Only the columns missing from ``support`` are enumerated.  The solver
-    is the transposed inverse of the block, so ``(rhs @ solver)[:9]`` is
-    the basis's weights.  It is kept _SOLVER_WIDTH = 12 columns wide, the
-    last 3 zero: numpy's OpenBLAS sums a vector-matrix product's columns
-    in groups of 4, and a ninth column left alone is summed in another
-    order, which moves some weights by an ulp.
+    That is the greedy completion of the independent ``support``, since independent
+    columns form a matroid (Gale, J. Combin. Theory 4, 176, 1968).  The solver is
+    the transposed inverse of the block, so ``rhs @ solver`` is the basis's weights.
     """
     matrix = _local_system()[1]
-    rest = [j for j in range(16) if j not in support]
-    for extra in itertools.combinations(rest, len(matrix) - len(support)):
-        columns = tuple(sorted(support + extra))
-        block = matrix[:, columns]
-        if abs(np.linalg.det(block)) > 0.5:  # the determinant is 0 or +-1
-            solver = np.zeros((9, _SOLVER_WIDTH))
-            solver[:, :9] = np.linalg.inv(block).T
-            return columns, solver
+    columns = tuple(sorted(_independent(matrix.T, support)))
+    return columns, np.ascontiguousarray(np.linalg.inv(matrix[:, columns]).T)
 
 
 def min_nonlocal_decomposition(box: Box) -> Decomposition:
@@ -275,9 +271,10 @@ def min_nonlocal_decomposition(box: Box) -> Decomposition:
     canonical vertex order.  That minimum is a basic solution of the
     local system.  Its optimal basis comes from a kept basis that is
     feasible for this target, or else from ``_lex_simplex`` (Bland, Math.
-    Oper. Res. 2, 103, 1977), which then keeps it.  The weights are
-    solved again on the first basis, in combination order, that holds
-    the support, so they do not depend on which optimal basis was found.
+    Oper. Res. 2, 103, 1977) on the one objective sum_j 2^-j w_j, equivalent
+    because every tableau entry is 0 or +-1, which then keeps it.  The weights
+    are solved again on the first basis, in combination order, that holds the
+    support, so they do not depend on which optimal basis was found.
 
     Raises Infeasible when the target is not inside the polytope, which
     for finite inputs means it is not a valid no-signaling box: phase 1
@@ -297,12 +294,12 @@ def min_nonlocal_decomposition(box: Box) -> Decomposition:
         if basis is None:
             raise Infeasible("target is not a convex mixture of no-signaling vertices")
         _optimal_bases.add(basis)
-        found = basis, (rhs @ _first_basis(basis)[1])[:9]
+        found = basis, rhs @ _first_basis(basis)[1]
     basis, basic = found
     columns, solver = _first_basis(tuple(c for c, x in zip(basis, basic) if x > _ZERO_TOL))
 
     w = np.zeros(24)
-    w[list(columns)] = np.clip((rhs @ solver)[:9], 0.0, None)
+    w[list(columns)] = np.clip(rhs @ solver, 0.0, None)
     w[16 + g] = p
     residual = float(np.abs(matrix @ w - target).max())
     if residual > RESIDUAL_TOL:

@@ -276,8 +276,9 @@ def intrinsic_numeric(joint: JointABE, restarts: int = 64, seed: int = 0) -> flo
 
 
 def intrinsic_upper_bound(joint: JointABE) -> float:
-    """min(I(A:B), I(A:B|E)); any channel value must stay below this."""
-    return float(min(info._cmi(joint.ab_marginal()[..., None]), info._cmi(joint.p)))
+    """min(I(A:B), I(A:B|E)), I(A:B) scored as ``intrinsic_search`` scores the constant channel."""
+    k = joint.p.shape[2]
+    return float(min(info._cmi(joint.p @ np.eye(k)[np.zeros(k, int)]), info._cmi(joint.p)))
 
 
 @dataclass(frozen=True)

@@ -304,6 +304,12 @@ class TestDecomposition:
         assert dec.nonlocal_weight <= 1e-9
         assert dec.residual < 1e-8
 
+    def test_decompositions_compare_and_hash_by_identity(self):
+        dec, other = (min_nonlocal_decomposition(isotropic(0.8)) for _ in range(2))
+        assert (dec == other) is False and (dec == dec) is True
+        assert hash(dec) == hash(dec)
+        assert len({dec, other, dec}) == 2
+
     def test_chsh_bounded_by_three_plus_nonlocal_weight(self):
         for v in np.linspace(0.0, 1.0, 21):
             box = isotropic(float(v))
@@ -478,13 +484,64 @@ class TestOptimalBases:
             rebuilt[basis] = np.linalg.solve(polytope._local_system()[1][:, basis], _local_rhs(box, dec))
             assert np.abs(rebuilt - dec.weights[:16]).max() <= 1e-15
         kept = polytope._optimal_bases.kept[0]
-        assert 0 < len(kept) <= 4096
+        assert 0 < len(kept) <= 64
         assert all(_lexicographically_optimal(basis) for basis in kept)
 
     def test_the_check_sees_a_basis_that_is_not_optimal(self):
         # the first basis in combination order is a basis, but not a lexicographically optimal one
         columns, _ = polytope._first_basis(())
         assert not _lexicographically_optimal(columns)
+
+
+@functools.cache
+def _all_bases() -> np.ndarray:
+    """The 4096 bases of the local system, in combination order: the 9-column sets of nonzero determinant."""
+    matrix = polytope._local_system()[1]
+    combinations = np.array(list(itertools.combinations(range(16), 9)))
+    determinants = np.linalg.det(np.moveaxis(matrix[:, combinations], 1, 0))
+    return combinations[np.abs(determinants) > 0.5]
+
+
+def _first_basis_by_combinations(support: tuple) -> tuple:
+    """The first of ``_all_bases`` that holds ``support``.
+
+    Among the 9-sets that hold ``support``, combination order of the full sets is
+    combination order of the columns they add, the order ``_first_basis`` names.
+    """
+    bases = _all_bases()
+    return tuple(bases[np.isin(bases, support).sum(axis=1) == len(support)][0].tolist())
+
+
+class TestSimplexStructure:
+    """The facts the simplex rests on: an integer tableau, one objective, one greedy completion."""
+
+    def test_every_tableau_entry_is_zero_or_one_in_magnitude(self):
+        bases = _all_bases()
+        assert len(bases) == 4096
+        matrix = polytope._local_system()[1]
+        tableaus = np.linalg.solve(np.moveaxis(matrix[:, bases], 1, 0), matrix)
+        assert np.abs(tableaus - np.round(tableaus)).max() < 1e-12
+        assert set(np.unique(np.round(tableaus))) == {-1.0, 0.0, 1.0}
+
+    def test_one_objective_has_the_lexicographic_optimal_bases(self):
+        bases = _all_bases()
+        matrix = polytope._local_system()[1]
+        tableaus = np.round(np.linalg.solve(np.moveaxis(matrix[:, bases], 1, 0), matrix))
+        cost = 0.5 ** np.arange(16)
+        reduced = cost - np.einsum("bi,bij->bj", cost[bases], tableaus)
+        optimal = [tuple(basis) for basis, r in zip(bases.tolist(), reduced) if r.min() >= 0.0]
+        assert optimal == [tuple(basis) for basis in bases.tolist() if _lexicographically_optimal(basis)]
+        assert len(optimal) == 64
+
+    def test_first_basis_is_the_first_in_combination_order(self):
+        rng = np.random.default_rng(42)
+        bases = _all_bases()
+        supports = [()] + [
+            tuple(sorted(rng.choice(basis, size=rng.integers(1, 9), replace=False).tolist()))
+            for basis in bases[rng.integers(0, len(bases), size=1000)]
+        ]
+        for support in supports:
+            assert polytope._first_basis(support)[0] == _first_basis_by_combinations(support), support
 
 
 class TestMinimalityOracle:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nskd import attack, info, rates
+from nskd import attack, info, polytope, rates
 from nskd.attack import JointABE, alice_bob_stats, table_joint
 from nskd.exceptions import DomainError, NotNormalized
 from nskd.info import (
@@ -588,6 +588,16 @@ class TestIntrinsicNumeric:
                 for start in rates._starts(joint.p, restarts, 0):
                     assert 0.0 <= result.value <= rates.cmi_given_channel(joint, rates.Channel(start))
                 assert result.value <= rates.intrinsic_upper_bound(joint) + 1e-12
+
+    def test_one_restart_never_exceeds_the_bound(self):
+        # sifted joints of random attacks; with I(A:B) taken from ab_marginal's sum the bound
+        # fell below the constant channel's value, which the search scores, on 7 of them
+        rng = np.random.default_rng(2024)
+        for _ in range(4000):
+            w = rng.dirichlet(np.full(24, 0.3))
+            strategy = attack.FullAttack(p_nl=math.fsum(w[16:]), components=tuple(zip(polytope.vertices(), w.tolist())))
+            joint = attack.sift(strategy)
+            assert rates.intrinsic_search(joint, restarts=1).value <= rates.intrinsic_upper_bound(joint)
 
     @pytest.mark.parametrize("announce", [False, True], ids=["table", "announce"])
     def test_search_reaches_the_exact_minimum_of_both_sifted_joints(self, announce):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nskd import attack, simulate
+from nskd import attack, boxes, simulate
 from nskd.exceptions import DomainError, EmptyInput
 
 FIELDS = ("x", "y", "a", "b", "vertex_index", "sifted_a")
@@ -416,6 +416,28 @@ class TestTally:
     def test_equals_bincount_on_block_columns(self):
         for x, y, _, a, b, sifted in simulate._Strategy(0.4).blocks(_B + 500, seed=2, first_round=7):
             assert np.array_equal(simulate._tally(x, y, a, b, sifted), self._oracle(x, y, a, b, sifted))
+
+
+class TestLaw:
+    """The rounds' 8 cells (x, y, a ^ b) follow the multinomial law of the box they simulate."""
+
+    @pytest.mark.parametrize("v", [0.3, 0.45, 0.6, 0.9])
+    def test_cells_fit_the_isotropic_law(self, v):
+        # one bound on the chi-square summed over 20 seeds (140 degrees of freedom): a bound on
+        # each seed's own chi-square at p = 0.001 fails on some seed of a sound simulator
+        from scipy.stats import chi2
+
+        n = 200_000
+        table = boxes.isotropic(v).table
+        pi = 0.25 * np.stack([table[..., 0, 0] + table[..., 1, 1], table[..., 0, 1] + table[..., 1, 0]], axis=-1).ravel()
+        total = 0.0
+        for seed in range(20):
+            log = simulate.run(v, n, seed=seed)
+            cells = np.bincount(log.x * 4 + log.y * 2 + (log.a ^ log.b), minlength=8)
+            # an error is a lost CHSH round: a ^ b != x * y, cells 1, 3, 5 and 6
+            assert np.count_nonzero(log.sifted_a ^ log.b) == cells[[1, 3, 5, 6]].sum()
+            total += float(((cells - n * pi) ** 2 / (n * pi)).sum())
+        assert chi2.ppf(0.0005, 140) < total < chi2.ppf(0.9995, 140)
 
 
 class TestEstimate:
