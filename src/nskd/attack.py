@@ -14,10 +14,11 @@ she cannot predict.  Sifting reads each vertex's ``responses`` (its
 answer at every x, y and coin, written once in ``polytope``): Eve knows
 a bit when it is the same over everything she cannot see.  Where each
 answer lands depends on the vertex alone, so it is worked out once per
-tuple of vertices, and a sift only sums each cell's weights.  The optimal
-attack's table is a count of eighths per cell, so ``table_joint`` and the
-rates module write it from those counts (``_optimal_table``), bit for bit
-the sift's; ``sift`` stays the route for every other attack.
+vertex (``_cells``), and a sift adds an eighth of the vertex's weight to
+each answer's cell.  The optimal attack's table is a count of eighths per
+cell, so ``table_joint`` and the rates module write it from those counts
+(``_optimal_table``), bit for bit the sift's; ``sift`` stays the route
+for every other attack.
 """
 
 from __future__ import annotations
@@ -140,32 +141,22 @@ def _cells(vertex: polytope.Vertex, announce: bool) -> tuple:
     return tuple(cells)
 
 
-@functools.lru_cache(maxsize=64)  # bounded; the optimal attacks fill 8 entries (4 vertex tuples, 2 announce)
-def _grouping(vertices: tuple, announce: bool) -> tuple:
-    """Eve's symbols in canonical order, and per nonzero cell of the (2, 2, len(symbols)) table
-    its flat index with the position in ``vertices`` of each answer landing there."""
-    members: dict = {}
-    for i, vertex in enumerate(vertices):
-        for cell in _cells(vertex, announce):
-            members.setdefault(cell, []).append(i)
-    symbols = tuple(sorted({sym for sym, _, _ in members}, key=_symbol_sort_key))
-    cells = tuple(((2 * a + b) * len(symbols) + symbols.index(sym), tuple(at)) for (sym, a, b), at in members.items())
-    return symbols, cells
-
-
 def _sift(attack: FullAttack, announce: bool) -> JointABE:
     """Reconciled round statistics; ``announce`` makes Alice's setting public.
 
-    A cell is the ``math.fsum`` of an eighth of the vertex weight per answer landing there
-    (``_grouping``): correctly rounded in any order, so the equal power-of-two scaled addends
-    of a uniform mixture sum to their exact closed-form totals.
+    Each answer of each vertex (``_cells``) appends an eighth of the vertex weight to its cell's
+    list, and a cell is the ``math.fsum`` of its list: correctly rounded in any order, so the
+    equal power-of-two scaled addends of a uniform mixture sum to their exact closed-form totals.
     """
-    symbols, cells = _grouping(tuple(vertex for vertex, _ in attack.components), announce)
-    eighths = [w * 0.125 for _, w in attack.components]
-    p = [0.0] * (4 * len(symbols))
-    for flat, at in cells:
-        p[flat] = math.fsum([eighths[i] for i in at])
-    return JointABE(p=np.reshape(p, (2, 2, len(symbols))), symbols=symbols)
+    eighths: dict = {}
+    for vertex, w in attack.components:
+        for cell in _cells(vertex, announce):
+            eighths.setdefault(cell, []).append(w * 0.125)
+    symbols = tuple(sorted({sym for sym, _, _ in eighths}, key=_symbol_sort_key))
+    p = np.zeros((2, 2, len(symbols)))
+    for (sym, a, b), addends in eighths.items():
+        p[a, b, symbols.index(sym)] = math.fsum(addends)
+    return JointABE(p=p, symbols=symbols)
 
 
 def sift(attack: FullAttack) -> JointABE:
@@ -194,18 +185,16 @@ def sift_alice_announces(attack: FullAttack) -> JointABE:
 @functools.cache
 def _optimal_cells(announce: bool) -> tuple:
     """Eve's symbols of the optimal attack, and per cell of its (2, 2, 5) table the count of
-    facet answers and of PR answers landing there, read from ``_grouping`` of its nine vertices.
+    facet answers and of PR answers landing there, each read from the ``_sift`` of its nine
+    vertices with the other kind at weight 0, so both keep every symbol, scaled to 1 per answer.
 
     Each facet symbol takes 16 and 8 eighths, 24 and 8 once Alice announces, and the PR box 4
     eighths in (?,?) at a = b; (?,?) sorts last, and no cell mixes the two kinds.
     """
     vertices = (*polytope.facet_vertices(), polytope.pr_box_vertex())
-    symbols, cells = _grouping(vertices, announce)
-    facet, pr = np.zeros((2, 4 * len(symbols)), dtype=int)
-    for flat, at in cells:
-        pr[flat] = at.count(len(vertices) - 1)  # the PR box is the last vertex
-        facet[flat] = len(at) - pr[flat]
-    return symbols, facet.reshape(2, 2, -1), pr.reshape(2, 2, -1)
+    facet = _sift(FullAttack(0.0, tuple((v, 0.125 if v.is_local else 0.0) for v in vertices)), announce)
+    pr = _sift(FullAttack(1.0, tuple((v, 0.0 if v.is_local else 1.0) for v in vertices)), announce)
+    return facet.symbols, facet.p * 64.0, pr.p * 8.0
 
 
 def _optimal_table(p_nl: float, announce: bool) -> tuple:

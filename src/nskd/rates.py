@@ -254,9 +254,16 @@ def intrinsic_search(joint: JointABE, restarts: int = 64, seed: int = 0) -> Intr
     identity start exact: the value never exceeds I(A:B|E).  A local
     method cannot certify the global minimum; the returned channel
     certifies that the minimum is at most ``value``.
+
+    Eve has at most 9 symbols, the pairs (e_a, e_b) over {0, 1, ?} a
+    sift yields.  A joint with more raises DomainError before any work:
+    above 3 restarts each of the Bell(k) partitions of k symbols is
+    scored as a k x k map, 4.9 GB of maps at k = 12.
     """
     restarts, seed = _as_count("restarts", restarts, 1), _as_count("seed", seed, 0)
     p_abe = np.asarray(joint.p, dtype=float)
+    if p_abe.shape[2] > 9:
+        raise DomainError(f"{p_abe.shape[2]} Eve symbols is above 9, the most a sift yields")
     # at one restart the constant channel, start 1, is scored too: its value I(A:B) bounds I down E
     scored = _starts(p_abe, max(restarts, 2), seed)
     candidates = np.concatenate([scored, _descend(_MARGINALS @ p_abe.reshape(4, -1), scored[:restarts])])

@@ -161,7 +161,7 @@ def single_vertex_oracle(vertex, announce: bool) -> dict:
 
 
 def oracle_sift(strategy: FullAttack, announce: bool) -> tuple:
-    """(p, symbols) by the route before cells were grouped once per vertex tuple.
+    """(p, symbols) by the route ``attack._sift`` takes, kept here as its reference.
 
     Every answer's eighth of its vertex's weight goes into a dict of per-cell lists,
     and each list is summed by math.fsum.
@@ -205,14 +205,11 @@ class TestSiftAgainstTheOracle:
         for p_nl in np.linspace(0.0, 1.0, 2001).tolist():
             assert_matches_oracle(attack_from_pnl(p_nl))
 
-    def test_grouping_cache_stays_within_its_bound(self):
-        bound = attack._grouping.cache_info().maxsize
-        assert bound is not None
-        pairs = list(itertools.permutations(polytope.vertices(), 2))[: bound + 40]
-        for pair in pairs:
-            sift(FullAttack(p_nl=0.0, components=tuple((vertex, 0.5) for vertex in pair)))
-        assert attack._grouping.cache_info().currsize == bound
-        assert_matches_oracle(FullAttack(p_nl=0.0, components=tuple((vertex, 0.5) for vertex in pairs[0])))
+    def test_a_thousand_new_attacks_cache_only_the_vertex_cells(self):
+        # each attack is a vertex tuple no sift has seen; only the 24 vertices x 2 variants are kept
+        for seed in range(200, 1200):
+            assert_matches_oracle(random_attack(seed))
+        assert attack._cells.cache_info().currsize <= 48
 
 
 class TestClosedFormTable:

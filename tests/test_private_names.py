@@ -109,3 +109,52 @@ def test_the_check_sees_a_numbers_import():
         "d": "import numbersx\nfrom .numbers import y\nfrom . import numbers\n",
     }
     assert modules_importing(sources, "numbers") == ["a", "b", "c"]
+
+
+# every cached function or property of the package, with the bound on what its cache holds
+CACHE_BOUNDS = {
+    "attack._cells": "48 entries: the 24 vertices, each with and without Alice's announcement",
+    "attack._optimal_cells": "2 entries: with and without Alice's announcement",
+    "cli._build_parser": "1 entry",
+    "polytope.Vertex.on_chsh_facet": "1 value per Vertex",
+    "polytope._first_basis": "at most 64 * 2**9 entries: the supports of the 64 optimal bases",
+    "polytope._local_system": "1 entry",
+    "polytope._vertex_matrix": "1 entry",
+    "polytope.vertices": "1 entry",
+}
+
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def cached_names(sources: dict) -> list:
+    """``module.qualname`` of each function decorated by ``functools.cache``, ``lru_cache`` or ``cached_property``."""
+    def is_cache(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) and target.value.id == "functools":
+            return target.attr in CACHE_DECORATORS
+        return isinstance(target, ast.Name) and target.id in CACHE_DECORATORS
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(node, ast.ClassDef) and any(map(is_cache, node.decorator_list)):
+                    yield f"{prefix}.{node.name}"
+                yield from walk(node.body, f"{prefix}.{node.name}")
+
+    return sorted(name for module, source in sources.items() for name in walk(ast.parse(source).body, module))
+
+
+def test_every_cache_states_its_bound():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert cached_names(sources) == sorted(CACHE_BOUNDS)
+
+
+def test_the_check_sees_every_cache():
+    sources = {
+        "a": "import functools\n@functools.cache\ndef _f():\n    pass\n"
+        "@functools.lru_cache(maxsize=4)\ndef g(x):\n    @functools.lru_cache\n    def h(y):\n        pass\n"
+        "@functools.wraps(g)\ndef w():\n    pass\n",
+        "b": "from functools import cache, cached_property\nclass C:\n    @cached_property\n    def p(self):\n"
+        "        pass\n    @property\n    def q(self):\n        pass\n@cache\ndef k():\n    pass\n",
+    }
+    assert cached_names(sources) == ["a._f", "a.g", "a.g.h", "b.C.p", "b.k"]

@@ -409,6 +409,24 @@ class TestIntrinsicNumeric:
             value = rates.intrinsic_numeric(joint, restarts=4, seed=0)
             assert value <= rates.intrinsic_upper_bound(joint) + OPT_TOL
 
+    def test_nine_eve_symbols_are_searched(self):
+        rng = np.random.default_rng(9)
+        joint = JointABE(p=rng.dirichlet(np.ones(36)).reshape(2, 2, 9), symbols=tuple(range(9)))
+        assert rates.intrinsic_search(joint, restarts=4).value <= rates.intrinsic_upper_bound(joint)
+
+    def test_more_than_nine_eve_symbols_raise_before_the_search(self):
+        # the Bell(10) partition maps alone would take 93 MB
+        joint = JointABE(p=np.full((2, 2, 10), 1.0 / 40), symbols=tuple(range(10)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError) as err:
+                rates.intrinsic_search(joint, restarts=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "10 Eve symbols is above 9, the most a sift yields"
+        assert peak < 2**20
+
     def test_monotone_in_restarts(self):
         joint = table_joint(0.6)
         v4 = rates.intrinsic_numeric(joint, restarts=4, seed=3)
