@@ -195,12 +195,8 @@ class TestBlockDraws:
         assert start == first + n
 
 
-def _inline_draws(seed, blocks):
-    return (simulate._block_draws(seed, block) for block in blocks)
-
-
-class TestPrefetch:
-    """The helper that draws each next block's words ahead changes no bit and outlives no call."""
+class TestInlineDraws:
+    """Every block's words are drawn on the caller's thread: no call starts a thread."""
 
     def test_no_thread_outlives_run_or_stream_estimate(self, tmp_path):
         before = threading.active_count()
@@ -209,16 +205,14 @@ class TestPrefetch:
         simulate.stream_estimate(0.8, 3 * _B + 5, seed=1, records=tmp_path / "records.csv")
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("n, helpers", [(_B, 0), (3 * _B, 1)], ids=["one block", "three blocks"])
-    def test_closing_the_blocks_stops_the_helper(self, n, helpers):
+    def test_a_suspended_window_runs_no_thread(self):
         before = threading.active_count()
-        blocks = simulate._Strategy(0.8).blocks(n, seed=1)
+        blocks = simulate._Strategy(0.8).blocks(3 * _B, seed=1)
         next(blocks)
-        assert threading.active_count() == before + helpers  # drawing block 1 ahead
+        assert threading.active_count() == before  # nothing draws block 1 ahead
         blocks.close()
-        assert threading.active_count() == before
 
-    def test_a_failed_records_write_stops_the_helper(self, monkeypatch, tmp_path):
+    def test_a_failed_records_write_stops_the_stream(self, monkeypatch, tmp_path):
         csv_block = simulate._csv_block
         written = []
 
@@ -235,7 +229,7 @@ class TestPrefetch:
         assert written == [_B]
         assert threading.active_count() == before
 
-    def test_a_helper_error_reaches_the_caller(self, monkeypatch):
+    def test_a_draw_error_reaches_the_caller(self, monkeypatch):
         error = MemoryError("no room for the words")
 
         class NoWords:
@@ -243,41 +237,9 @@ class TestPrefetch:
                 raise error
 
         monkeypatch.setattr(simulate, "_bit_generator", lambda seed, block: NoWords())
-        before = threading.active_count()
-        raised = []
-
-        def call():
-            try:
-                simulate.run(0.8, 3 * _B, seed=1)
-            except MemoryError as exc:
-                raised.append(exc)
-
-        caller = threading.Thread(target=call, daemon=True)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive(), "run hung on the helper's error"
-        assert len(raised) == 1 and raised[0] is error
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize(
-        "first, n",
-        [(_B // 2, 2 * _B + 100), (100, 1000), (_B - 1, 1)],
-        ids=["mid-block, three blocks", "one block", "one round"],
-    )
-    def test_prefetched_equals_inline(self, monkeypatch, tmp_path, first, n):
-        def outputs(name):
-            log = simulate.run(0.35, n, seed=11, first_round=first)
-            records = tmp_path / f"records-{name}.csv"
-            try:
-                report = simulate.stream_estimate(0.35, first + n, seed=11, records=records)
-            except EmptyInput as exc:
-                report = str(exc)
-            columns = [(str(getattr(log, f).dtype), getattr(log, f).tobytes()) for f in FIELDS]
-            return columns, log.to_csv(), report, records.read_bytes()
-
-        prefetched = outputs("prefetched")
-        monkeypatch.setattr(simulate, "_draws", _inline_draws)
-        assert prefetched == outputs("inline")
+        with pytest.raises(MemoryError) as raised:
+            simulate.run(0.8, 3 * _B, seed=1)
+        assert raised.value is error
 
 
 def test_import_loads_no_executor_or_logging():
