@@ -205,9 +205,10 @@ class TestInlineDraws:
         simulate.stream_estimate(0.8, 3 * _B + 5, seed=1, records=tmp_path / "records.csv")
         assert threading.active_count() == before
 
-    def test_a_suspended_window_runs_no_thread(self):
+    @pytest.mark.parametrize("n", [_B, 3 * _B], ids=["one block", "three blocks"])
+    def test_a_suspended_window_runs_no_thread(self, n):
         before = threading.active_count()
-        blocks = simulate._Strategy(0.8).blocks(3 * _B, seed=1)
+        blocks = simulate._Strategy(0.8).blocks(n, seed=1)
         next(blocks)
         assert threading.active_count() == before  # nothing draws block 1 ahead
         blocks.close()
@@ -240,6 +241,24 @@ class TestInlineDraws:
         with pytest.raises(MemoryError) as raised:
             simulate.run(0.8, 3 * _B, seed=1)
         assert raised.value is error
+
+    @pytest.mark.parametrize(
+        "first, n",
+        [(_B // 2, 2 * _B + 100), (100, 1000), (_B - 1, 1)],
+        ids=["mid-block, three blocks", "one block", "one round"],
+    )
+    def test_a_window_is_its_rounds_of_the_whole_stream(self, tmp_path, first, n):
+        window = simulate.run(0.35, n, seed=11, first_round=first)
+        whole = simulate.run(0.35, first + n, seed=11)
+        for field in FIELDS:
+            got, want = getattr(window, field), getattr(whole, field)[first:]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+        lines = whole.to_csv().splitlines(keepends=True)
+        assert window.to_csv() == lines[0] + "".join(lines[1 + first :])
+        records = tmp_path / "records.csv"
+        report = simulate.stream_estimate(0.35, first + n, seed=11, records=records)
+        assert report == simulate.estimate(whole)
+        assert records.read_bytes() == whole.to_csv().encode()
 
 
 def test_import_loads_no_executor_or_logging():
