@@ -14,7 +14,7 @@ bits of the raw word and counted exactly only for the few words whose
 16-bit bucket has a threshold strictly inside it; the outcomes are one
 lookup in a packed table over (vertex, x, y, coin), stacked from the
 vertices' ``responses`` arrays (``polytope``).  Each block writes its
-columns in place: ``run`` keeps the rounds in one 7n-byte buffer, 7
+columns in place: ``run`` keeps the rounds in one 6n-byte buffer, 6
 bytes per round, and each block writes its slices of it; ``estimate``
 tallies a log one block at a time, from seven ``count_nonzero`` calls
 per block; ``stream_estimate`` tallies the same blocks as they are drawn
@@ -48,14 +48,14 @@ BLOCK_ROUNDS = 1 << 16
 class RoundLog:
     """Columnar store of simulated rounds.
 
-    x, y, a, b and sifted_a hold bits (int8) and vertex_index indexes
-    vertex_names (int16), 7 bytes per round, so million-round runs stay
-    cheap.  ``run`` returns the six columns as views of one 7n-byte
-    buffer, vertex_index first, so one column kept alone keeps the whole
-    buffer alive.  Columns of different lengths or of a dtype other than
-    bool or integer, or a vertex index outside vertex_names, raise
-    DomainError, at construction and again in ``to_csv`` and (all but
-    the indices) ``estimate``.
+    x, y, a, b and sifted_a hold bits and vertex_index indexes
+    vertex_names (at most 24), all int8, 6 bytes per round, so
+    million-round runs stay cheap.  ``run`` returns the six columns as
+    the rows of one 6n-byte buffer, so one column kept alone keeps the
+    whole buffer alive.  Columns of different lengths or of a dtype
+    other than bool or integer, or a vertex index outside vertex_names,
+    raise DomainError, at construction and again in ``to_csv`` and (all
+    but the indices) ``estimate``.
     """
 
     def __init__(self, x, y, a, b, vertex_index, sifted_a, vertex_names):
@@ -161,9 +161,9 @@ class _Strategy:
         """Per block, (x, y, k, a, b, sifted_a) of the rounds [first_round, first_round + n) in it.
 
         The columns are written in place, into ``out``'s slices when it
-        holds the six columns of all n rounds, and otherwise into one
-        block of columns that every block reuses, so a yielded block is
-        overwritten by the next.
+        holds the six rows (``_columns``) of all n rounds, and otherwise
+        into one block of columns that every block reuses, so a yielded
+        block is overwritten by the next.
 
         Every block draws x, y, u and the coin for all its BLOCK_ROUNDS
         rounds from its own (seed, block index) sequence, in that order,
@@ -191,11 +191,11 @@ class _Strategy:
             window = slice(max(first_round - base, 0), min(first_round + n - base, BLOCK_ROUNDS))
             start = 0 if reuse else base + window.start - first_round
             part = slice(start, start + window.stop - window.start)
-            x, y, k, a, b, sifted = (col[part] for col in columns)
+            k, x, y, a, b, sifted = columns[:, part]
             np.right_shift(x_bytes[window], 7, out=x.view(np.uint8))
             np.right_shift(y_bytes[window], 7, out=y.view(np.uint8))
             key = _vertex_x8(self.buckets, self.thresholds, u_words[window])
-            np.right_shift(key, 3, out=k)
+            np.right_shift(key, 3, out=k.view(np.uint8))
             key += x.view(np.uint8) * 4
             key += y.view(np.uint8) * 2
             key += coin_bytes[window] >> 7
@@ -208,15 +208,12 @@ class _Strategy:
             yield x, y, k, a, b, sifted
 
 
-def _columns(n: int):
-    """(x, y, k, a, b, sifted_a) of n rounds, views of one 7n-byte buffer with k first."""
+def _columns(n: int) -> np.ndarray:
+    """(k, x, y, a, b, sifted_a) of n rounds, the int8 rows of one 6n-byte buffer."""
     # One buffer: once glibc's malloc has freed a mapped block, it serves blocks
     # up to that size (at most 32 MiB) from its heap, so the next log this size
     # reuses pages already touched instead of faulting in fresh ones.
-    buffer = np.empty(7 * n, dtype=np.int8)
-    k = buffer[: 2 * n].view(np.int16)  # first, so aligned for every n
-    x, y, a, b, sifted = buffer[2 * n :].reshape(5, n)
-    return x, y, k, a, b, sifted
+    return np.empty((6, n), dtype=np.int8)
 
 
 _BLOCK_WORDS = 3 * (BLOCK_ROUNDS // 8) + BLOCK_ROUNDS  # x, y, u, coin
@@ -294,7 +291,7 @@ def run(v: float, n: int, seed: int = 0, first_round: int = 0) -> RoundLog:
     columns = _columns(n)
     for _ in strategy.blocks(n, seed, first_round, out=columns):
         pass  # each block writes its slices of the columns
-    x, y, k, a, b, sifted = columns
+    k, x, y, a, b, sifted = columns
     return RoundLog(
         x=x, y=y, a=a, b=b, vertex_index=k, sifted_a=sifted, vertex_names=strategy.names
     )
